@@ -1,0 +1,93 @@
+"""Time-frequency calculus on the cyclic group Z_N.
+
+Quantization of N x N symbols into operators for every tau in [0, 1], STFT
+and Gabor frame machinery, discrete modulation / amalgam norms, and channel-
+matrix decay diagnostics, with the package's identities pinned down to exact
+finite computations.
+"""
+
+from .diagnostics import (
+    BoundednessReport,
+    ChannelMatrix,
+    CompositionReport,
+    DecayEnvelope,
+    DiagReport,
+    FioReport,
+    WienerReport,
+    almost_diag_report,
+    boundedness_report,
+    channel_matrix,
+    composition_symmetry_check,
+    covariance_check,
+    ell1v,
+    envelope,
+    fclass_diag_report,
+    fio_best_shift,
+    fio_membership,
+    operator_channel,
+    spearman_rank,
+    wiener_experiment,
+)
+from .generators import (
+    comb_window,
+    delta_symbol,
+    delta_window,
+    gaussian_symbol,
+    gaussian_window,
+    graded_corpus,
+    make_symbol,
+    make_window,
+    random_symbol,
+)
+from .normbank import (
+    MixedNormSpec,
+    amalgam_norm,
+    fsjostrand_norm,
+    mixed_norm,
+    modulation_norm,
+    sjostrand_norm,
+)
+from .phasespace import (
+    GridParams,
+    Lattice,
+    Weight,
+    apply_btau,
+    apply_j,
+    apply_j_inv,
+    apply_ttau,
+    apply_utau,
+    lattice_points,
+    polynomial_weight,
+    table_weight,
+    tensor_weight,
+    weight_eval,
+    wrapped_norm,
+)
+from .quantize import (
+    chirp_exponents,
+    convert_symbol,
+    dequantize,
+    kernel_from_symbol_endpoint,
+    op_tau,
+    spreading_function,
+    symbol_from_spreading,
+    tau_wigner,
+    twisted_product,
+)
+from .transforms import (
+    FrameReport,
+    canonical_dual,
+    dft,
+    dft_matrix,
+    frame_bounds,
+    frame_operator,
+    gabor_reconstruct,
+    idft,
+    stft,
+    stft_adjoint,
+    stft_grid,
+    tf_shift,
+    tf_shift_grid,
+)
+
+__version__ = "0.1.0"

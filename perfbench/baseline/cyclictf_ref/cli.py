@@ -1,0 +1,450 @@
+"""Experiment runner.
+
+Subcommands:
+  verify   -- run the exact-identity suites, print a pass/fail table
+  sweep    -- tau sweep of envelope masses, class norms, boundedness ratios (CSV)
+  wiener   -- inverse-symbol and composition reports (JSON)
+  norms    -- norm bank report for the configured symbol and a probe signal (JSON)
+  channel  -- channel-matrix envelope table (CSV) and diagnostic report (JSON)
+
+Configuration is a JSON file (--config); every field has a default and is
+validated before any computation.  Runs are deterministic for a fixed config
+and seed: randomness comes only from numpy's PCG64 seeded generators, and all
+numeric output is rendered at 12 significant digits.
+
+Exit codes: 0 success (verify: all suites pass), 1 suite failure, 2 invalid
+configuration.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from dataclasses import dataclass, field
+from pathlib import Path
+
+import numpy as np
+
+from . import diagnostics as dg
+from . import generators as gen
+from .normbank import MixedNormSpec, fsjostrand_norm, modulation_norm, sjostrand_norm
+from .phasespace import Lattice, polynomial_weight, utau_matrix
+from .quantize import chirp_exponents, convert_symbol, dequantize, op_tau, tau_wigner
+from .serialize import envelope_csv_lines, format_float, write_json
+from .transforms import dft, stft, stft_adjoint, stft_grid
+
+SUITE_TOL = 1e-10
+VERIFY_TRIALS = 20
+
+
+class ConfigError(ValueError):
+    pass
+
+
+@dataclass
+class ExperimentConfig:
+    n: int = 8
+    tau: list[float] = field(default_factory=lambda: [0.5])
+    symbol: dict = field(default_factory=lambda: {"name": "random-seeded"})
+    window: dict = field(default_factory=lambda: {"name": "gaussian"})
+    lattice: Lattice = Lattice(1, 1)
+    s: float = 1.0
+    trials: int = 20
+    seed: int = 0
+    suites: list[str] | None = None
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ExperimentConfig":
+        known = {
+            "n", "tau", "symbol", "window", "lattice", "s", "trials", "seed", "suites",
+        }
+        unknown = set(data) - known
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        cfg = cls()
+        cfg.n = int(data.get("n", cfg.n))
+        tau = data.get("tau", [0.5])
+        cfg.tau = [float(t) for t in tau] if isinstance(tau, list) else [float(tau)]
+        cfg.symbol = dict(data.get("symbol", cfg.symbol))
+        cfg.window = dict(data.get("window", cfg.window))
+        lat = data.get("lattice", {"a": 1, "b": 1})
+        cfg.lattice = Lattice(int(lat.get("a", 1)), int(lat.get("b", 1)))
+        cfg.s = float(data.get("s", cfg.s))
+        cfg.trials = int(data.get("trials", cfg.trials))
+        cfg.seed = int(data.get("seed", cfg.seed))
+        cfg.suites = data.get("suites")
+        return cfg
+
+    def validate(self) -> None:
+        if self.n < 2:
+            raise ConfigError("grid size must be at least 2")
+        if not self.tau:
+            raise ConfigError("empty tau list")
+        for t in self.tau:
+            if not 0.0 <= t <= 1.0:
+                raise ConfigError("quantization parameter out of range")
+        try:
+            self.lattice.validate(self.n)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if self.n > dg.FULL_CHANNEL_CAP:
+            raise ConfigError("full channel matrix too large; use a lattice")
+        if self.s < 0:
+            raise ConfigError("weight order must be nonnegative")
+        if self.trials < 1:
+            raise ConfigError("trials must be at least 1")
+        name = self.symbol.get("name", "random-seeded")
+        if name not in gen.SYMBOL_NAMES:
+            raise ConfigError(f"unknown symbol generator {name!r}")
+        wname = self.window.get("name", "gaussian")
+        if wname not in gen.WINDOW_NAMES:
+            raise ConfigError(f"unknown window generator {wname!r}")
+
+    def make_symbol(self) -> np.ndarray:
+        params = {k: v for k, v in self.symbol.items() if k not in ("name", "seed")}
+        return gen.make_symbol(
+            self.symbol.get("name", "random-seeded"),
+            self.n,
+            seed=int(self.symbol.get("seed", self.seed)),
+            **params,
+        )
+
+    def make_window(self) -> np.ndarray:
+        params = {k: v for k, v in self.window.items() if k != "name"}
+        return gen.make_window(self.window.get("name", "gaussian"), self.n, **params)
+
+
+# --------------------------------------------------------------------------
+# verify suites
+
+
+def _rand_signal(rng, n):
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def _rand_symbol(rng, n):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _suite_fundamental_identity(cfg, rng):
+    n = cfg.n
+    worst = 0.0
+    for _ in range(VERIFY_TRIALS):
+        f, g = _rand_signal(rng, n), _rand_signal(rng, n)
+        lhs = stft(f, g)
+        rhs_grid = stft(dft(f), dft(g))
+        for x in range(n):
+            for w in range(n):
+                rhs = np.exp(-2j * np.pi * x * w / n) * rhs_grid[w, (-x) % n]
+                worst = max(worst, abs(lhs[x, w] - rhs))
+    return worst
+
+
+def _suite_stft_inversion(cfg, rng):
+    n = cfg.n
+    worst = 0.0
+    for _ in range(VERIFY_TRIALS):
+        f, g = _rand_signal(rng, n), _rand_signal(rng, n)
+        recon = stft_adjoint(stft(f, g), g) / (n * np.linalg.norm(g) ** 2)
+        worst = max(worst, np.abs(recon - f).max() / max(np.abs(f).max(), 1e-30))
+    return worst
+
+
+def _suite_quantize_duality(cfg, rng):
+    n = cfg.n
+    worst = 0.0
+    for tau in (0.0, 0.3, 0.5, 1.0):
+        for _ in range(VERIFY_TRIALS // 4 + 1):
+            sigma = _rand_symbol(rng, n)
+            f, g = _rand_signal(rng, n), _rand_signal(rng, n)
+            lhs = np.vdot(g, op_tau(sigma, tau) @ f)
+            rhs = np.vdot(tau_wigner(g, f, tau), sigma)
+            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-30))
+    return worst
+
+
+def _suite_quantize_roundtrip(cfg, rng):
+    n = cfg.n
+    worst = 0.0
+    for tau in (0.0, 0.25, 1 / 3, 0.5, 1 / np.pi, 1.0):
+        sigma = _rand_symbol(rng, n)
+        back = dequantize(op_tau(sigma, tau), tau)
+        worst = max(worst, np.abs(back - sigma).max() / np.abs(sigma).max())
+    return worst
+
+
+def _suite_convert_consistency(cfg, rng):
+    n = cfg.n
+    worst = 0.0
+    for tau1, tau2 in ((0.0, 0.5), (0.3, 0.8), (0.5, 1.0), (0.25, 0.25)):
+        sigma = _rand_symbol(rng, n)
+        direct = op_tau(convert_symbol(sigma, tau1, tau2), tau2)
+        worst = max(worst, np.abs(direct - op_tau(sigma, tau1)).max() / np.abs(sigma).max())
+        via_ops = dequantize(op_tau(sigma, tau1), tau2)
+        worst = max(
+            worst, np.abs(via_ops - convert_symbol(sigma, tau1, tau2)).max() / np.abs(sigma).max()
+        )
+    return worst
+
+
+def _suite_symplectic_covariance(cfg, rng):
+    n = cfg.n
+    worst = 0.0
+    for tau in (0.0, 0.3, 0.5, 1.0):
+        for _ in range(VERIFY_TRIALS // 4 + 1):
+            worst = max(worst, dg.covariance_check(_rand_symbol(rng, n), tau))
+    return worst
+
+
+def _channel_modulus_cases(n: int):
+    """Window/tau/pair-restriction cases where the modulus identity is exact.
+
+    Endpoints hold for any window and all pairs.  tau = 1/2 needs either an
+    odd grid (all even-sum pairs) or, on grids divisible by 8, the comb
+    window whose ambiguity function lives on the even sublattice.
+    """
+    cases = [
+        (0.0, gen.gaussian_window(n), "gaussian"),
+        (1.0, gen.gaussian_window(n), "gaussian"),
+    ]
+    if n % 2 == 1:
+        cases.append((0.5, gen.gaussian_window(n), "gaussian"))
+    elif n % 8 == 0:
+        cases.append((0.5, gen.comb_window(n), "comb"))
+    return cases
+
+
+def _suite_channel_modulus(cfg, rng):
+    n = cfg.n
+    worst = 0.0
+    for tau, phi, _label in _channel_modulus_cases(n):
+        sigma = _rand_symbol(rng, n)
+        chan = dg.channel_matrix(sigma, tau, phi)
+        mags = np.abs(stft_grid(sigma, tau_wigner(phi, phi, tau)))
+        for wi, w in enumerate(chan.points):
+            for zi, z in enumerate(chan.points):
+                p1 = (1 - tau) * w[0] + tau * z[0]
+                p2 = tau * w[1] + (1 - tau) * z[1]
+                if abs(p1 - round(p1)) > 1e-9 or abs(p2 - round(p2)) > 1e-9:
+                    continue
+                lhs = abs(chan.entries[wi, zi])
+                rhs = mags[round(p1) % n, round(p2) % n, (w[1] - z[1]) % n, (z[0] - w[0]) % n]
+                worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+VERIFY_SUITES = {
+    "fundamental-identity": _suite_fundamental_identity,
+    "stft-inversion": _suite_stft_inversion,
+    "quantize-duality": _suite_quantize_duality,
+    "quantize-roundtrip": _suite_quantize_roundtrip,
+    "convert-consistency": _suite_convert_consistency,
+    "symplectic-covariance": _suite_symplectic_covariance,
+    "channel-modulus": _suite_channel_modulus,
+}
+
+
+def run_verify(cfg: ExperimentConfig, quiet: bool = False) -> int:
+    names = cfg.suites or list(VERIFY_SUITES)
+    unknown = [s for s in names if s not in VERIFY_SUITES]
+    if unknown:
+        raise ConfigError(f"unknown suites: {unknown}")
+    chirp_exponents(cfg.n)  # fail early if the grid is unusable
+    failures = 0
+    rows = []
+    for name in names:
+        rng = np.random.default_rng(cfg.seed)
+        residual = VERIFY_SUITES[name](cfg, rng)
+        ok = residual < SUITE_TOL
+        failures += 0 if ok else 1
+        rows.append((name, residual, ok))
+    if not quiet:
+        width = max(len(name) for name, _, _ in rows)
+        for name, residual, ok in rows:
+            print(f"{name:<{width}}  {format_float(residual):>12}  {'pass' if ok else 'FAIL'}")
+        print(f"{len(rows)} suites, {len(rows) - failures} passed, {failures} failed")
+    return 0 if failures == 0 else 1
+
+
+# --------------------------------------------------------------------------
+# sweep / wiener / norms / channel
+
+
+SWEEP_COLUMNS = [
+    "tau",
+    "env_diff_l1",
+    "env_sum_l1",
+    "env_shift_l1",
+    "sjostrand",
+    "fsjostrand",
+    "max_ratio_m22",
+]
+
+
+def run_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
+    sigma = cfg.make_symbol()
+    phi = cfg.make_window()
+    v = polynomial_weight(cfg.s)
+    lines = [",".join(SWEEP_COLUMNS)]
+    for tau in cfg.tau:
+        chan = dg.channel_matrix(sigma, tau, phi)
+        env_diff = dg.ell1v(dg.envelope(chan, "difference"), v)
+        env_sum = dg.ell1v(dg.envelope(chan, "sum"), v)
+        if 0.0 < tau < 1.0:
+            env_shift = dg.ell1v(dg.envelope(chan, "shifted", utau_matrix(tau)), v)
+        else:
+            env_shift = dg.ell1v(dg.envelope(chan, "ttau"), v)  # weak endpoint form
+        big_phi = tau_wigner(phi, phi, tau)
+        sj = sjostrand_norm(sigma, big_phi, v)
+        fsj = fsjostrand_norm(sigma, big_phi, v)
+        ratio = dg.boundedness_report(
+            sigma, tau, MixedNormSpec(2.0, 2.0), cfg.trials, cfg.seed, window=phi
+        ).max_ratio
+        cells = [format_float(x) for x in (tau, env_diff, env_sum, env_shift, sj, fsj, ratio)]
+        lines.append(",".join(cells))
+    out = out_dir / "sweep.csv"
+    out.write_text("\n".join(lines) + "\n")
+    if not quiet:
+        print(f"wrote {out}")
+    return 0
+
+
+def run_wiener(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
+    sigma = cfg.make_symbol()
+    phi = cfg.make_window()
+    rows = []
+    for tau in cfg.tau:
+        rep = dg.wiener_experiment(sigma, tau, cfg.s, window=phi,
+                                   class_tag=cfg.symbol.get("name", "unspecified"))
+        row = {
+            "tau": tau,
+            "invertible": rep.invertible,
+            "condition": rep.condition,
+            "class_tag": rep.class_tag,
+        }
+        if rep.invertible:
+            row["weyl_track_norm"] = rep.weyl_track_norm
+            row["fclass_track_norm"] = rep.fclass_track_norm
+            if 0.0 < tau < 1.0:
+                comp = dg.composition_symmetry_check(sigma, sigma, tau, window=phi, s=cfg.s)
+                row["composition_weyl_norm"] = comp.weyl_class_norm
+                row["left_module_norm"] = comp.left_module_norm
+                row["right_module_norm"] = comp.right_module_norm
+        rows.append(row)
+    out = out_dir / "wiener.json"
+    write_json(out, {"rng": gen.RNG_ALGORITHM, "rows": rows})
+    if not quiet:
+        print(f"wrote {out}")
+    return 0
+
+
+def run_norms(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
+    sigma = cfg.make_symbol()
+    phi = cfg.make_window()
+    rng = np.random.default_rng(cfg.seed)
+    probe = _rand_signal(rng, cfg.n)
+    v = polynomial_weight(cfg.s)
+    tau = cfg.tau[0]
+    big_phi = tau_wigner(phi, phi, tau)
+    reports = [
+        {"space": "M^{p,q}", "p": 2.0, "q": 2.0, "s": 0.0,
+         "value": modulation_norm(probe, phi, MixedNormSpec(2.0, 2.0))},
+        {"space": "M^{p,q}", "p": 1.0, "q": float("inf"), "s": 0.0,
+         "value": modulation_norm(probe, phi, MixedNormSpec(1.0, float("inf")))},
+        {"space": "sjostrand", "p": float("inf"), "q": 1.0, "s": cfg.s,
+         "value": sjostrand_norm(sigma, big_phi, v)},
+        {"space": "fsjostrand", "p": float("inf"), "q": 1.0, "s": cfg.s,
+         "value": fsjostrand_norm(sigma, big_phi, v)},
+    ]
+    out = out_dir / "norms.json"
+    write_json(out, {"rng": gen.RNG_ALGORITHM, "tau": tau, "reports": reports})
+    if not quiet:
+        print(f"wrote {out}")
+    return 0
+
+
+def run_channel(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
+    sigma = cfg.make_symbol()
+    phi = cfg.make_window()
+    tau = cfg.tau[0]
+    lattice = None if cfg.lattice == Lattice(1, 1) else cfg.lattice
+    rep = dg.almost_diag_report(sigma, tau, phi, lattice, cfg.s)
+    chan = dg.channel_matrix(sigma, tau, phi, lattice)
+    env = dg.envelope(chan, "difference")
+    csv_out = out_dir / "envelope.csv"
+    csv_out.write_text("\n".join(envelope_csv_lines(env, polynomial_weight(cfg.s))) + "\n")
+    json_out = out_dir / "channel_report.json"
+    write_json(
+        json_out,
+        {
+            "rng": gen.RNG_ALGORITHM,
+            "n": rep.n,
+            "tau": rep.tau,
+            "s": rep.s,
+            "mode": rep.mode,
+            "envelope_l1": rep.envelope_l1,
+            "class_norm": rep.class_norm,
+            "ratio": rep.ratio,
+            "warnings": list(rep.warnings),
+        },
+    )
+    if not quiet:
+        print(f"wrote {csv_out} and {json_out}")
+    return 0
+
+
+# --------------------------------------------------------------------------
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cyclictf",
+        description="Finite time-frequency calculus experiments on Z_N.",
+    )
+    parser.add_argument("--config", type=Path, default=None, help="JSON config file")
+    parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--quiet", action="store_true")
+    parser.add_argument(
+        "command",
+        choices=["verify", "sweep", "wiener", "norms", "channel"],
+    )
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        data = {}
+        if args.config is not None:
+            data = json.loads(Path(args.config).read_text())
+        cfg = ExperimentConfig.from_dict(data)
+        if args.seed is not None:
+            cfg.seed = args.seed
+        cfg.validate()
+    except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+    args.out.mkdir(parents=True, exist_ok=True)
+    try:
+        if args.command == "verify":
+            return run_verify(cfg, quiet=args.quiet)
+        if args.command == "sweep":
+            return run_sweep(cfg, args.out, quiet=args.quiet)
+        if args.command == "wiener":
+            return run_wiener(cfg, args.out, quiet=args.quiet)
+        if args.command == "norms":
+            return run_norms(cfg, args.out, quiet=args.quiet)
+        return run_channel(cfg, args.out, quiet=args.quiet)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,183 @@
+"""Unitary DFT, time-frequency shifts, STFT, and Gabor frame machinery on Z_N.
+
+All inner products are conjugate-linear in the second argument:
+<f, g> = sum_t f(t) conj(g(t)).
+
+The DFT is unitary, F f(xi) = N^{-1/2} sum_x f(x) e^{-2 pi i x xi / N}, so
+Parseval and the fundamental identity
+    V_g f(x, omega) = e^{-2 pi i x omega / N} V_{Fg} Ff(omega, -x)
+hold exactly on the grid.  With this normalization the STFT inversion reads
+V_g* V_g = N ||g||^2 Id; the discrete constant N is pinned by the delta
+oracle in the test suite.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from .phasespace import Lattice
+
+__all__ = [
+    "FrameReport",
+    "canonical_dual",
+    "dft",
+    "dft_matrix",
+    "frame_bounds",
+    "frame_operator",
+    "gabor_reconstruct",
+    "idft",
+    "stft",
+    "stft_adjoint",
+    "stft_grid",
+    "tf_shift",
+    "tf_shift_grid",
+]
+
+FRAME_RTOL = 1e-10  # is_frame threshold, relative to the upper bound
+
+
+def _as_signal(f) -> np.ndarray:
+    arr = np.asarray(f, dtype=complex)
+    if arr.ndim != 1:
+        raise ValueError("signal must be one-dimensional")
+    return arr
+
+
+def dft(f: np.ndarray) -> np.ndarray:
+    """Unitary DFT; dft applied four times is the identity."""
+    arr = _as_signal(f)
+    return np.fft.fft(arr) / np.sqrt(arr.shape[0])
+
+
+def idft(f: np.ndarray) -> np.ndarray:
+    """Exact inverse of dft."""
+    arr = _as_signal(f)
+    return np.fft.ifft(arr) * np.sqrt(arr.shape[0])
+
+
+def dft_matrix(n: int) -> np.ndarray:
+    t = np.arange(n)
+    return np.exp(-2j * np.pi * np.outer(t, t) / n) / np.sqrt(n)
+
+
+def tf_shift(z: Sequence[int], f: np.ndarray) -> np.ndarray:
+    """Phase-space shift pi(z) f(t) = e^{2 pi i omega t / N} f(t - x); unitary."""
+    arr = _as_signal(f)
+    n = arr.shape[0]
+    x, omega = int(z[0]), int(z[1])
+    t = np.arange(n)
+    return np.exp(2j * np.pi * omega * t / n) * np.roll(arr, x)
+
+
+def tf_shift_grid(p: Sequence[int], q: Sequence[int], big_f: np.ndarray) -> np.ndarray:
+    """Phase-space shift on Z_N^2 grids: modulation by q after translation by p."""
+    arr = np.asarray(big_f, dtype=complex)
+    n = arr.shape[0]
+    r1 = np.arange(n)[:, None]
+    r2 = np.arange(n)[None, :]
+    phase = np.exp(2j * np.pi * (int(q[0]) * r1 + int(q[1]) * r2) / n)
+    return phase * np.roll(np.roll(arr, int(p[0]), axis=0), int(p[1]), axis=1)
+
+
+def stft(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """STFT V_g f(x, omega) = <f, pi(x, omega) g>, an N x N grid indexed (x, omega).
+
+    Equals sum_y f(y) conj(g(y - x)) e^{-2 pi i y omega / N}; computed as one
+    DFT per time shift.
+    """
+    farr, garr = _as_signal(f), _as_signal(g)
+    n = farr.shape[0]
+    if not np.any(garr):
+        raise ValueError("window must be non-zero")
+    out = np.empty((n, n), dtype=complex)
+    for x in range(n):
+        out[x] = np.fft.fft(farr * np.conj(np.roll(garr, x)))
+    return out
+
+
+def stft_adjoint(big_f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Adjoint V_g* F = sum_z F(z) pi(z) g; <V_g f, F> = <f, V_g* F> exactly."""
+    garr = _as_signal(g)
+    n = garr.shape[0]
+    coeff = np.asarray(big_f, dtype=complex)
+    if coeff.shape != (n, n):
+        raise ValueError("coefficient grid must be N x N")
+    # sum_omega F(x, omega) e^{2 pi i omega t / N} = N * ifft over omega
+    rows = np.fft.ifft(coeff, axis=1) * n
+    out = np.zeros(n, dtype=complex)
+    for x in range(n):
+        out += rows[x] * np.roll(garr, x)
+    return out
+
+
+def stft_grid(sigma: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """Symbol STFT on Z_N^2: V_W sigma(p, q) = <sigma, Pi(p, q) W>.
+
+    Output has shape (N, N, N, N) indexed (p1, p2, q1, q2); the window W is
+    an N x N grid (a Symbol).  Same raw-sum normalization as the 1-D stft.
+    """
+    arr = np.asarray(sigma, dtype=complex)
+    n = arr.shape[0]
+    win = np.asarray(window, dtype=complex)
+    if not np.any(win):
+        raise ValueError("window must be non-zero")
+    out = np.empty((n, n, n, n), dtype=complex)
+    for p1 in range(n):
+        rolled1 = np.roll(win, p1, axis=0)
+        for p2 in range(n):
+            shifted = np.roll(rolled1, p2, axis=1)
+            out[p1, p2] = np.fft.fft2(arr * np.conj(shifted))
+    return out
+
+
+@dataclass(frozen=True)
+class FrameReport:
+    """Frame bounds of a Gabor system: A ||f||^2 <= sum |<f, pi(l) phi>|^2 <= B ||f||^2."""
+
+    lower: float
+    upper: float
+    condition: float
+    is_frame: bool
+
+
+def frame_operator(phi: np.ndarray, lattice: Lattice) -> np.ndarray:
+    """S = sum_{l in Lambda} <., pi(l) phi> pi(l) phi, an N x N PSD matrix."""
+    arr = _as_signal(phi)
+    if not np.any(arr):
+        raise ValueError("window must be non-zero")
+    n = arr.shape[0]
+    pts = lattice.points(n)
+    bank = np.stack([tf_shift(p, arr) for p in pts], axis=1)
+    return bank @ bank.conj().T
+
+
+def frame_bounds(phi: np.ndarray, lattice: Lattice) -> FrameReport:
+    """Exact bounds from the eigenvalues of the frame operator."""
+    s = frame_operator(phi, lattice)
+    eig = np.linalg.eigvalsh(s)
+    lower, upper = float(eig[0]), float(eig[-1])
+    is_frame = lower > FRAME_RTOL * max(upper, 1.0)
+    condition = upper / lower if is_frame else float("inf")
+    return FrameReport(lower=lower, upper=upper, condition=condition, is_frame=is_frame)
+
+
+def canonical_dual(phi: np.ndarray, lattice: Lattice) -> np.ndarray:
+    """Canonical dual window S^{-1} phi; requires the system to be a frame."""
+    s = frame_operator(phi, lattice)
+    report = frame_bounds(phi, lattice)
+    if not report.is_frame:
+        raise ValueError("frame operator singular")
+    return np.linalg.solve(s, _as_signal(phi))
+
+
+def gabor_reconstruct(f: np.ndarray, phi: np.ndarray, dual: np.ndarray, lattice: Lattice) -> np.ndarray:
+    """Expansion sum_l <f, pi(l) phi> pi(l) dual; identity when dual = S^{-1} phi."""
+    arr = _as_signal(f)
+    n = arr.shape[0]
+    out = np.zeros(n, dtype=complex)
+    for p in lattice.points(n):
+        out += np.vdot(tf_shift(p, phi), arr) * tf_shift(p, dual)
+    return out
