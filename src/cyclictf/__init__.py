@@ -83,11 +83,11 @@ from .transforms import (
     frame_operator,
     gabor_reconstruct,
     idft,
+    shift_bank,
     stft,
     stft_adjoint,
     stft_grid,
     tf_shift,
-    tf_shift_grid,
 )
 
 __version__ = "0.1.0"

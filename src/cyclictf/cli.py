@@ -73,7 +73,8 @@ class ExperimentConfig:
         cfg.s = float(data.get("s", cfg.s))
         cfg.trials = int(data.get("trials", cfg.trials))
         cfg.seed = int(data.get("seed", cfg.seed))
-        cfg.suites = data.get("suites")
+        suites = data.get("suites")
+        cfg.suites = [suites] if isinstance(suites, str) else suites
         return cfg
 
     def validate(self) -> None:
@@ -94,6 +95,8 @@ class ExperimentConfig:
             raise ConfigError("weight order must be nonnegative")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
+        if self.suites is not None and not isinstance(self.suites, list):
+            raise ConfigError("suites must be a suite name or a list of suite names")
         name = self.symbol.get("name", "random-seeded")
         if name not in gen.SYMBOL_NAMES:
             raise ConfigError(f"unknown symbol generator {name!r}")
@@ -129,15 +132,14 @@ def _rand_symbol(rng, n):
 
 def _suite_fundamental_identity(cfg, rng):
     n = cfg.n
+    xg, wg = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    phase = np.exp(-2j * np.pi * xg * wg / n)
     worst = 0.0
     for _ in range(VERIFY_TRIALS):
         f, g = _rand_signal(rng, n), _rand_signal(rng, n)
         lhs = stft(f, g)
-        rhs_grid = stft(dft(f), dft(g))
-        for x in range(n):
-            for w in range(n):
-                rhs = np.exp(-2j * np.pi * x * w / n) * rhs_grid[w, (-x) % n]
-                worst = max(worst, abs(lhs[x, w] - rhs))
+        rhs = phase * stft(dft(f), dft(g))[wg, (-xg) % n]
+        worst = max(worst, np.abs(lhs - rhs).max() / np.abs(lhs).max())
     return worst
 
 
@@ -215,22 +217,54 @@ def _channel_modulus_cases(n: int):
     return cases
 
 
+def _channel_modulus_residual(entries: np.ndarray, mags: np.ndarray, tau: float):
+    """Worst mismatch of |<Op pi(z) phi, pi(w) phi>| = |V_Phi sigma(T_tau(w, z), J(w - z))|.
+
+    entries is the full-grid channel matrix (rows w, columns z, both in
+    row-major (x, omega) order) and mags = |stft_grid(sigma, Phi)|.  Only the
+    pairs whose T_tau(w, z) = ((1 - tau) w0 + tau z0, tau w1 + (1 - tau) z1)
+    lies on the grid are compared.  Returns the worst difference relative to
+    max |entries|, and the number of pairs compared.
+
+    The first coordinate of T_tau depends on (w0, z0) only and the second on
+    (w1, z1) only, so the grid tests and indices are N x N tables; the loop
+    runs over w0 and keeps every temporary at O(N^3).
+    """
+    n = mags.shape[0]
+    chan = entries.reshape(n, n, n, n)  # (w0, w1, z0, z1)
+    x = np.arange(n)
+    p1 = (1 - tau) * x[:, None] + tau * x[None, :]  # (w0, z0)
+    p2 = tau * x[:, None] + (1 - tau) * x[None, :]  # (w1, z1)
+    on1 = np.abs(p1 - np.rint(p1)) <= 1e-9
+    on2 = np.abs(p2 - np.rint(p2)) <= 1e-9
+    # flat index into mags of (rint(p1), rint(p2), w1 - z1, z0 - w0), split
+    # into its (w0, z0) and (w1, z1) parts
+    at1 = (np.rint(p1).astype(np.int64) % n) * n**3 + (x[None, :] - x[:, None]) % n
+    at2 = ((np.rint(p2).astype(np.int64) % n) * n + (x[:, None] - x[None, :]) % n) * n
+    flat_mags = mags.ravel()
+    worst = scale = 0.0
+    for w0 in range(n):
+        lhs = np.abs(chan[w0])  # (w1, z0, z1)
+        scale = max(scale, lhs.max())
+        cols = np.flatnonzero(on1[w0])  # never empty: z0 = w0 is on the grid
+        rhs = flat_mags[at1[w0, cols][None, :, None] + at2[:, None, :]]
+        diff = np.abs(lhs[:, cols] - rhs).max(axis=1)  # (w1, z1)
+        worst = max(worst, diff[on2].max())
+    return worst / scale, int(on1.sum()) * int(on2.sum())
+
+
 def _suite_channel_modulus(cfg, rng):
     n = cfg.n
     worst = 0.0
     for tau, phi, _label in _channel_modulus_cases(n):
         sigma = _rand_symbol(rng, n)
-        chan = dg.channel_matrix(sigma, tau, phi)
-        mags = np.abs(stft_grid(sigma, tau_wigner(phi, phi, tau)))
-        for wi, w in enumerate(chan.points):
-            for zi, z in enumerate(chan.points):
-                p1 = (1 - tau) * w[0] + tau * z[0]
-                p2 = tau * w[1] + (1 - tau) * z[1]
-                if abs(p1 - round(p1)) > 1e-9 or abs(p2 - round(p2)) > 1e-9:
-                    continue
-                lhs = abs(chan.entries[wi, zi])
-                rhs = mags[round(p1) % n, round(p2) % n, (w[1] - z[1]) % n, (z[0] - w[0]) % n]
-                worst = max(worst, abs(lhs - rhs))
+        # both arrays are arguments only, so each case frees them on return
+        residual, _pairs = _channel_modulus_residual(
+            dg.channel_matrix(sigma, tau, phi).entries,
+            np.abs(stft_grid(sigma, tau_wigner(phi, phi, tau))),
+            tau,
+        )
+        worst = max(worst, residual)
     return worst
 
 

@@ -29,7 +29,7 @@ from .phasespace import (
     utau_matrix,
 )
 from .quantize import dequantize, op_tau, rotate_symbol_j_inv, tau_wigner
-from .transforms import dft_matrix, frame_bounds, tf_shift
+from .transforms import dft_matrix, frame_bounds, shift_bank
 
 __all__ = [
     "BoundednessReport",
@@ -70,10 +70,6 @@ class ChannelMatrix:
     window_id: str = ""
 
 
-def _shift_bank(phi: np.ndarray, points) -> np.ndarray:
-    return np.stack([tf_shift(p, phi) for p in points], axis=1)
-
-
 def operator_channel(
     operator: np.ndarray,
     phi: np.ndarray,
@@ -93,7 +89,7 @@ def operator_channel(
         points = tuple((x, w) for x in range(n) for w in range(n))
     else:
         points = tuple(lattice.points(n))
-    bank = _shift_bank(phi, points)
+    bank = shift_bank(phi, points)
     entries = bank.conj().T @ (arr @ bank)
     return ChannelMatrix(entries=entries, points=points, n=n, tau=tau, window_id=window_id)
 

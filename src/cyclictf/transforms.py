@@ -29,11 +29,11 @@ __all__ = [
     "frame_operator",
     "gabor_reconstruct",
     "idft",
+    "shift_bank",
     "stft",
     "stft_adjoint",
     "stft_grid",
     "tf_shift",
-    "tf_shift_grid",
 ]
 
 FRAME_RTOL = 1e-10  # is_frame threshold, relative to the upper bound
@@ -72,14 +72,20 @@ def tf_shift(z: Sequence[int], f: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * omega * t / n) * np.roll(arr, x)
 
 
-def tf_shift_grid(p: Sequence[int], q: Sequence[int], big_f: np.ndarray) -> np.ndarray:
-    """Phase-space shift on Z_N^2 grids: modulation by q after translation by p."""
-    arr = np.asarray(big_f, dtype=complex)
+def shift_bank(phi: np.ndarray, points: Sequence[Sequence[int]]) -> np.ndarray:
+    """Columns pi(z) phi for z in points, an N x len(points) matrix.
+
+    Evaluates e^{2 pi i omega t / N} phi((t - x) mod N) for all columns at
+    once, in the same order of operations as tf_shift, so each column equals
+    tf_shift(z, phi) bit for bit.
+    """
+    arr = _as_signal(phi)
     n = arr.shape[0]
-    r1 = np.arange(n)[:, None]
-    r2 = np.arange(n)[None, :]
-    phase = np.exp(2j * np.pi * (int(q[0]) * r1 + int(q[1]) * r2) / n)
-    return phase * np.roll(np.roll(arr, int(p[0]), axis=0), int(p[1]), axis=1)
+    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+    t = np.arange(n)[:, None]
+    bank = np.exp(2j * np.pi * pts[:, 1] * t / n)
+    bank *= arr[(t - pts[:, 0]) % n]
+    return bank
 
 
 def stft(f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -90,6 +96,8 @@ def stft(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """
     farr, garr = _as_signal(f), _as_signal(g)
     n = farr.shape[0]
+    if garr.shape != farr.shape:
+        raise ValueError(f"signal and window lengths differ: {n} != {garr.shape[0]}")
     if not np.any(garr):
         raise ValueError("window must be non-zero")
     out = np.empty((n, n), dtype=complex)
@@ -118,18 +126,21 @@ def stft_grid(sigma: np.ndarray, window: np.ndarray) -> np.ndarray:
 
     Output has shape (N, N, N, N) indexed (p1, p2, q1, q2); the window W is
     an N x N grid (a Symbol).  Same raw-sum normalization as the 1-D stft.
+    The N column shifts of conj(W) are built once; each p1 then takes one
+    batched fft2 over its N row-shifted products.
     """
     arr = np.asarray(sigma, dtype=complex)
     n = arr.shape[0]
     win = np.asarray(window, dtype=complex)
     if not np.any(win):
         raise ValueError("window must be non-zero")
+    cols = np.stack([np.conj(np.roll(win, p2, axis=1)) for p2 in range(n)])
     out = np.empty((n, n, n, n), dtype=complex)
     for p1 in range(n):
-        rolled1 = np.roll(win, p1, axis=0)
-        for p2 in range(n):
-            shifted = np.roll(rolled1, p2, axis=1)
-            out[p1, p2] = np.fft.fft2(arr * np.conj(shifted))
+        # arr * roll(cols, p1, axis=1), written in two slices without a copy
+        np.multiply(arr[p1:], cols[:, : n - p1], out=out[p1, :, p1:])
+        np.multiply(arr[:p1], cols[:, n - p1 :], out=out[p1, :, :p1])
+        out[p1] = np.fft.fft2(out[p1], axes=(1, 2))
     return out
 
 
@@ -148,9 +159,7 @@ def frame_operator(phi: np.ndarray, lattice: Lattice) -> np.ndarray:
     arr = _as_signal(phi)
     if not np.any(arr):
         raise ValueError("window must be non-zero")
-    n = arr.shape[0]
-    pts = lattice.points(n)
-    bank = np.stack([tf_shift(p, arr) for p in pts], axis=1)
+    bank = shift_bank(arr, lattice.points(arr.shape[0]))
     return bank @ bank.conj().T
 
 
@@ -176,8 +185,5 @@ def canonical_dual(phi: np.ndarray, lattice: Lattice) -> np.ndarray:
 def gabor_reconstruct(f: np.ndarray, phi: np.ndarray, dual: np.ndarray, lattice: Lattice) -> np.ndarray:
     """Expansion sum_l <f, pi(l) phi> pi(l) dual; identity when dual = S^{-1} phi."""
     arr = _as_signal(f)
-    n = arr.shape[0]
-    out = np.zeros(n, dtype=complex)
-    for p in lattice.points(n):
-        out += np.vdot(tf_shift(p, phi), arr) * tf_shift(p, dual)
-    return out
+    pts = lattice.points(arr.shape[0])
+    return shift_bank(dual, pts) @ (shift_bank(phi, pts).conj().T @ arr)

@@ -23,7 +23,7 @@ import json
 import numpy as np
 import pytest
 
-from cyclictf.cli import main
+from cyclictf.cli import _channel_modulus_cases, _channel_modulus_residual, main
 from cyclictf.diagnostics import (
     boundedness_report,
     channel_matrix,
@@ -210,6 +210,61 @@ class TestCriterion2ChannelModulusIdentity:
             ", ".join(f"{k}: {v:.2e}" for k, v in results.items()),
         )
         assert not bad
+
+    @pytest.mark.parametrize("n", [4, 8, 9, 15, 16, 21])
+    def test_verify_oracle_matches_pair_loop(self, n):
+        # the verify suite's array form against the scalar pair loop above,
+        # on every case the suite runs at this grid; |.| of an array and of
+        # a Python complex may differ in the last bit, hence a few eps
+        rng = np.random.default_rng(20 + n)
+        for tau, phi, label in _channel_modulus_cases(n):
+            sigma = rand_symbol(rng, n)
+            entries = channel_matrix(sigma, tau, phi).entries
+            mags = np.abs(stft_grid(sigma, tau_wigner(phi, phi, tau)))
+            residual, pairs = _channel_modulus_residual(entries, mags, tau)
+            worst, loop_pairs = self._forward(n, tau, phi, sigma, False)
+            assert pairs == loop_pairs, (tau, label)
+            expected = worst / np.abs(entries).max()
+            assert abs(residual - expected) <= 4 * np.finfo(float).eps, (tau, label)
+
+    @staticmethod
+    def _half_tau_case(n):
+        tau, phi, _label = _channel_modulus_cases(n)[2]
+        assert tau == 0.5
+        sigma = rand_symbol(np.random.default_rng(3), n)
+        entries = channel_matrix(sigma, tau, phi).entries
+        mags = np.abs(stft_grid(sigma, tau_wigner(phi, phi, tau)))
+        return entries, mags, tau
+
+    @staticmethod
+    def _nudged(entries, wi, zi, delta):
+        # move one entry outward by delta * max|entries|, so its modulus
+        # changes by exactly that much relative to the residual's scale
+        out = entries.copy()
+        e = out[wi, zi]
+        out[wi, zi] += delta * np.abs(entries).max() * e / abs(e)
+        return out
+
+    def test_verify_oracle_sees_one_exact_pair(self):
+        n, delta = 9, 1e-6
+        entries, mags, tau = self._half_tau_case(n)
+        base, _ = _channel_modulus_residual(entries, mags, tau)
+        assert base < self.TOL
+        wi, zi = 0, 2 * n + 2  # w = (0, 0), z = (2, 2): T_tau(w, z) = (1, 1)
+        residual, _ = _channel_modulus_residual(self._nudged(entries, wi, zi, delta), mags, tau)
+        assert residual >= delta / 2
+
+    def test_verify_oracle_skips_odd_sum_pairs(self):
+        # at tau = 1/2 a pair with w + z odd has no grid point T_tau(w, z)
+        n = 9
+        entries, mags, tau = self._half_tau_case(n)
+        base, pairs = _channel_modulus_residual(entries, mags, tau)
+        pts = np.array([(x, w) for x in range(n) for w in range(n)])
+        odd = ((pts[:, None, :] + pts[None, :, :]) % 2).any(axis=2)
+        mags_of_odd = np.where(odd, np.abs(entries), np.inf)
+        wi, zi = np.unravel_index(mags_of_odd.argmin(), odd.shape)  # far below the max
+        nudged = self._nudged(entries, wi, zi, 1e-6)
+        assert _channel_modulus_residual(nudged, mags, tau) == (base, pairs)
 
 
 class TestCriterion3FrameMachinery:

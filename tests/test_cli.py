@@ -49,10 +49,23 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg)]) == 2
         assert "unknown suites" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n", [4, 9, 16])
+    def test_single_suite_as_string(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"suites": "channel-modulus"})
+        assert main(["verify", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("channel-modulus ")
+        assert "1 suites, 1 passed, 0 failed" in out
+
+    def test_suites_of_wrong_type_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"suites": 3})
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert "suites must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [4, 9, 16, 21, 24, 32])
     def test_other_grid_sizes_pass(self, n):
-        # odd grids exercise the tau = 1/2 channel-identity leg with a generic
-        # window; n = 4 runs the endpoint legs only
+        # odd grids (9, 21) exercise the tau = 1/2 channel-identity leg with a
+        # generic window, grids divisible by 8 (16, 24, 32) the comb-window
+        # leg; n = 4 runs the endpoint legs only
         cfg = ExperimentConfig()
         cfg.n = n
         from cyclictf.cli import run_verify

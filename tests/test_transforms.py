@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclictf.generators import delta_window, gaussian_window
 from cyclictf.phasespace import Lattice
@@ -11,8 +13,10 @@ from cyclictf.transforms import (
     frame_operator,
     gabor_reconstruct,
     idft,
+    shift_bank,
     stft,
     stft_adjoint,
+    stft_grid,
     tf_shift,
 )
 
@@ -73,6 +77,38 @@ class TestTfShift:
                         phase = np.exp(-2j * np.pi * x * wp / n)
                         rhs = phase * tf_shift((x + xp, w + wp), f)
                         assert np.abs(lhs - rhs).max() < 1e-12
+
+
+class TestKernelEquivalence:
+    """Array kernels against their per-point definitions, over grid sizes."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+    def test_stft_grid_matches_definition(self, n, seed):
+        # V_W sigma(p, q) = sum_r sigma(r) conj(W(r - p)) e^{-2 pi i q.r / N}
+        rng = np.random.default_rng(seed)
+        sigma = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        window = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        t = np.arange(n)
+        fourier = np.exp(-2j * np.pi * np.outer(t, t) / n)
+        direct = np.empty((n, n, n, n), dtype=complex)
+        for p1 in range(n):
+            for p2 in range(n):
+                shifted = window[(t[:, None] - p1) % n, (t[None, :] - p2) % n]
+                direct[p1, p2] = fourier @ (sigma * np.conj(shifted)) @ fourier
+        err = np.abs(stft_grid(sigma, window) - direct).max()
+        assert err <= 1e-12 * np.abs(direct).max()
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+    def test_shift_bank_is_stacked_tf_shift(self, n, seed):
+        rng = np.random.default_rng(seed)
+        phi = rand_signal(rng, n)
+        lattices = [Lattice(1, 1)] + ([Lattice(2, 2)] if n % 2 == 0 else [])
+        for lattice in lattices:
+            pts = lattice.points(n)
+            stacked = np.stack([tf_shift(p, phi) for p in pts], axis=1)
+            assert np.array_equal(shift_bank(phi, pts), stacked)
 
 
 class TestStft:
@@ -262,6 +298,10 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="one-dimensional"):
             dft(np.ones((4, 4)))
 
+    def test_stft_length_mismatch(self):
+        with pytest.raises(ValueError, match="lengths differ: 8 != 6"):
+            stft(np.ones(8), gaussian_window(6))
+
     def test_adjoint_grid_shape(self):
         from cyclictf.transforms import stft_adjoint
 
@@ -269,8 +309,6 @@ class TestInputValidation:
             stft_adjoint(np.ones((4, 5)), gaussian_window(4))
 
     def test_grid_stft_zero_window(self):
-        from cyclictf.transforms import stft_grid
-
         with pytest.raises(ValueError, match="non-zero"):
             stft_grid(np.ones((4, 4)), np.zeros((4, 4)))
 
