@@ -48,19 +48,11 @@ from .normbank import (
     sjostrand_norm,
 )
 from .phasespace import (
-    GridParams,
     Lattice,
     Weight,
-    apply_btau,
-    apply_j,
-    apply_j_inv,
-    apply_ttau,
-    apply_utau,
-    lattice_points,
     polynomial_weight,
     table_weight,
     tensor_weight,
-    weight_eval,
     wrapped_norm,
 )
 from .quantize import (

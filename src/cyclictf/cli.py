@@ -103,6 +103,17 @@ class ExperimentConfig:
         wname = self.window.get("name", "gaussian")
         if wname not in gen.WINDOW_NAMES:
             raise ConfigError(f"unknown window generator {wname!r}")
+        for kind, gname, spec in (("symbol", name, self.symbol), ("window", wname, self.window)):
+            if gname == "gaussian" and not float(spec.get("width", 1.0)) > 0:
+                raise ConfigError(f"gaussian {kind} width must be positive")
+        values = self.symbol.get("values")
+        if name.startswith("separable") and values is not None:
+            profile = np.asarray(values)
+            if profile.shape != (self.n,) or profile.dtype.kind not in "biufc":
+                raise ConfigError(f"separable symbol values must be a list of n = {self.n} numbers")
+        step = float(self.window.get("step", 2))
+        if wname == "comb" and not (step.is_integer() and step >= 1 and self.n % step**2 == 0):
+            raise ConfigError("comb window step must be a positive integer with step^2 dividing n")
 
     def make_symbol(self) -> np.ndarray:
         params = {k: v for k, v in self.symbol.items() if k not in ("name", "seed")}
@@ -404,10 +415,8 @@ def run_channel(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> in
     tau = cfg.tau[0]
     lattice = None if cfg.lattice == Lattice(1, 1) else cfg.lattice
     rep = dg.almost_diag_report(sigma, tau, phi, lattice, cfg.s)
-    chan = dg.channel_matrix(sigma, tau, phi, lattice)
-    env = dg.envelope(chan, "difference")
     csv_out = out_dir / "envelope.csv"
-    csv_out.write_text("\n".join(envelope_csv_lines(env, polynomial_weight(cfg.s))) + "\n")
+    csv_out.write_text("\n".join(envelope_csv_lines(rep.envelope, polynomial_weight(cfg.s))) + "\n")
     json_out = out_dir / "channel_report.json"
     write_json(
         json_out,

@@ -67,7 +67,6 @@ class ChannelMatrix:
     points: tuple[PhasePoint, ...]
     n: int
     tau: float | None = None
-    window_id: str = ""
 
 
 def operator_channel(
@@ -75,7 +74,6 @@ def operator_channel(
     phi: np.ndarray,
     lattice: Lattice | None = None,
     tau: float | None = None,
-    window_id: str = "",
 ) -> ChannelMatrix:
     """Channel matrix of an arbitrary operator matrix (no symbol needed)."""
     arr = np.asarray(operator, dtype=complex)
@@ -91,7 +89,7 @@ def operator_channel(
         points = tuple(lattice.points(n))
     bank = shift_bank(phi, points)
     entries = bank.conj().T @ (arr @ bank)
-    return ChannelMatrix(entries=entries, points=points, n=n, tau=tau, window_id=window_id)
+    return ChannelMatrix(entries=entries, points=points, n=n, tau=tau)
 
 
 def channel_matrix(
@@ -99,10 +97,9 @@ def channel_matrix(
     tau: float,
     phi: np.ndarray,
     lattice: Lattice | None = None,
-    window_id: str = "",
 ) -> ChannelMatrix:
     """Channel matrix of Op_tau(sigma); full grid by default (capped at N=32)."""
-    return operator_channel(op_tau(sigma, tau), phi, lattice, tau=tau, window_id=window_id)
+    return operator_channel(op_tau(sigma, tau), phi, lattice, tau=tau)
 
 
 @dataclass(frozen=True)
@@ -112,7 +109,6 @@ class DecayEnvelope:
     mode: str
     table: np.ndarray
     n: int
-    shift: tuple | None = None  # row-major 2x2 map for mode="shifted"
 
 
 def _nearest_indices(vals: np.ndarray, n: int) -> np.ndarray:
@@ -148,8 +144,8 @@ def envelope(channel: ChannelMatrix, mode: str, shift_map: np.ndarray | None = N
         k1 = (wx + zx).astype(np.int64) % n
         k2 = (ww + zw).astype(np.int64) % n
     elif mode == "shifted":
-        if shift_map is None:
-            raise ValueError("mode='shifted' needs a 2x2 shift map")
+        if np.shape(shift_map) != (2, 2):
+            raise ValueError(f"mode='shifted' needs a 2x2 shift map, not {np.shape(shift_map)}")
         a = np.asarray(shift_map, dtype=float)
         k1 = _nearest_indices(wx - (a[0, 0] * zx + a[0, 1] * zw), n)
         k2 = _nearest_indices(ww - (a[1, 0] * zx + a[1, 1] * zw), n)
@@ -163,8 +159,7 @@ def envelope(channel: ChannelMatrix, mode: str, shift_map: np.ndarray | None = N
         raise ValueError(f"unknown envelope mode {mode!r}")
     table = np.zeros((n, n))
     np.maximum.at(table, (k1.ravel(), k2.ravel()), np.abs(channel.entries).ravel())
-    shift = None if shift_map is None else tuple(np.asarray(shift_map, dtype=float).ravel())
-    return DecayEnvelope(mode=mode, table=table, n=n, shift=shift)
+    return DecayEnvelope(mode=mode, table=table, n=n)
 
 
 def ell1v(env: DecayEnvelope, v: Weight) -> float:
@@ -192,6 +187,7 @@ class DiagReport:
     lattice: Lattice | None = None
     mode: str = "difference"
     warnings: tuple[str, ...] = ()
+    envelope: DecayEnvelope | None = None  # the envelope whose mass is envelope_l1
 
 
 def almost_diag_report(
@@ -232,6 +228,7 @@ def almost_diag_report(
         lattice=lattice,
         mode="difference",
         warnings=tuple(warnings),
+        envelope=env,
     )
 
 
@@ -274,6 +271,7 @@ def fclass_diag_report(
         s=s,
         n=n,
         mode=mode,
+        envelope=env,
     )
 
 

@@ -7,95 +7,48 @@ become finite exact computations.
 
 Conventions:
   * PhasePoint is an integer pair (x, omega), canonical representatives in
-    [0, N).  RealPhasePoint is a float pair reduced to [0, N).
-  * J(z1, z2) = (z2, -z1), the 90-degree phase-space rotation.
+    [0, N).
+  * J(z1, z2) = (z2, -z1), the 90-degree phase-space rotation.  J, B_tau and
+    U_tau are 2x2 matrices; envelope() applies T_tau inline.
   * Distances wrap: dist(t) = min(t mod N, N - t mod N).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 PhasePoint = tuple[int, int]
-RealPhasePoint = tuple[float, float]
 
 __all__ = [
-    "GridParams",
+    "J_INV_MATRIX",
+    "J_MATRIX",
     "Lattice",
     "PhasePoint",
-    "RealPhasePoint",
     "Weight",
-    "apply_btau",
-    "apply_j",
-    "apply_j_inv",
-    "apply_ttau",
-    "apply_utau",
-    "lattice_points",
+    "btau_matrix",
     "polynomial_weight",
-    "reduce_point",
-    "reduce_real",
     "table_weight",
     "tensor_weight",
-    "weight_eval",
-    "wrapped_dist",
+    "utau_matrix",
     "wrapped_norm",
 ]
 
 
-@dataclass(frozen=True)
-class GridParams:
-    """Grid size N; signal length and modulus for all index arithmetic."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("grid size must be at least 2")
+def _wrapped(t: np.ndarray, n: int) -> np.ndarray:
+    """Distance from each t to the nearest multiple of N."""
+    r = np.mod(t, n)
+    return np.minimum(r, n - r)
 
 
-def reduce_point(z: Sequence[int], n: int) -> PhasePoint:
-    """Canonical representative of an integer phase-space point."""
-    return (int(z[0]) % n, int(z[1]) % n)
-
-
-def reduce_real(z: Sequence[float], n: int) -> RealPhasePoint:
-    """Reduce a real phase-space point to [0, N)^2."""
-    return (float(z[0]) % n, float(z[1]) % n)
-
-
-def wrapped_dist(t: float, n: int) -> float:
-    """Distance from t to the nearest multiple of N."""
-    r = t % n
-    return min(r, n - r)
-
-
-def wrapped_norm(z: Sequence[float], n: int) -> float:
+def wrapped_norm(z, n: int) -> float:
     """Euclidean norm of a phase-space point with wrapped coordinates.
 
     Periodic substitute for |z|: sqrt(d(x)^2 + d(omega)^2) with
     d(t) = min(t mod N, N - t mod N).  Vanishes exactly on N Z^2.
     """
-    return float(np.hypot(wrapped_dist(z[0], n), wrapped_dist(z[1], n)))
-
-
-def apply_j(z: Sequence[int], n: int) -> PhasePoint:
-    """J(z1, z2) = (z2, -z1) mod N."""
-    return (int(z[1]) % n, (-int(z[0])) % n)
-
-
-def apply_j_inv(z: Sequence[int], n: int) -> PhasePoint:
-    """J^{-1}(z1, z2) = (-z2, z1) mod N."""
-    return ((-int(z[1])) % n, int(z[0]) % n)
-
-
-def apply_ttau(z: Sequence[float], w: Sequence[float], tau: float, n: int) -> RealPhasePoint:
-    """Convex pairing ((1-tau) z1 + tau w1, tau z2 + (1-tau) w2) mod N."""
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("quantization parameter out of range")
-    return reduce_real(((1 - tau) * z[0] + tau * w[0], tau * z[1] + (1 - tau) * w[1]), n)
+    return float(np.hypot(*_wrapped(np.asarray(z, dtype=float), n)))
 
 
 def _check_open_tau(tau: float) -> None:
@@ -103,29 +56,17 @@ def _check_open_tau(tau: float) -> None:
         raise ValueError("B_tau/U_tau singular at endpoints")
 
 
-def apply_btau(z: Sequence[float], tau: float, n: int) -> RealPhasePoint:
-    """B_tau z = (z1/(1-tau), z2/tau) mod N; requires tau in (0,1)."""
-    _check_open_tau(tau)
-    return reduce_real((z[0] / (1 - tau), z[1] / tau), n)
-
-
-def apply_utau(z: Sequence[float], tau: float, n: int) -> RealPhasePoint:
-    """U_tau z = (-tau z1/(1-tau), -(1-tau) z2/tau) mod N; tau in (0,1).
-
-    U_tau is an involution pair across the half point: U_tau^{-1} = U_{1-tau},
-    and U_{1/2} = -I.
-    """
-    _check_open_tau(tau)
-    return reduce_real((-tau * z[0] / (1 - tau), -(1 - tau) * z[1] / tau), n)
-
-
 def utau_matrix(tau: float) -> np.ndarray:
-    """The diagonal matrix of U_tau, for use as an envelope shift map."""
+    """The diagonal matrix of U_tau, for use as an envelope shift map.
+
+    U_tau z = (-tau z1/(1-tau), -(1-tau) z2/tau); U_tau^{-1} = U_{1-tau}, U_{1/2} = -I.
+    """
     _check_open_tau(tau)
     return np.diag([-tau / (1 - tau), -(1 - tau) / tau])
 
 
 def btau_matrix(tau: float) -> np.ndarray:
+    """The diagonal matrix of B_tau z = (z1/(1-tau), z2/tau); tau in (0, 1)."""
     _check_open_tau(tau)
     return np.diag([1.0 / (1 - tau), 1.0 / tau])
 
@@ -155,11 +96,7 @@ class Lattice:
         return (n // self.a) * (n // self.b)
 
 
-def lattice_points(lattice: Lattice, n: int) -> list[PhasePoint]:
-    return lattice.points(n)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields, so compared by identity
 class Weight:
     """Positive weight on the real torus (R mod N)^dim.
 
@@ -174,9 +111,9 @@ class Weight:
     """
 
     s: float | None = None
-    table: tuple | None = None  # nested tuple, kept hashable; use table_weight()
+    table: np.ndarray | None = None  # shape (N,) * dim; use table_weight()
     dim: int = 2
-    premap: tuple | None = None  # row-major dim x dim matrix entries
+    premap: np.ndarray | None = None  # dim x dim matrix
 
     def __post_init__(self) -> None:
         if (self.s is None) == (self.table is None):
@@ -184,44 +121,32 @@ class Weight:
         if self.s is not None and self.s < 0:
             raise ValueError("polynomial order must be nonnegative")
 
-    def _mapped(self, z: Sequence[float]) -> tuple[float, ...]:
-        if self.premap is None:
-            return tuple(float(c) for c in z)
-        m = np.asarray(self.premap, dtype=float).reshape(self.dim, self.dim)
-        return tuple(float(c) for c in m @ np.asarray(z, dtype=float))
+    def __call__(self, z, n: int) -> np.ndarray:
+        """Values at the torus points z, shape (dim, ...) -> z.shape[1:].
 
-    def __call__(self, z: Sequence[float], n: int) -> float:
-        return weight_eval(self, z, n)
+        Table weights accept grid points only (up to 1e-9 after the premap).
+        """
+        pt = np.asarray(z, dtype=float)
+        if self.premap is not None:
+            pt = np.tensordot(self.premap, pt, axes=1)
+        if self.s is not None:
+            return (1.0 + np.sum(_wrapped(pt, n) ** 2, axis=0)) ** (self.s / 2.0)
+        r = np.mod(pt, n)
+        k = np.rint(r)
+        if np.any(np.abs(r - k) > 1e-9):
+            raise ValueError("table weight requires grid point")
+        return self.table[tuple(k.astype(np.int64) % n)]
 
     def compose(self, matrix: np.ndarray) -> "Weight":
         """Weight z -> self(matrix z); premaps chain by matrix product."""
         m = np.asarray(matrix, dtype=float)
         if self.premap is not None:
-            m = np.asarray(self.premap, dtype=float).reshape(self.dim, self.dim) @ m
-        return Weight(s=self.s, table=self.table, dim=self.dim, premap=tuple(m.ravel()))
+            m = self.premap @ m
+        return Weight(s=self.s, table=self.table, dim=self.dim, premap=m)
 
     def on_grid(self, n: int) -> np.ndarray:
         """Values at all grid points; shape (n,) for dim=1, (n, n) for dim=2."""
-        if self.dim == 1:
-            return np.array([weight_eval(self, (t,), n) for t in range(n)])
-        return np.array([[weight_eval(self, (x, w), n) for w in range(n)] for x in range(n)])
-
-
-def weight_eval(v: Weight, z: Sequence[float], n: int) -> float:
-    """Evaluate a weight at a (possibly non-integer) torus point."""
-    pt = v._mapped(z)
-    if v.s is not None:
-        r2 = sum(wrapped_dist(c, n) ** 2 for c in pt)
-        return float((1.0 + r2) ** (v.s / 2.0))
-    idx = []
-    for c in pt:
-        r = c % n
-        k = round(r)
-        if abs(r - k) > 1e-9:
-            raise ValueError("table weight requires grid point")
-        idx.append(int(k) % n)
-    val = np.asarray(v.table, dtype=float)
-    return float(val[tuple(idx)])
+        return self(np.indices((n,) * self.dim), n)
 
 
 def polynomial_weight(s: float, dim: int = 2) -> Weight:
@@ -230,14 +155,12 @@ def polynomial_weight(s: float, dim: int = 2) -> Weight:
 
 
 def table_weight(values: np.ndarray) -> Weight:
-    arr = np.asarray(values, dtype=float)
+    arr = np.array(values, dtype=float)
     if np.any(arr <= 0):
         raise ValueError("weight table must be positive")
-    if arr.ndim == 1:
-        return Weight(table=tuple(arr.tolist()), dim=1)
-    if arr.ndim == 2:
-        return Weight(table=tuple(map(tuple, arr.tolist())), dim=2)
-    raise ValueError("weight table must be 1-D or 2-D")
+    if arr.ndim not in (1, 2):
+        raise ValueError("weight table must be 1-D or 2-D")
+    return Weight(table=arr, dim=arr.ndim)
 
 
 def tensor_weight(u: Weight, w: Weight, n: int) -> Weight:

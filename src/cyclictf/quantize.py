@@ -29,8 +29,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .phasespace import apply_j_inv
-
 __all__ = [
     "convert_symbol",
     "dequantize",
@@ -122,6 +120,16 @@ def symbol_from_spreading(coeff: np.ndarray, tau: float) -> np.ndarray:
     return np.fft.ifft2(arr * phase) * n
 
 
+def _diagonals(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index map of the cyclic diagonals: [rows, cols][u, y] = (y - u, y) mod N.
+
+    Row u of the map walks the u-th diagonal of an N x N kernel.  op_tau
+    scatters spreading columns through it, dequantize gathers them back.
+    """
+    y = np.arange(n)
+    return (y[None, :] - y[:, None]) % n, np.broadcast_to(y, (n, n))
+
+
 def op_tau(sigma: np.ndarray, tau: float) -> np.ndarray:
     """Quantize a symbol into an N x N operator matrix.
 
@@ -132,10 +140,8 @@ def op_tau(sigma: np.ndarray, tau: float) -> np.ndarray:
     n = coeff.shape[0]
     # col[y, u] = (1/N) sum_omega c(omega, u) e^{2 pi i omega y / N}
     col = np.fft.ifft(coeff, axis=0)
-    kernel = np.zeros((n, n), dtype=complex)
-    y = np.arange(n)
-    for u in range(n):
-        kernel[(y - u) % n, y] = col[y, u]
+    kernel = np.empty((n, n), dtype=complex)
+    kernel[_diagonals(n)] = col.T  # k(y - u, y) = col[y, u]
     return kernel
 
 
@@ -150,11 +156,7 @@ def dequantize(operator: np.ndarray, tau: float) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("operator must be a square matrix")
     tau = _check_tau(tau)
-    n = arr.shape[0]
-    y = np.arange(n)
-    diag = np.empty((n, n), dtype=complex)  # diag[u, y] = T[y - u, y]
-    for u in range(n):
-        diag[u] = arr[(y - u) % n, y]
+    diag = arr[_diagonals(arr.shape[0])]  # diag[u, y] = T[y - u, y]
     coeff = np.fft.fft(diag, axis=1).T  # coeff[omega, u] = sum_y diag[u, y] e^{-2 pi i omega y/N}
     return symbol_from_spreading(coeff, tau)
 
@@ -171,12 +173,8 @@ def kernel_from_symbol_endpoint(sigma: np.ndarray, tau: float) -> np.ndarray:
     n = arr.shape[0]
     # partial inverse DFT in the frequency slot, evaluated at x - y
     prof = np.fft.ifft(arr, axis=1)  # prof[a, d] = (1/N) sum_omega sigma(a, omega) e^{2 pi i d omega/N}
-    kernel = np.empty((n, n), dtype=complex)
-    for x in range(n):
-        for yy in range(n):
-            a = (x if tau == 0 else yy) % n
-            kernel[x, yy] = prof[a, (x - yy) % n]
-    return kernel
+    x, y = np.ogrid[:n, :n]
+    return prof[x if tau == 0 else y, (x - y) % n]
 
 
 def convert_symbol(sigma: np.ndarray, tau1: float, tau2: float) -> np.ndarray:
@@ -212,10 +210,4 @@ def twisted_product(sigma1: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
 def rotate_symbol_j_inv(sigma: np.ndarray) -> np.ndarray:
     """The grid permutation sigma o J^{-1}: (x, omega) -> sigma(-omega, x)."""
     arr = _as_symbol(sigma)
-    n = arr.shape[0]
-    out = np.empty_like(arr)
-    for x in range(n):
-        for w in range(n):
-            a, b = apply_j_inv((x, w), n)
-            out[x, w] = arr[a, b]
-    return out
+    return arr.T[:, (-np.arange(arr.shape[0])) % arr.shape[0]]

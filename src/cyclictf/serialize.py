@@ -21,7 +21,6 @@ __all__ = [
     "grid_csv_lines",
     "grid_from_json",
     "grid_to_json",
-    "norm_report_json",
     "signal_from_json",
     "signal_to_json",
     "write_json",
@@ -82,17 +81,6 @@ def grid_csv_lines(grid: np.ndarray) -> list[str]:
             v = arr[x, w]
             lines.append(f"{x},{w},{format_float(v.real)},{format_float(v.imag)}")
     return lines
-
-
-def norm_report_json(space: str, p: float, q: float, s: float, value: float) -> str:
-    payload = {
-        "space": space,
-        "p": None if p is None else _round12(p),
-        "q": None if q is None else _round12(q),
-        "s": _round12(s),
-        "value": _round12(value),
-    }
-    return json.dumps(payload, sort_keys=True)
 
 
 def envelope_csv_lines(env: DecayEnvelope, v: Weight) -> list[str]:

@@ -104,6 +104,39 @@ class TestConfigValidation:
         assert main(["verify", "--config", str(cfg)]) == 2
         assert "too large" in capsys.readouterr().err
 
+    def test_grid_size_floor(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"n": 1})
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert "grid size must be at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", [[1.0, 2.0, 3.0], 5.0, [[1.0] * 8], ["a"] * 8])
+    @pytest.mark.parametrize("name", ["separable-x", "separable-omega"])
+    def test_separable_values_length(self, tmp_path, capsys, name, values):
+        cfg = write_config(tmp_path, {"n": 8, "symbol": {"name": name, "values": values}})
+        assert main(["norms", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "values must be a list of n = 8 numbers" in capsys.readouterr().err
+        assert not (tmp_path / "norms.json").exists()
+
+    @pytest.mark.parametrize("step", [3, 0, -2, 2.5])
+    def test_comb_step(self, tmp_path, capsys, step):
+        cfg = write_config(tmp_path, {"n": 8, "window": {"name": "comb", "step": step}})
+        assert main(["norms", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "step^2 dividing n" in capsys.readouterr().err
+
+    def test_comb_step_that_divides_is_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, {"n": 8, "window": {"name": "comb", "step": 2}})
+        assert main(["norms", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+
+    @pytest.mark.parametrize("width", [0, -1.0, float("nan")])
+    @pytest.mark.parametrize("kind", ["symbol", "window"])
+    def test_gaussian_width_positive(self, tmp_path, capsys, kind, width):
+        spec = {"name": "gaussian", "width": width}
+        cfg = write_config(tmp_path, {"n": 8, kind: spec})
+        for command, out in (("norms", "norms.json"), ("sweep", "sweep.csv")):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+            assert f"gaussian {kind} width must be positive" in capsys.readouterr().err
+            assert not (tmp_path / out).exists()
+
 
 class TestSweep:
     def test_rows_and_determinism(self, tmp_path, capsys):
@@ -192,6 +225,22 @@ class TestNormsAndChannel:
         assert len(csv_lines) == 1 + 8 * 8
         report = json.loads((tmp_path / "channel_report.json").read_text())
         assert report["ratio"] > 0
+
+    @pytest.mark.parametrize("lattice", [{"a": 1, "b": 1}, {"a": 2, "b": 2}])
+    def test_channel_builds_one_channel_matrix(self, tmp_path, monkeypatch, lattice):
+        from cyclictf import diagnostics
+
+        calls = []
+        original = diagnostics.operator_channel
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "operator_channel", counted)
+        cfg = write_config(tmp_path, {"n": 8, "tau": [0.5], "lattice": lattice})
+        assert main(["channel", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+        assert len(calls) == 1
 
 
 class TestSerialization:

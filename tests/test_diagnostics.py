@@ -224,6 +224,8 @@ class TestEnvelope:
         chan = channel_matrix(np.ones((4, 4)), 0.5, gaussian_window(4))
         with pytest.raises(ValueError, match="shift map"):
             envelope(chan, "shifted")
+        with pytest.raises(ValueError, match=r"2x2 shift map, not \(3, 3\)"):
+            envelope(chan, "shifted", np.eye(3))
         with pytest.raises(ValueError, match="mode"):
             envelope(chan, "diagonal")
 
@@ -290,6 +292,14 @@ class TestAlmostDiagReport:
     def test_non_frame_warning(self):
         rep = almost_diag_report(np.ones((4, 4)), 0.5, gaussian_window(4), Lattice(2, 4), 0.0)
         assert any("frame" in w for w in rep.warnings)
+
+    def test_carries_its_envelope(self):
+        sigma, phi, lat = random_symbol(8, 2), gaussian_window(8), Lattice(2, 2)
+        rep = almost_diag_report(sigma, 0.3, phi, lat, 1.0)
+        fresh = envelope(channel_matrix(sigma, 0.3, phi, lat), "difference")
+        assert rep.envelope.mode == "difference"
+        assert np.array_equal(rep.envelope.table, fresh.table)
+        assert rep.envelope_l1 == ell1v(rep.envelope, polynomial_weight(1.0))
 
 
 class TestFclassDiagReport:

@@ -1,27 +1,60 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cyclictf.diagnostics import ChannelMatrix, channel_matrix, envelope
+from cyclictf.generators import gaussian_window
 from cyclictf.phasespace import (
-    GridParams,
+    J_INV_MATRIX,
+    J_MATRIX,
     Lattice,
-    apply_btau,
-    apply_j,
-    apply_j_inv,
-    apply_ttau,
-    apply_utau,
-    lattice_points,
+    Weight,
+    btau_matrix,
     polynomial_weight,
     table_weight,
     tensor_weight,
-    weight_eval,
+    utau_matrix,
     wrapped_norm,
 )
 
 
-def test_grid_params_validates():
-    GridParams(2)
-    with pytest.raises(ValueError):
-        GridParams(1)
+def scalar_weight(v, z, n):
+    """Per-point oracle: the weight formula evaluated one point at a time."""
+    pt = [float(c) for c in z]
+    if v.premap is not None:
+        m = np.asarray(v.premap, dtype=float)
+        pt = [sum(float(m[i, j]) * pt[j] for j in range(v.dim)) for i in range(v.dim)]
+    if v.s is not None:
+        r2 = sum(min(c % n, n - c % n) ** 2 for c in pt)
+        return (1.0 + r2) ** (v.s / 2.0)
+    idx = []
+    for c in pt:
+        k = round(c % n)
+        if abs(c % n - k) > 1e-9:
+            raise ValueError("table weight requires grid point")
+        idx.append(k % n)
+    return float(v.table[tuple(idx)])
+
+
+def grid_image(matrix, z, n):
+    """The integer matrix image of grid points z (shape (2, ...)), reduced mod N."""
+    return np.rint(np.tensordot(matrix, np.asarray(z, dtype=float), axes=1)).astype(int) % n
+
+
+def v_at(v, z, n):
+    """A weight's value at one point."""
+    return float(v(np.asarray(z, dtype=float), n))
+
+
+def ttau_bin(w, z, tau, n):
+    """Where the ttau envelope bins a channel entry at rows w, columns z."""
+    chan = ChannelMatrix(
+        entries=np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), points=(w, z), n=n, tau=tau
+    )
+    table = envelope(chan, "ttau").table
+    assert table.sum() == 1.0
+    return tuple(int(k) for k in np.argwhere(table == 1.0)[0])
 
 
 class TestWrappedNorm:
@@ -43,21 +76,20 @@ class TestWrappedNorm:
 class TestWeights:
     def test_order_zero_is_one(self):
         v = polynomial_weight(0.0)
-        for z in [(0.0, 0.0), (3.5, 1.2), (15.0, 8.0)]:
-            assert weight_eval(v, z, 16) == 1.0
+        assert np.array_equal(v(np.array([[0.0, 3.5, 15.0], [0.0, 1.2, 8.0]]), 16), np.ones(3))
 
     def test_quadratic_value(self):
-        assert weight_eval(polynomial_weight(2.0), (1, 0), 16) == pytest.approx(2.0)
+        assert v_at(polynomial_weight(2.0), (1, 0), 16) == pytest.approx(2.0)
 
     def test_order_one_value(self):
-        assert weight_eval(polynomial_weight(1.0), (3, 4), 100) == pytest.approx(np.sqrt(26))
+        assert v_at(polynomial_weight(1.0), (3, 4), 100) == pytest.approx(np.sqrt(26))
 
     def test_origin_is_one_and_even(self):
         v = polynomial_weight(1.5)
-        assert weight_eval(v, (0, 0), 12) == 1.0
-        for z in [(1, 2), (5, 11), (7, 0)]:
-            neg = ((-z[0]) % 12, (-z[1]) % 12)
-            assert weight_eval(v, z, 12) == pytest.approx(weight_eval(v, neg, 12))
+        vals = v.on_grid(12)
+        assert vals[0, 0] == 1.0
+        neg = np.roll(vals[::-1, ::-1], 1, axis=(0, 1))  # neg[x, w] = vals[-x, -w]
+        assert np.allclose(vals, neg, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("s", [0.0, 1.0, 2.0])
     @pytest.mark.parametrize("n", [4, 8, 16])
@@ -73,9 +105,11 @@ class TestWeights:
 
     def test_table_weight_requires_grid_point(self):
         v = table_weight(np.ones((4, 4)))
-        assert weight_eval(v, (1, 3), 4) == 1.0
+        assert v_at(v, (1, 3), 4) == 1.0
         with pytest.raises(ValueError, match="grid point"):
-            weight_eval(v, (0.5, 0), 4)
+            v_at(v, (0.5, 0), 4)
+        with pytest.raises(ValueError, match="grid point"):
+            v(np.array([[0.0, 1.0], [2.0, 2.5]]), 4)  # one bad point fails the batch
 
     def test_table_weight_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -85,23 +119,24 @@ class TestWeights:
         u = polynomial_weight(1.0, dim=1)
         w = polynomial_weight(2.0, dim=1)
         m = tensor_weight(u, w, 8)
+        expected = np.outer(u.on_grid(8), w.on_grid(8))
+        assert np.array_equal(m.on_grid(8), expected)
         for x, om in [(0, 0), (3, 5), (7, 1)]:
-            expected = weight_eval(u, (x,), 8) * weight_eval(w, (om,), 8)
-            assert weight_eval(m, (x, om), 8) == pytest.approx(expected)
+            assert v_at(m, (x, om), 8) == pytest.approx(v_at(u, (x,), 8) * v_at(w, (om,), 8))
 
     def test_compose_premap(self):
         v = polynomial_weight(1.0)
         b = np.diag([2.0, 0.5])
         composed = v.compose(b)
-        assert weight_eval(composed, (1, 2), 16) == pytest.approx(weight_eval(v, (2, 1), 16))
+        assert v_at(composed, (1, 2), 16) == pytest.approx(v_at(v, (2, 1), 16))
+        chained = composed.compose(J_INV_MATRIX)
+        assert np.array_equal(chained.premap, b @ J_INV_MATRIX)
 
     def test_weight_construction_errors(self):
-        from cyclictf.phasespace import Weight
-
         with pytest.raises(ValueError, match="exactly one"):
             Weight()
         with pytest.raises(ValueError, match="exactly one"):
-            Weight(s=1.0, table=((1.0,),))
+            Weight(s=1.0, table=np.ones((1, 1)))
         with pytest.raises(ValueError, match="nonnegative"):
             polynomial_weight(-1.0)
         with pytest.raises(ValueError, match="1-D or 2-D"):
@@ -109,77 +144,140 @@ class TestWeights:
         with pytest.raises(ValueError, match="1-D factors"):
             tensor_weight(polynomial_weight(1.0), polynomial_weight(0.0, dim=1), 8)
 
+    def test_call_keeps_point_shape(self):
+        v = polynomial_weight(1.0)
+        z = np.zeros((2, 3, 4, 5))
+        assert v(z, 8).shape == (3, 4, 5)
+        assert np.ndim(v((1.0, 2.0), 8)) == 0
+        assert polynomial_weight(1.0, dim=1).on_grid(8).shape == (8,)
+
+
+PREMAPS = {
+    "none": lambda t: None,
+    "j_inv": lambda t: J_INV_MATRIX,
+    "btau": btau_matrix,
+    "utau": utau_matrix,
+}
+
+
+class TestWeightAgainstScalarOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        s=st.floats(0.0, 3.0),
+        premap=st.sampled_from(sorted(PREMAPS)),
+        tau=st.floats(min_value=0.05, max_value=0.95),
+        off=st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=2),
+    )
+    def test_polynomial(self, n, s, premap, tau, off):
+        m = PREMAPS[premap](tau)
+        v = polynomial_weight(s) if m is None else polynomial_weight(s).compose(m)
+        grid = v.on_grid(n)
+        expected = np.array(
+            [[scalar_weight(v, (x, w), n) for w in range(n)] for x in range(n)]
+        )
+        assert np.allclose(grid, expected, rtol=1e-12, atol=0)
+        # non-grid points, including far outside the fundamental domain
+        pts = np.array([[off[0], 0.5, n + 0.25], [off[1], -0.75, 2.5 * n]])
+        expected = [scalar_weight(v, pts[:, k], n) for k in range(pts.shape[1])]
+        assert np.allclose(v(pts, n), expected, rtol=1e-12, atol=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 40), data=st.data())
+    def test_one_hot_table(self, n, data):
+        hot = (data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)))
+        values = np.ones((n, n))
+        values[hot] = 2.0
+        v = table_weight(values)
+        assert np.array_equal(v.on_grid(n), values)
+        shifted = np.array(hot)[:, None] + n * np.array([[-1, 0, 3], [2, 0, -1]])
+        assert np.array_equal(v(shifted, n), [2.0, 2.0, 2.0])
+        rotated = v.compose(J_INV_MATRIX)  # (x, w) -> values[-w, x]
+        expected = np.array(
+            [[scalar_weight(rotated, (x, w), n) for w in range(n)] for x in range(n)]
+        )
+        assert np.array_equal(rotated.on_grid(n), expected)
+        assert rotated.on_grid(n)[hot[1], (-hot[0]) % n] == 2.0
+        frac = data.draw(st.floats(0.01, 0.99))
+        with pytest.raises(ValueError, match="grid point"):
+            v(np.array([hot[0] + frac, hot[1]]), n)
+        with pytest.raises(ValueError, match="grid point"):
+            scalar_weight(v, (hot[0] + frac, hot[1]), n)
+
 
 class TestSymplecticMaps:
     def test_j_example(self):
-        assert apply_j((1, 0), 16) == (0, 15)
+        assert tuple(grid_image(J_MATRIX, (1, 0), 16)) == (0, 15)
 
     def test_j_squared_is_negation(self):
-        for z in [(3, 5), (0, 0), (15, 2)]:
-            assert apply_j(apply_j(z, 16), 16) == ((-z[0]) % 16, (-z[1]) % 16)
+        assert np.array_equal(J_MATRIX @ J_MATRIX, -np.eye(2))
+        z = np.indices((16, 16))
+        assert np.array_equal(grid_image(J_MATRIX @ J_MATRIX, z, 16), (-z) % 16)
 
     def test_j_inverse_exhaustive(self):
-        for x in range(16):
-            for w in range(16):
-                assert apply_j_inv(apply_j((x, w), 16), 16) == (x, w)
+        assert np.array_equal(J_INV_MATRIX @ J_MATRIX, np.eye(2))
+        z = np.indices((16, 16))
+        assert np.array_equal(grid_image(J_INV_MATRIX, grid_image(J_MATRIX, z, 16), 16), z)
 
     def test_j_preserves_wrapped_norm(self):
         for z in [(1, 5), (9, 14), (8, 3)]:
-            assert wrapped_norm(apply_j(z, 16), 16) == pytest.approx(wrapped_norm(z, 16))
+            jz = grid_image(J_MATRIX, z, 16)
+            assert wrapped_norm(jz, 16) == pytest.approx(wrapped_norm(z, 16))
+        v = polynomial_weight(1.0)
+        assert np.allclose(v.compose(J_MATRIX).on_grid(16), v.on_grid(16), rtol=1e-14, atol=0)
 
     def test_ttau_endpoint(self):
-        assert apply_ttau((3, 5), (1, 2), 0.0, 8) == (3.0, 2.0)
+        # T_0(w, z) = (w0, z1)
+        assert ttau_bin((3, 5), (1, 2), 0.0, 8) == (3, 2)
 
     def test_ttau_diagonal_fixed(self):
         for tau in (0.0, 0.3, 0.5, 1.0):
-            assert apply_ttau((2, 4), (2, 4), tau, 8) == (2.0, 4.0)
+            assert ttau_bin((2, 4), (2, 4), tau, 8) == (2, 4)
 
     def test_ttau_midpoint(self):
-        assert apply_ttau((0, 0), (2, 4), 0.5, 8) == (1.0, 2.0)
+        assert ttau_bin((0, 0), (2, 4), 0.5, 8) == (1, 2)
 
     def test_ttau_range_check(self):
+        # the ttau envelope takes its tau from the channel, which rejects it
         with pytest.raises(ValueError, match="out of range"):
-            apply_ttau((0, 0), (1, 1), 1.5, 8)
+            channel_matrix(np.ones((8, 8)), 1.5, gaussian_window(8))
 
     def test_half_point_maps(self):
-        z = (3.0, 5.0)
-        assert apply_utau(z, 0.5, 8) == ((-3.0) % 8, (-5.0) % 8)
-        assert apply_btau(z, 0.5, 8) == (6.0, 2.0)
+        assert np.array_equal(utau_matrix(0.5), -np.eye(2))
+        assert np.array_equal(btau_matrix(0.5), 2 * np.eye(2))
+        assert tuple(grid_image(btau_matrix(0.5), (3, 5), 8)) == (6, 2)
 
     def test_utau_inverse_pair_matrices(self):
         # the unreduced linear maps are exact inverses for every tau
-        from cyclictf.phasespace import utau_matrix
-
         for tau in (0.2, 1 / 3, 0.7):
             assert np.abs(utau_matrix(tau) @ utau_matrix(1 - tau) - np.eye(2)).max() < 1e-12
 
     def test_utau_inverse_pair_on_torus_at_half(self):
         # torus reduction commutes with the scaling only when both scale
         # factors are integers, i.e. at tau = 1/2 where U is plain negation
-        for z in [(1.0, 2.0), (5.5, 3.25), (7.9, 0.1)]:
-            back = apply_utau(apply_utau(z, 0.5, 8), 0.5, 8)
-            assert back[0] == pytest.approx(z[0], abs=1e-12)
-            assert back[1] == pytest.approx(z[1], abs=1e-12)
+        z = np.indices((8, 8))
+        u = utau_matrix(0.5)
+        assert np.array_equal(grid_image(u, grid_image(u, z, 8), 8), z)
 
     @pytest.mark.parametrize("tau", [0.0, 1.0])
     def test_singular_endpoints(self, tau):
         with pytest.raises(ValueError, match="singular"):
-            apply_utau((1.0, 1.0), tau, 8)
+            utau_matrix(tau)
         with pytest.raises(ValueError, match="singular"):
-            apply_btau((1.0, 1.0), tau, 8)
+            btau_matrix(tau)
 
 
 class TestLattice:
     def test_enumeration(self):
-        assert lattice_points(Lattice(2, 2), 4) == [(0, 0), (0, 2), (2, 0), (2, 2)]
+        assert Lattice(2, 2).points(4) == [(0, 0), (0, 2), (2, 0), (2, 2)]
 
     def test_frequency_degenerate(self):
-        pts = lattice_points(Lattice(1, 4), 4)
+        pts = Lattice(1, 4).points(4)
         assert pts == [(0, 0), (1, 0), (2, 0), (3, 0)]
 
     def test_non_divisor_rejected(self):
         with pytest.raises(ValueError, match="divide"):
-            lattice_points(Lattice(4, 1), 6)
+            Lattice(4, 1).points(6)
 
     def test_count(self):
         assert Lattice(2, 4).count(16) == 8 * 4

@@ -8,6 +8,7 @@ from cyclictf.quantize import (
     dequantize,
     kernel_from_symbol_endpoint,
     op_tau,
+    rotate_symbol_j_inv,
     spreading_function,
     symbol_from_spreading,
     tau_wigner,
@@ -174,6 +175,30 @@ class TestEndpointKernels:
     def test_interior_tau_rejected(self):
         with pytest.raises(ValueError, match="tau in"):
             kernel_from_symbol_endpoint(np.ones((4, 4)), 0.5)
+
+    @pytest.mark.parametrize("tau", [0, 1])
+    def test_entrywise_definition(self, tau):
+        # k(x, y) = (1/N) sum_omega sigma((1-tau) x + tau y, omega) e^{2 pi i (x - y) omega / N}
+        n = 6
+        sigma = random_symbol(n, seed=3)
+        kernel = kernel_from_symbol_endpoint(sigma, tau)
+        omega = np.arange(n)
+        for x in range(n):
+            for y in range(n):
+                row = sigma[x if tau == 0 else y]
+                expected = np.sum(row * np.exp(2j * np.pi * (x - y) * omega / n)) / n
+                assert abs(kernel[x, y] - expected) < 1e-12
+
+
+class TestRotateSymbolJInv:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9])
+    def test_index_permutation_exhaustive(self, n):
+        sigma = random_symbol(n, seed=n)
+        out = rotate_symbol_j_inv(sigma)
+        assert not np.shares_memory(out, sigma)
+        for x in range(n):
+            for w in range(n):
+                assert out[x, w] == sigma[(-w) % n, x]
 
 
 class TestConvertSymbol:
