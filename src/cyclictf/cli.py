@@ -42,6 +42,18 @@ class ConfigError(ValueError):
     pass
 
 
+def _number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number")
+    return float(value)
+
+
+def _integer(value, name: str) -> int:
+    if not _number(value, name).is_integer():
+        raise ConfigError(f"{name} must be an integer")
+    return int(value)
+
+
 @dataclass
 class ExperimentConfig:
     n: int = 8
@@ -62,17 +74,20 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key in ("symbol", "window", "lattice"):
+            if not isinstance(data.get(key, {}), dict):
+                raise ConfigError(f"{key} must be a JSON object")
         cfg = cls()
-        cfg.n = int(data.get("n", cfg.n))
+        cfg.n = _integer(data.get("n", cfg.n), "grid size n")
         tau = data.get("tau", [0.5])
-        cfg.tau = [float(t) for t in tau] if isinstance(tau, list) else [float(tau)]
+        cfg.tau = [_number(t, "tau") for t in (tau if isinstance(tau, list) else [tau])]
         cfg.symbol = dict(data.get("symbol", cfg.symbol))
         cfg.window = dict(data.get("window", cfg.window))
         lat = data.get("lattice", {"a": 1, "b": 1})
-        cfg.lattice = Lattice(int(lat.get("a", 1)), int(lat.get("b", 1)))
-        cfg.s = float(data.get("s", cfg.s))
-        cfg.trials = int(data.get("trials", cfg.trials))
-        cfg.seed = int(data.get("seed", cfg.seed))
+        cfg.lattice = Lattice(*(_integer(lat.get(k, 1), f"lattice {k}") for k in ("a", "b")))
+        cfg.s = _number(data.get("s", cfg.s), "weight order s")
+        cfg.trials = _integer(data.get("trials", cfg.trials), "trials")
+        cfg.seed = _integer(data.get("seed", cfg.seed), "seed")
         suites = data.get("suites")
         cfg.suites = [suites] if isinstance(suites, str) else suites
         return cfg
@@ -91,10 +106,13 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         if self.n > dg.FULL_CHANNEL_CAP:
             raise ConfigError("full channel matrix too large; use a lattice")
-        if self.s < 0:
-            raise ConfigError("weight order must be nonnegative")
+        if not 0 <= self.s < np.inf:
+            raise ConfigError("weight order must be finite and nonnegative")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
+        for key, seed in (("seed", self.seed), ("symbol seed", self.symbol.get("seed", 0))):
+            if _integer(seed, key) < 0:
+                raise ConfigError(f"{key} must be nonnegative")
         if self.suites is not None and not isinstance(self.suites, list):
             raise ConfigError("suites must be a suite name or a list of suite names")
         name = self.symbol.get("name", "random-seeded")
@@ -204,7 +222,9 @@ def _suite_convert_consistency(cfg, rng):
 def _suite_symplectic_covariance(cfg, rng):
     n = cfg.n
     worst = 0.0
-    for tau in (0.0, 0.3, 0.5, 1.0):
+    # the exact set: for N == 2 (mod 4) the chirp's one self-rotating mode
+    # (N/2, N/2) breaks the identity away from tau in {0, 1}
+    for tau in (0.0, 1.0) if n % 4 == 2 else (0.0, 0.3, 0.5, 1.0):
         for _ in range(VERIFY_TRIALS // 4 + 1):
             worst = max(worst, dg.covariance_check(_rand_symbol(rng, n), tau))
     return worst
@@ -296,6 +316,10 @@ def run_verify(cfg: ExperimentConfig, quiet: bool = False) -> int:
     if unknown:
         raise ConfigError(f"unknown suites: {unknown}")
     chirp_exponents(cfg.n)  # fail early if the grid is unusable
+    if not quiet and "symplectic-covariance" in names and cfg.n % 4 == 2:
+        half = cfg.n // 2
+        print(f"note: N = {cfg.n} is 2 mod 4, so symplectic-covariance checks tau in {{0, 1}} only:"
+              f" the chirp defect at mode ({half}, {half}) breaks it elsewhere", file=sys.stderr)
     failures = 0
     rows = []
     for name in names:

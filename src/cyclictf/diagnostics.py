@@ -22,7 +22,6 @@ from .normbank import MixedNormSpec, amalgam_norm, fsjostrand_norm, modulation_n
 from .phasespace import (
     J_INV_MATRIX,
     Lattice,
-    PhasePoint,
     Weight,
     btau_matrix,
     polynomial_weight,
@@ -64,7 +63,7 @@ class ChannelMatrix:
     """Entries <T pi(z) phi, pi(w) phi> with rows indexed by w, columns by z."""
 
     entries: np.ndarray
-    points: tuple[PhasePoint, ...]
+    points: np.ndarray  # (P, 2) int rows (x, omega), indexing rows and columns
     n: int
     tau: float | None = None
 
@@ -84,9 +83,8 @@ def operator_channel(
     if lattice is None:
         if n > FULL_CHANNEL_CAP:
             raise ValueError("full channel matrix too large; use a lattice")
-        points = tuple((x, w) for x in range(n) for w in range(n))
-    else:
-        points = tuple(lattice.points(n))
+        lattice = Lattice(1, 1)
+    points = lattice.points(n)
     bank = shift_bank(phi, points)
     entries = bank.conj().T @ (arr @ bank)
     return ChannelMatrix(entries=entries, points=points, n=n, tau=tau)
@@ -111,55 +109,60 @@ class DecayEnvelope:
     n: int
 
 
-def _nearest_indices(vals: np.ndarray, n: int) -> np.ndarray:
-    """Nearest grid point of real coordinates; ties toward the smaller representative."""
-    r = np.mod(vals, n)
-    lo = np.floor(r)
-    frac = r - lo
-    lo_idx = lo.astype(np.int64) % n
-    hi_idx = (lo.astype(np.int64) + 1) % n
-    tie = np.minimum(lo_idx, hi_idx)
-    out = np.where(frac < 0.5 - 1e-9, lo_idx, np.where(frac > 0.5 + 1e-9, hi_idx, tie))
-    return out.astype(np.int64)
+def _nearest_bins(c: np.ndarray, n: int) -> np.ndarray:
+    """Nearest grid point mod N of real coordinates c, as int32; overwrites c.
+
+    Ties (within 1e-9) go to the smaller canonical representative, so a
+    coordinate of N - 1/2 goes to bin 0.
+    """
+    np.fmod(c, n, out=c)
+    np.add(c, n, out=c, where=c < 0)  # c mod N, as np.mod computes it
+    k = c.astype(np.int32)  # floor, since c >= 0
+    c -= k  # the fractional part, exactly
+    up = c > 0.5 + 1e-9
+    up |= (c >= 0.5 - 1e-9) & (k == n - 1)
+    k += up
+    k[k == n] = 0  # from c == N, or rounded up from N - 1
+    return k
 
 
 def envelope(channel: ChannelMatrix, mode: str, shift_map: np.ndarray | None = None) -> DecayEnvelope:
     """Decay envelope of a channel matrix.
 
-    mode "difference" bins |entry(w, z)| by w - z, "sum" by w + z, "shifted"
-    by the nearest grid point of w - A z for the given 2x2 map A, and "ttau"
-    by the nearest grid point of the convex pairing of (w, z) at tau (the
-    weak endpoint form; requires the channel to carry its tau).
+    Every mode bins |entry(w, z)| by the nearest grid point of P w + Q z and
+    keeps the maximum per bin; the mode only picks the 2x2 pair (P, Q):
+    "difference" (I, -I) bins by w - z, "sum" (I, I) by w + z, "shifted"
+    (I, -A) by w - A z for the given 2x2 map A, and "ttau"
+    (diag(1 - tau, tau), diag(tau, 1 - tau)) by the convex pairing of (w, z)
+    at tau (the weak endpoint form; requires the channel to carry its tau).
     """
-    n = channel.n
-    pts = np.asarray(channel.points, dtype=float)
-    wx = pts[:, 0][:, None]
-    ww = pts[:, 1][:, None]
-    zx = pts[:, 0][None, :]
-    zw = pts[:, 1][None, :]
+    eye = np.eye(2)
     if mode == "difference":
-        k1 = (wx - zx).astype(np.int64) % n
-        k2 = (ww - zw).astype(np.int64) % n
+        p, q = eye, -eye
     elif mode == "sum":
-        k1 = (wx + zx).astype(np.int64) % n
-        k2 = (ww + zw).astype(np.int64) % n
+        p, q = eye, eye
     elif mode == "shifted":
         if np.shape(shift_map) != (2, 2):
             raise ValueError(f"mode='shifted' needs a 2x2 shift map, not {np.shape(shift_map)}")
-        a = np.asarray(shift_map, dtype=float)
-        k1 = _nearest_indices(wx - (a[0, 0] * zx + a[0, 1] * zw), n)
-        k2 = _nearest_indices(ww - (a[1, 0] * zx + a[1, 1] * zw), n)
+        p, q = eye, -np.asarray(shift_map, dtype=float)
     elif mode == "ttau":
         if channel.tau is None:
             raise ValueError("weak envelope needs the channel's tau")
         t = channel.tau
-        k1 = _nearest_indices((1 - t) * wx + t * zx, n)
-        k2 = _nearest_indices(t * ww + (1 - t) * zw, n)
+        p, q = np.diag([1 - t, t]), np.diag([t, 1 - t])
     else:
         raise ValueError(f"unknown envelope mode {mode!r}")
-    table = np.zeros((n, n))
-    np.maximum.at(table, (k1.ravel(), k2.ravel()), np.abs(channel.entries).ravel())
-    return DecayEnvelope(mode=mode, table=table, n=n)
+    n = channel.n
+    x, omega = channel.points.T
+    flat = np.zeros((len(x), len(x)), dtype=np.int32)  # bin k1 * N + k2
+    for pi, qi in zip(p, q):
+        # one coordinate of P w + Q z, as (w part) + (z part) with one
+        # rounding per product, so the bins never depend on a BLAS kernel
+        flat *= n
+        flat += _nearest_bins(np.add.outer(pi[0] * x + pi[1] * omega, qi[0] * x + qi[1] * omega), n)
+    table = np.zeros(n * n)
+    np.maximum.at(table, flat.ravel(), np.abs(channel.entries).ravel())
+    return DecayEnvelope(mode=mode, table=table.reshape(n, n), n=n)
 
 
 def ell1v(env: DecayEnvelope, v: Weight) -> float:
@@ -190,6 +193,13 @@ class DiagReport:
     envelope: DecayEnvelope | None = None  # the envelope whose mass is envelope_l1
 
 
+def _diag_report(env: DecayEnvelope, v: Weight, class_norm: float, **fields) -> DiagReport:
+    """The l^1_v mass of env against class_norm; fields fill the rest of the report."""
+    mass = ell1v(env, v)
+    ratio = mass / class_norm if class_norm > 0 else float("inf")
+    return DiagReport(mass, class_norm, ratio, n=env.n, mode=env.mode, envelope=env, **fields)
+
+
 def almost_diag_report(
     sigma: np.ndarray,
     tau: float,
@@ -205,31 +215,15 @@ def almost_diag_report(
     theorem behind this predicts a window-dependent band for the ratio; the
     report just records it.
     """
-    n = np.asarray(sigma).shape[0]
     warnings: list[str] = []
     if lattice is not None:
         rep = frame_bounds(phi, lattice)
         if not rep.is_frame:
             warnings.append("window/lattice pair is not a frame")
-    chan = channel_matrix(sigma, tau, phi, lattice)
-    env = envelope(chan, "difference")
+    env = envelope(channel_matrix(sigma, tau, phi, lattice), "difference")
     v = polynomial_weight(s)
-    env_mass = ell1v(env, v)
-    big_phi = tau_wigner(phi, phi, tau)
-    class_norm = sjostrand_norm(sigma, big_phi, v.compose(J_INV_MATRIX))
-    ratio = env_mass / class_norm if class_norm > 0 else float("inf")
-    return DiagReport(
-        envelope_l1=env_mass,
-        class_norm=class_norm,
-        ratio=ratio,
-        tau=tau,
-        s=s,
-        n=n,
-        lattice=lattice,
-        mode="difference",
-        warnings=tuple(warnings),
-        envelope=env,
-    )
+    class_norm = sjostrand_norm(sigma, tau_wigner(phi, phi, tau), v.compose(J_INV_MATRIX))
+    return _diag_report(env, v, class_norm, tau=tau, s=s, lattice=lattice, warnings=tuple(warnings))
 
 
 def fclass_diag_report(
@@ -246,33 +240,17 @@ def fclass_diag_report(
     form degenerates (`weak=True` computes the convex-pairing envelope
     instead, compared against the unweighted-class fsjostrand norm).
     """
-    n = np.asarray(sigma).shape[0]
     at_endpoint = tau in (0.0, 1.0, 0, 1)
     if at_endpoint and not weak:
         raise ValueError("use weak form at endpoints")
     chan = channel_matrix(sigma, tau, phi)
     v = polynomial_weight(s)
-    big_phi = tau_wigner(phi, phi, tau)
     if weak:
-        env = envelope(chan, "ttau")
-        class_norm = fsjostrand_norm(sigma, big_phi, v)
-        mode = "ttau"
+        env, v_class = envelope(chan, "ttau"), v
     else:
-        env = envelope(chan, "shifted", utau_matrix(tau))
-        class_norm = fsjostrand_norm(sigma, big_phi, v.compose(btau_matrix(tau)))
-        mode = "shifted"
-    env_mass = ell1v(env, v)
-    ratio = env_mass / class_norm if class_norm > 0 else float("inf")
-    return DiagReport(
-        envelope_l1=env_mass,
-        class_norm=class_norm,
-        ratio=ratio,
-        tau=tau,
-        s=s,
-        n=n,
-        mode=mode,
-        envelope=env,
-    )
+        env, v_class = envelope(chan, "shifted", utau_matrix(tau)), v.compose(btau_matrix(tau))
+    class_norm = fsjostrand_norm(sigma, tau_wigner(phi, phi, tau), v_class)
+    return _diag_report(env, v, class_norm, tau=tau, s=s)
 
 
 def covariance_check(sigma: np.ndarray, tau: float) -> float:

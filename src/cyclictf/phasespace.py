@@ -6,10 +6,10 @@ scalings) live on the real torus (R mod N)^2.  All identities downstream
 become finite exact computations.
 
 Conventions:
-  * PhasePoint is an integer pair (x, omega), canonical representatives in
-    [0, N).
+  * A set of phase-space points is one (P, 2) int64 array of rows
+    (x, omega), canonical representatives in [0, N).
   * J(z1, z2) = (z2, -z1), the 90-degree phase-space rotation.  J, B_tau and
-    U_tau are 2x2 matrices; envelope() applies T_tau inline.
+    U_tau are 2x2 matrices; envelope() pairs (w, z) by 2x2 matrices too.
   * Distances wrap: dist(t) = min(t mod N, N - t mod N).
 """
 
@@ -19,13 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PhasePoint = tuple[int, int]
-
 __all__ = [
     "J_INV_MATRIX",
     "J_MATRIX",
     "Lattice",
-    "PhasePoint",
     "Weight",
     "btau_matrix",
     "polynomial_weight",
@@ -86,10 +83,11 @@ class Lattice:
         if self.a <= 0 or self.b <= 0 or n % self.a or n % self.b:
             raise ValueError("lattice must divide grid")
 
-    def points(self, n: int) -> list[PhasePoint]:
-        """Row-major enumeration of {(j a, k b)}; length (N/a)(N/b)."""
+    def points(self, n: int) -> np.ndarray:
+        """Row-major enumeration of {(j a, k b)}, a ((N/a)(N/b), 2) int64 array."""
         self.validate(n)
-        return [(x, w) for x in range(0, n, self.a) for w in range(0, n, self.b)]
+        jk = np.indices((n // self.a, n // self.b), dtype=np.int64).reshape(2, -1).T
+        return jk * np.array([self.a, self.b])
 
     def count(self, n: int) -> int:
         self.validate(n)

@@ -72,8 +72,8 @@ def tf_shift(z: Sequence[int], f: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * omega * t / n) * np.roll(arr, x)
 
 
-def shift_bank(phi: np.ndarray, points: Sequence[Sequence[int]]) -> np.ndarray:
-    """Columns pi(z) phi for z in points, an N x len(points) matrix.
+def shift_bank(phi: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Columns pi(z) phi for the rows z of a (P, 2) int point array, an N x P matrix.
 
     Evaluates e^{2 pi i omega t / N} phi((t - x) mod N) for all columns at
     once, in the same order of operations as tf_shift, so each column equals
@@ -81,18 +81,24 @@ def shift_bank(phi: np.ndarray, points: Sequence[Sequence[int]]) -> np.ndarray:
     """
     arr = _as_signal(phi)
     n = arr.shape[0]
-    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+    x, omega = np.asarray(points).T
     t = np.arange(n)[:, None]
-    bank = np.exp(2j * np.pi * pts[:, 1] * t / n)
-    bank *= arr[(t - pts[:, 0]) % n]
+    bank = np.exp(2j * np.pi * omega * t / n)
+    bank *= arr[(t - x) % n]
     return bank
+
+
+def _shift_index(n: int) -> np.ndarray:
+    """[x, t] -> (t - x) mod N, so g[_shift_index(n)][x] = np.roll(g, x)."""
+    t = np.arange(n)
+    return (t[None, :] - t[:, None]) % n
 
 
 def stft(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """STFT V_g f(x, omega) = <f, pi(x, omega) g>, an N x N grid indexed (x, omega).
 
     Equals sum_y f(y) conj(g(y - x)) e^{-2 pi i y omega / N}; computed as one
-    DFT per time shift.
+    batched DFT over the N time shifts.
     """
     farr, garr = _as_signal(f), _as_signal(g)
     n = farr.shape[0]
@@ -100,10 +106,7 @@ def stft(f: np.ndarray, g: np.ndarray) -> np.ndarray:
         raise ValueError(f"signal and window lengths differ: {n} != {garr.shape[0]}")
     if not np.any(garr):
         raise ValueError("window must be non-zero")
-    out = np.empty((n, n), dtype=complex)
-    for x in range(n):
-        out[x] = np.fft.fft(farr * np.conj(np.roll(garr, x)))
-    return out
+    return np.fft.fft(farr * np.conj(garr[_shift_index(n)]), axis=1)
 
 
 def stft_adjoint(big_f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -115,10 +118,7 @@ def stft_adjoint(big_f: np.ndarray, g: np.ndarray) -> np.ndarray:
         raise ValueError("coefficient grid must be N x N")
     # sum_omega F(x, omega) e^{2 pi i omega t / N} = N * ifft over omega
     rows = np.fft.ifft(coeff, axis=1) * n
-    out = np.zeros(n, dtype=complex)
-    for x in range(n):
-        out += rows[x] * np.roll(garr, x)
-    return out
+    return np.sum(rows * garr[_shift_index(n)], axis=0)
 
 
 def stft_grid(sigma: np.ndarray, window: np.ndarray) -> np.ndarray:

@@ -152,8 +152,9 @@ class TestCriterion2ChannelModulusIdentity:
         chan = channel_matrix(sigma, tau, phi)
         mags = np.abs(stft_grid(sigma, tau_wigner(phi, phi, tau)))
         worst, pairs = 0.0, 0
-        for wi, w in enumerate(chan.points):
-            for zi, z in enumerate(chan.points):
+        points = chan.points.tolist()
+        for wi, w in enumerate(points):
+            for zi, z in enumerate(points):
                 if require_even and ((w[0] + z[0]) % 2 or (w[1] + z[1]) % 2):
                     continue
                 p1 = (1 - tau) * w[0] + tau * z[0]
@@ -168,7 +169,7 @@ class TestCriterion2ChannelModulusIdentity:
     @staticmethod
     def _backward(n, tau, phi, sigma):
         chan = channel_matrix(sigma, tau, phi)
-        index = {p: i for i, p in enumerate(chan.points)}
+        index = {tuple(p): i for i, p in enumerate(chan.points.tolist())}
         mags = np.abs(stft_grid(sigma, tau_wigner(phi, phi, tau)))
         worst, pairs = 0.0, 0
         for x1 in range(n):

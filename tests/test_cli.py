@@ -61,16 +61,35 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg)]) == 2
         assert "suites must be" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n", [4, 9, 16, 21, 24, 32])
+    @pytest.mark.parametrize("n", [4, 6, 9, 10, 16, 21, 24, 32])
     def test_other_grid_sizes_pass(self, n):
         # odd grids (9, 21) exercise the tau = 1/2 channel-identity leg with a
         # generic window, grids divisible by 8 (16, 24, 32) the comb-window
-        # leg; n = 4 runs the endpoint legs only
+        # leg; n = 4 runs the endpoint legs only; at n = 6, 10 (2 mod 4) the
+        # covariance suite checks its exact set tau in {0, 1}
         cfg = ExperimentConfig()
         cfg.n = n
         from cyclictf.cli import run_verify
 
         assert run_verify(cfg, quiet=True) == 0
+
+    @pytest.mark.parametrize("n", [6, 10, 14])
+    def test_two_mod_four_notes_the_defect(self, tmp_path, capsys, n):
+        cfg = write_config(tmp_path, {"n": n})
+        assert main(["verify", "--config", str(cfg)]) == 0
+        first = capsys.readouterr()
+        assert "7 suites, 7 passed, 0 failed" in first.out
+        notes = first.err.splitlines()
+        assert len(notes) == 1
+        assert notes[0].startswith(f"note: N = {n} is 2 mod 4")
+        assert f"({n // 2}, {n // 2})" in notes[0]
+        assert main(["verify", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == first.out
+
+    def test_no_note_off_two_mod_four(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"n": 8})
+        assert main(["verify", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestConfigValidation:
@@ -135,6 +154,26 @@ class TestConfigValidation:
         for command, out in (("norms", "norms.json"), ("sweep", "sweep.csv")):
             assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
             assert f"gaussian {kind} width must be positive" in capsys.readouterr().err
+            assert not (tmp_path / out).exists()
+
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"lattice": 5}, "lattice must be a JSON object"),
+            ({"symbol": 5}, "symbol must be a JSON object"),
+            ({"tau": None}, "tau must be a number"),
+            ({"seed": -1}, "seed must be nonnegative"),
+            ({"s": float("nan")}, "weight order must be finite and nonnegative"),
+            ({"s": float("inf")}, "weight order must be finite and nonnegative"),
+            ({"n": 8.7}, "grid size n must be an integer"),
+        ],
+    )
+    def test_malformed_values_exit_2(self, tmp_path, capsys, data, message):
+        cfg = write_config(tmp_path, data)
+        for command, out in (("sweep", "sweep.csv"), ("channel", "channel_report.json")):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+            assert message in capsys.readouterr().err
             assert not (tmp_path / out).exists()
 
 

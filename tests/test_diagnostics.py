@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclictf.diagnostics import (
     ChannelMatrix,
+    DecayEnvelope,
     almost_diag_report,
     boundedness_report,
     channel_matrix,
@@ -33,11 +38,74 @@ from cyclictf.phasespace import (
     polynomial_weight,
     utau_matrix,
 )
-from cyclictf.quantize import convert_symbol, dequantize, op_tau, tau_wigner
+from cyclictf.quantize import (
+    convert_symbol,
+    dequantize,
+    op_tau,
+    spreading_function,
+    symbol_from_spreading,
+    tau_wigner,
+)
 from cyclictf.transforms import dft_matrix, stft, stft_grid, tf_shift
 
 V0 = polynomial_weight(0.0)
 V1 = polynomial_weight(1.0)
+
+
+# The envelope as it was before every mode shared one (P, Q) bin rule: an
+# integer cast for difference/sum, float nearest-index tables for
+# shifted/ttau.  Kept unchanged as the oracle for the one-path envelope.
+
+
+def _nearest_indices(vals: np.ndarray, n: int) -> np.ndarray:
+    """Nearest grid point of real coordinates; ties toward the smaller representative."""
+    r = np.mod(vals, n)
+    lo = np.floor(r)
+    frac = r - lo
+    lo_idx = lo.astype(np.int64) % n
+    hi_idx = (lo.astype(np.int64) + 1) % n
+    tie = np.minimum(lo_idx, hi_idx)
+    out = np.where(frac < 0.5 - 1e-9, lo_idx, np.where(frac > 0.5 + 1e-9, hi_idx, tie))
+    return out.astype(np.int64)
+
+
+def envelope_oracle(channel: ChannelMatrix, mode: str, shift_map: np.ndarray | None = None) -> DecayEnvelope:
+    """Decay envelope of a channel matrix.
+
+    mode "difference" bins |entry(w, z)| by w - z, "sum" by w + z, "shifted"
+    by the nearest grid point of w - A z for the given 2x2 map A, and "ttau"
+    by the nearest grid point of the convex pairing of (w, z) at tau (the
+    weak endpoint form; requires the channel to carry its tau).
+    """
+    n = channel.n
+    pts = np.asarray(channel.points, dtype=float)
+    wx = pts[:, 0][:, None]
+    ww = pts[:, 1][:, None]
+    zx = pts[:, 0][None, :]
+    zw = pts[:, 1][None, :]
+    if mode == "difference":
+        k1 = (wx - zx).astype(np.int64) % n
+        k2 = (ww - zw).astype(np.int64) % n
+    elif mode == "sum":
+        k1 = (wx + zx).astype(np.int64) % n
+        k2 = (ww + zw).astype(np.int64) % n
+    elif mode == "shifted":
+        if np.shape(shift_map) != (2, 2):
+            raise ValueError(f"mode='shifted' needs a 2x2 shift map, not {np.shape(shift_map)}")
+        a = np.asarray(shift_map, dtype=float)
+        k1 = _nearest_indices(wx - (a[0, 0] * zx + a[0, 1] * zw), n)
+        k2 = _nearest_indices(ww - (a[1, 0] * zx + a[1, 1] * zw), n)
+    elif mode == "ttau":
+        if channel.tau is None:
+            raise ValueError("weak envelope needs the channel's tau")
+        t = channel.tau
+        k1 = _nearest_indices((1 - t) * wx + t * zx, n)
+        k2 = _nearest_indices(t * ww + (1 - t) * zw, n)
+    else:
+        raise ValueError(f"unknown envelope mode {mode!r}")
+    table = np.zeros((n, n))
+    np.maximum.at(table, (k1.ravel(), k2.ravel()), np.abs(channel.entries).ravel())
+    return DecayEnvelope(mode=mode, table=table, n=n)
 
 
 class TestChannelMatrix:
@@ -46,10 +114,8 @@ class TestChannelMatrix:
         phi = gaussian_window(n)
         chan = channel_matrix(np.ones((n, n)), 0.5, phi)
         amb = np.abs(stft(phi, phi))
-        for wi, w in enumerate(chan.points):
-            for zi, z in enumerate(chan.points):
-                k = ((w[0] - z[0]) % n, (w[1] - z[1]) % n)
-                assert abs(chan.entries[wi, zi]) == pytest.approx(amb[k], abs=1e-10)
+        k = (chan.points[:, None, :] - chan.points[None, :, :]) % n  # w - z
+        assert np.allclose(np.abs(chan.entries), amb[k[..., 0], k[..., 1]], rtol=0, atol=1e-10)
 
     def test_entries_match_direct_recomputation(self):
         n = 8
@@ -71,12 +137,9 @@ class TestChannelMatrix:
         full = channel_matrix(sigma, 0.5, phi)
         lat = Lattice(2, 4)
         sub = channel_matrix(sigma, 0.5, phi, lat)
-        index = {p: i for i, p in enumerate(full.points)}
-        for wi, w in enumerate(sub.points):
-            for zi, z in enumerate(sub.points):
-                assert sub.entries[wi, zi] == pytest.approx(
-                    full.entries[index[w], index[z]], abs=1e-12
-                )
+        assert np.array_equal(full.points, Lattice(1, 1).points(n))
+        rows = sub.points @ [n, 1]  # full-grid index x N + omega
+        assert np.allclose(sub.entries, full.entries[np.ix_(rows, rows)], rtol=0, atol=1e-12)
 
     def test_full_grid_cap(self):
         with pytest.raises(ValueError, match="too large"):
@@ -96,8 +159,9 @@ class TestModulusIdentity:
         mags = np.abs(stft_grid(sigma, tau_wigner(phi, phi, tau)))
         worst = 0.0
         pairs = 0
-        for wi, w in enumerate(chan.points):
-            for zi, z in enumerate(chan.points):
+        points = chan.points.tolist()
+        for wi, w in enumerate(points):
+            for zi, z in enumerate(points):
                 if require_even and ((w[0] + z[0]) % 2 or (w[1] + z[1]) % 2):
                     continue
                 p1 = (1 - tau) * w[0] + tau * z[0]
@@ -146,7 +210,7 @@ class TestModulusIdentity:
         phi = comb_window(n)
         sigma = random_symbol(n, 4)
         chan = channel_matrix(sigma, tau, phi)
-        index = {p: i for i, p in enumerate(chan.points)}
+        index = {tuple(p): i for i, p in enumerate(chan.points.tolist())}
         mags = np.abs(stft_grid(sigma, tau_wigner(phi, phi, tau)))
         checked = 0
         for x1 in range(n):
@@ -172,7 +236,7 @@ class TestEnvelope:
     def test_single_entry_difference(self):
         chan = ChannelMatrix(
             entries=np.array([[0.0, 3.0], [0.0, 0.0]], dtype=complex),
-            points=((1, 2), (4, 5)),
+            points=np.array([[1, 2], [4, 5]]),
             n=8,
         )
         env = envelope(chan, "difference")
@@ -206,15 +270,13 @@ class TestEnvelope:
         n = 8
         chan = channel_matrix(random_symbol(n, 5), 0.3, gaussian_window(n))
         h = envelope(chan, "difference").table
-        for wi, w in enumerate(chan.points):
-            for zi, z in enumerate(chan.points):
-                k = ((w[0] - z[0]) % n, (w[1] - z[1]) % n)
-                assert h[k] >= abs(chan.entries[wi, zi]) - 1e-12
+        k = (chan.points[:, None, :] - chan.points[None, :, :]) % n  # w - z
+        assert np.all(h[k[..., 0], k[..., 1]] >= np.abs(chan.entries) - 1e-12)
 
     def test_nearest_grid_tie_break(self):
         # w - A z = (0.5, 0): candidates 0 and 1 tie, smaller representative wins
         chan = ChannelMatrix(
-            entries=np.array([[1.0]], dtype=complex), points=((1, 0),), n=8
+            entries=np.array([[1.0]], dtype=complex), points=np.array([[1, 0]]), n=8
         )
         env = envelope(chan, "shifted", np.diag([0.5, 1.0]))
         assert env.table[0, 0] == 1.0
@@ -233,6 +295,70 @@ class TestEnvelope:
         chan = operator_channel(np.eye(4, dtype=complex), gaussian_window(4))
         with pytest.raises(ValueError, match="tau"):
             envelope(chan, "ttau")
+
+
+ORACLE_TAUS = sorted({j / m for m in range(1, 9) for j in range(m + 1)} | {1 / np.pi})
+
+
+@st.composite
+def envelope_cases(draw):
+    """A random channel on the full grid or a lattice, its tau and a 2x2 map."""
+    n = draw(st.integers(2, 24))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    lattice = Lattice(draw(st.sampled_from(divisors)), draw(st.sampled_from(divisors)))
+    tau = draw(st.sampled_from(ORACLE_TAUS))
+    # entries are multiples of 1/8, so w - A z hits exact ties
+    eighths = draw(st.lists(st.integers(-16, 16), min_size=4, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = lattice.points(n)
+    size = (len(points), len(points))
+    entries = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    chan = ChannelMatrix(entries=entries, points=points, n=n, tau=tau)
+    return chan, np.reshape(eighths, (2, 2)) / 8
+
+
+class TestEnvelopeOracle:
+    """The one (P, Q) bin rule gives bit for bit the old per-mode envelope."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=envelope_cases())
+    def test_every_mode_equals_old_envelope(self, case):
+        chan, eighths = case
+        maps = [J_MATRIX, eighths] + ([utau_matrix(chan.tau)] if 0 < chan.tau < 1 else [])
+        runs = [("difference", None), ("sum", None), ("ttau", None)]
+        runs += [("shifted", a) for a in maps]
+        for mode, a in runs:
+            new = envelope(chan, mode, a)
+            assert new.mode == mode
+            assert np.array_equal(new.table, envelope_oracle(chan, mode, a).table), (mode, a)
+
+    def test_wrap_tie_goes_to_bin_zero(self):
+        # w - A z = (7 + 2/4, 0) = (N - 1/2, 0): bins N - 1 and 0 tie, and 0
+        # is the smaller canonical representative
+        chan = ChannelMatrix(
+            entries=np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
+            points=np.array([[7, 0], [2, 0]]),
+            n=8,
+        )
+        a = np.diag([-0.25, 1.0])
+        table = envelope(chan, "shifted", a).table
+        assert table[0, 0] == 1.0
+        assert table.sum() == 1.0
+        assert np.array_equal(table, envelope_oracle(chan, "shifted", a).table)
+
+    def test_peak_memory_at_n32(self):
+        # the old difference mode peaked at 25.2 MB, shifted/ttau at 85.0 MB
+        n = 32
+        chan = channel_matrix(random_symbol(n, 0), 0.25, gaussian_window(n))
+        for mode, a in (("difference", None), ("sum", None), ("shifted", utau_matrix(0.25)),
+                        ("ttau", None)):
+            tracemalloc.start()
+            try:
+                envelope(chan, mode, a)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 25.2e6, (mode, peak)
 
 
 class TestEll1v:
@@ -362,6 +488,22 @@ class TestCovariance:
 
         rhs = op_tau(rotate_symbol_j_inv(sigma), 0.5)
         assert np.abs(lhs - rhs).max() < 1e-10
+
+    @pytest.mark.parametrize("n", [6, 10, 14])
+    def test_two_mod_four_defect_is_one_mode(self, n):
+        # N == 2 (mod 4): the defect lives in the spreading mode (N/2, N/2)
+        # alone, and is absent at the endpoints
+        half = n // 2
+        unit = np.zeros((n, n), dtype=complex)
+        unit[half, half] = 1.0
+        for tau in (0.0, 1.0):
+            assert covariance_check(symbol_from_spreading(unit, tau), tau) < 1e-10
+        for tau in (0.3, 0.5, 1 / np.pi):
+            assert covariance_check(symbol_from_spreading(unit, tau), tau) > 0.1
+            coeff = spreading_function(random_symbol(n, 12), tau)
+            assert covariance_check(symbol_from_spreading(coeff, tau), tau) > 1e-3
+            coeff[half, half] = 0.0
+            assert covariance_check(symbol_from_spreading(coeff, tau), tau) < 1e-10
 
 
 class TestBoundedness:

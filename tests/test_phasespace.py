@@ -49,9 +49,8 @@ def v_at(v, z, n):
 
 def ttau_bin(w, z, tau, n):
     """Where the ttau envelope bins a channel entry at rows w, columns z."""
-    chan = ChannelMatrix(
-        entries=np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), points=(w, z), n=n, tau=tau
-    )
+    entries = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    chan = ChannelMatrix(entries=entries, points=np.array([w, z]), n=n, tau=tau)
     table = envelope(chan, "ttau").table
     assert table.sum() == 1.0
     return tuple(int(k) for k in np.argwhere(table == 1.0)[0])
@@ -269,11 +268,13 @@ class TestSymplecticMaps:
 
 class TestLattice:
     def test_enumeration(self):
-        assert Lattice(2, 2).points(4) == [(0, 0), (0, 2), (2, 0), (2, 2)]
+        pts = Lattice(2, 2).points(4)
+        assert pts.dtype == np.int64
+        assert np.array_equal(pts, [[0, 0], [0, 2], [2, 0], [2, 2]])
 
     def test_frequency_degenerate(self):
         pts = Lattice(1, 4).points(4)
-        assert pts == [(0, 0), (1, 0), (2, 0), (3, 0)]
+        assert np.array_equal(pts, [[0, 0], [1, 0], [2, 0], [3, 0]])
 
     def test_non_divisor_rejected(self):
         with pytest.raises(ValueError, match="divide"):

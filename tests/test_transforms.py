@@ -25,6 +25,25 @@ def rand_signal(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+def stft_loop(f, g):
+    """Loop oracle for stft: one DFT per time shift x."""
+    n = f.shape[0]
+    out = np.empty((n, n), dtype=complex)
+    for x in range(n):
+        out[x] = np.fft.fft(f * np.conj(np.roll(g, x)))
+    return out
+
+
+def stft_adjoint_loop(big_f, g):
+    """Loop oracle for stft_adjoint: accumulate one shifted window per x."""
+    n = g.shape[0]
+    rows = np.fft.ifft(big_f, axis=1) * n
+    out = np.zeros(n, dtype=complex)
+    for x in range(n):
+        out += rows[x] * np.roll(g, x)
+    return out
+
+
 class TestDft:
     def test_impulse(self):
         out = dft(delta_window(8))
@@ -147,6 +166,16 @@ class TestStft:
             for w in range(n):
                 rhs = np.exp(-2j * np.pi * x * w / n) * hat[w, (-x) % n]
                 assert lhs[x, w] == pytest.approx(rhs, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.one_of(st.integers(2, 40), st.just(64)), seed=st.integers(0, 2**32 - 1))
+    def test_batched_equals_loop(self, n, seed):
+        rng = np.random.default_rng(seed)
+        f, g = rand_signal(rng, n), rand_signal(rng, n)
+        assert np.array_equal(stft(f, g), stft_loop(f, g))
+        coeff = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        ref = stft_adjoint_loop(coeff, g)
+        assert np.abs(stft_adjoint(coeff, g) - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_zero_window_rejected(self):
         with pytest.raises(ValueError, match="non-zero"):
