@@ -46,6 +46,7 @@ from .normbank import (
     mixed_norm,
     modulation_norm,
     sjostrand_norm,
+    symbol_sups,
 )
 from .phasespace import (
     Lattice,

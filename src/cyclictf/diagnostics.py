@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import gaussian_window
-from .normbank import MixedNormSpec, amalgam_norm, fsjostrand_norm, modulation_norm, sjostrand_norm
+from .normbank import (MixedNormSpec, amalgam_norm, fsjostrand_norm, modulation_norm,
+                       sjostrand_norm, symbol_sups)
 from .phasespace import (
     J_INV_MATRIX,
     Lattice,
@@ -157,9 +158,13 @@ def envelope(channel: ChannelMatrix, mode: str, shift_map: np.ndarray | None = N
     flat = np.zeros((len(x), len(x)), dtype=np.int32)  # bin k1 * N + k2
     for pi, qi in zip(p, q):
         # one coordinate of P w + Q z, as (w part) + (z part) with one
-        # rounding per product, so the bins never depend on a BLAS kernel
+        # rounding per product, so the bins never depend on a BLAS kernel;
+        # each part takes few distinct values, so the table of their sums is
+        # binned once and gathered onto the pairs (the same sums, bit for bit)
+        uu, iu = np.unique(pi[0] * x + pi[1] * omega, return_inverse=True)
+        vv, iv = np.unique(qi[0] * x + qi[1] * omega, return_inverse=True)
         flat *= n
-        flat += _nearest_bins(np.add.outer(pi[0] * x + pi[1] * omega, qi[0] * x + qi[1] * omega), n)
+        flat += _nearest_bins(np.add.outer(uu, vv), n).take(iu, axis=0).take(iv, axis=1)
     table = np.zeros(n * n)
     np.maximum.at(table, flat.ravel(), np.abs(channel.entries).ravel())
     return DecayEnvelope(mode=mode, table=table.reshape(n, n), n=n)
@@ -222,7 +227,7 @@ def almost_diag_report(
             warnings.append("window/lattice pair is not a frame")
     env = envelope(channel_matrix(sigma, tau, phi, lattice), "difference")
     v = polynomial_weight(s)
-    class_norm = sjostrand_norm(sigma, tau_wigner(phi, phi, tau), v.compose(J_INV_MATRIX))
+    class_norm = sjostrand_norm(symbol_sups(sigma, tau_wigner(phi, phi, tau)), v.compose(J_INV_MATRIX))
     return _diag_report(env, v, class_norm, tau=tau, s=s, lattice=lattice, warnings=tuple(warnings))
 
 
@@ -249,7 +254,7 @@ def fclass_diag_report(
         env, v_class = envelope(chan, "ttau"), v
     else:
         env, v_class = envelope(chan, "shifted", utau_matrix(tau)), v.compose(btau_matrix(tau))
-    class_norm = fsjostrand_norm(sigma, tau_wigner(phi, phi, tau), v_class)
+    class_norm = fsjostrand_norm(symbol_sups(sigma, tau_wigner(phi, phi, tau)), v_class)
     return _diag_report(env, v, class_norm, tau=tau, s=s)
 
 
@@ -272,6 +277,7 @@ class BoundednessReport:
     bound_constant: float
     trials: int
     seed: int
+    sups: tuple[np.ndarray, np.ndarray]  # the symbol_sups that norm_bound was read from
 
 
 def boundedness_report(
@@ -326,11 +332,9 @@ def boundedness_report(
         if denom > 0:
             max_ratio = max(max_ratio, target(operator @ f) / denom)
 
-    big_phi = tau_wigner(phi, phi, tau)
-    if pair in ("modulation", "amalgam"):
-        norm_bound = sjostrand_norm(arr, big_phi, polynomial_weight(0.0))
-    else:
-        norm_bound = fsjostrand_norm(arr, big_phi, polynomial_weight(0.0))
+    sups = symbol_sups(arr, tau_wigner(phi, phi, tau))
+    class_norm = sjostrand_norm if pair in ("modulation", "amalgam") else fsjostrand_norm
+    norm_bound = class_norm(sups, polynomial_weight(0.0))
     constant = max_ratio / norm_bound if norm_bound > 0 else float("inf")
     return BoundednessReport(
         pair=pair,
@@ -339,6 +343,7 @@ def boundedness_report(
         bound_constant=constant,
         trials=trials,
         seed=seed,
+        sups=sups,
     )
 
 
@@ -378,9 +383,9 @@ def wiener_experiment(
     rho = dequantize(inverse, tau)
     b = dequantize(inverse, 1.0 - tau)
     v = polynomial_weight(s)
-    weyl_norm = sjostrand_norm(rho, tau_wigner(phi, phi, tau), v)
+    weyl_norm = sjostrand_norm(symbol_sups(rho, tau_wigner(phi, phi, tau)), v)
     v_b = v if (1.0 - tau) in (0.0, 1.0) else v.compose(btau_matrix(1.0 - tau))
-    fclass_norm = fsjostrand_norm(b, tau_wigner(phi, phi, 1.0 - tau), v_b)
+    fclass_norm = fsjostrand_norm(symbol_sups(b, tau_wigner(phi, phi, 1.0 - tau)), v_b)
     return WienerReport(
         invertible=True,
         condition=condition,
@@ -431,11 +436,11 @@ def composition_symmetry_check(
     v_b = v.compose(btau_matrix(tau))
     return CompositionReport(
         half_symbol=c,
-        weyl_class_norm=sjostrand_norm(c, big_phi_half, v),
+        weyl_class_norm=sjostrand_norm(symbol_sups(c, big_phi_half), v),
         left_module_symbol=c1,
         right_module_symbol=c2,
-        left_module_norm=fsjostrand_norm(c1, big_phi_tau, v_b),
-        right_module_norm=fsjostrand_norm(c2, big_phi_tau, v_b),
+        left_module_norm=fsjostrand_norm(symbol_sups(c1, big_phi_tau), v_b),
+        right_module_norm=fsjostrand_norm(symbol_sups(c2, big_phi_tau), v_b),
     )
 
 

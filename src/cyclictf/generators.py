@@ -27,15 +27,16 @@ __all__ = [
 
 RNG_ALGORITHM = "numpy-pcg64"
 
-WINDOW_NAMES = ("gaussian", "delta", "comb")
-SYMBOL_NAMES = (
-    "constant",
-    "separable-x",
-    "separable-omega",
-    "gaussian",
-    "delta",
-    "random-seeded",
-)
+# the config keys each generator reads, besides its name
+WINDOW_PARAMS = {"gaussian": ("width",), "delta": (), "comb": ("step",)}
+SYMBOL_PARAMS = {
+    "constant": (),
+    "separable-x": ("seed", "values"),
+    "separable-omega": ("seed", "values"),
+    "gaussian": ("width",),
+    "delta": (),
+    "random-seeded": ("seed",),
+}
 
 
 def gaussian_window(n: int, width: float = 1.0, normalize: bool = True) -> np.ndarray:

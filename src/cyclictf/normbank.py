@@ -10,7 +10,8 @@ outer over x), so that on the grid
 
 exactly, the Fourier image relation between the two scales.
 
-The symbol-class functionals use the 4-variable STFT of N x N grids:
+The symbol-class functionals read the 4-variable STFT of N x N grids
+through its two sup tables (symbol_sups, one stft_grid pass for both):
 sjostrand_norm sums over the frequency offset of the largest-in-position
 STFT magnitude; fsjostrand_norm swaps the two roles.
 """
@@ -31,6 +32,7 @@ __all__ = [
     "mixed_norm",
     "modulation_norm",
     "sjostrand_norm",
+    "symbol_sups",
 ]
 
 
@@ -93,17 +95,23 @@ def amalgam_norm(
     return float(_lp(inner * wvals, q, axis=0))
 
 
-def sjostrand_norm(sigma: np.ndarray, window: np.ndarray, v: Weight) -> float:
-    """sum_zeta sup_z |V_W sigma(z, zeta)| v(zeta) over the symbol STFT."""
+def symbol_sups(sigma: np.ndarray, window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two sup tables of |V_W sigma| from one stft_grid pass.
+
+    The first is sup_z |V_W sigma(z, zeta)| on the (q1, q2) grid of zeta, the
+    second sup_zeta |V_W sigma(z, zeta)| on the (p1, p2) grid of z.
+    """
     mags = np.abs(stft_grid(sigma, window))
-    n = mags.shape[0]
-    sup_pos = mags.max(axis=(0, 1))  # (q1, q2) grid
-    return float(np.sum(sup_pos * v.on_grid(n)))
+    return mags.max(axis=(0, 1)), mags.max(axis=(2, 3))
 
 
-def fsjostrand_norm(sigma: np.ndarray, window: np.ndarray, v: Weight) -> float:
+def sjostrand_norm(sups: tuple[np.ndarray, np.ndarray], v: Weight) -> float:
+    """sum_zeta sup_z |V_W sigma(z, zeta)| v(zeta), from symbol_sups(sigma, W)."""
+    sup_pos = sups[0]
+    return float(np.sum(sup_pos * v.on_grid(sup_pos.shape[0])))
+
+
+def fsjostrand_norm(sups: tuple[np.ndarray, np.ndarray], v: Weight) -> float:
     """sum_z sup_zeta |V_W sigma(z, zeta)| v(z); the Fourier image of sjostrand_norm."""
-    mags = np.abs(stft_grid(sigma, window))
-    n = mags.shape[0]
-    sup_freq = mags.max(axis=(2, 3))  # (p1, p2) grid
-    return float(np.sum(sup_freq * v.on_grid(n)))
+    sup_freq = sups[1]
+    return float(np.sum(sup_freq * v.on_grid(sup_freq.shape[0])))

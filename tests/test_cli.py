@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cyclictf.cli import ExperimentConfig, main
+import cyclictf
+from cyclictf.cli import ExperimentConfig, main, run_sweep
 from cyclictf.serialize import (
     envelope_csv_lines,
     grid_from_json,
@@ -176,6 +178,33 @@ class TestConfigValidation:
             assert message in capsys.readouterr().err
             assert not (tmp_path / out).exists()
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"symbol": {"name": "random-seeded", "extra": 1}},
+             "unknown symbol keys for 'random-seeded': ['extra']"),
+            ({"window": {"name": "gaussian", "widht": 2}}, "unknown window keys for 'gaussian': ['widht']"),
+            ({"window": {"name": "gaussian", "width": None}}, "gaussian window width must be a number"),
+            ({"n": 16, "window": {"name": "comb", "step": None}}, "comb window step must be a number"),
+            ({"symbol": {"name": "gaussian", "width": "x"}}, "gaussian symbol width must be a number"),
+            ({"symbol": {"name": "gaussian", "width": True}}, "gaussian symbol width must be a number"),
+            ({"n": 16, "window": {"name": "comb", "step": "2"}}, "comb window step must be a number"),
+        ],
+    )
+    def test_generator_sections_exit_2(self, tmp_path, capsys, data, message):
+        cfg = write_config(tmp_path, data)
+        for command, out in (("norms", "norms.json"), ("sweep", "sweep.csv")):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / out).exists()
+
+    def test_generator_keys_that_are_read_are_accepted(self, tmp_path):
+        sections = [{"symbol": {"name": "separable-x", "seed": 3}}, {"symbol": {"name": "gaussian", "width": 3}},
+                    {"window": {"name": "gaussian", "width": 2.0}}, {"n": 16, "window": {"name": "comb", "step": 2.0}}]
+        for data in sections:
+            cfg = write_config(tmp_path, {"n": 8, **data})
+            assert main(["norms", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0, data
+
 
 class TestSweep:
     def test_rows_and_determinism(self, tmp_path, capsys):
@@ -210,6 +239,34 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--out", str(a), "--quiet", "--seed", "2"]) == 0
         assert main(["sweep", "--config", str(cfg), "--out", str(b), "--quiet"]) == 0
         assert (a / "sweep.csv").read_bytes() != (b / "sweep.csv").read_bytes()
+
+    BASELINE = {"n": 32, "tau": [0.0, 0.25, 0.5, 0.75, 1.0], "s": 1.0, "trials": 20}
+
+    def test_one_symbol_stft_and_one_channel_per_tau(self, tmp_path, monkeypatch):
+        calls = {"stft_grid": 0, "operator_channel": 0}
+        for module in (cyclictf.cli, cyclictf.diagnostics, cyclictf.normbank, cyclictf.transforms):
+            for name in calls:
+                if hasattr(module, name):
+                    def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                        calls[_name] += 1
+                        return _fn(*args, **kwargs)
+
+                    monkeypatch.setattr(module, name, counted)
+        cfg = write_config(tmp_path, {**self.BASELINE, "n": 8})
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+        assert calls == {"stft_grid": 5, "operator_channel": 5}
+
+    def test_peak_memory_at_n32(self, tmp_path):
+        # the channel (16.8 MB) is freed before the next tau's symbol STFT;
+        # with both alive together the sweep peaked at 42.1 MB
+        cfg = ExperimentConfig.from_dict(self.BASELINE)
+        tracemalloc.start()
+        try:
+            run_sweep(cfg, tmp_path, quiet=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32e6, peak
 
 
 class TestWienerCommand:
