@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +30,9 @@ from . import diagnostics as dg
 from . import generators as gen
 from .normbank import MixedNormSpec, fsjostrand_norm, modulation_norm, sjostrand_norm, symbol_sups
 from .phasespace import Lattice, polynomial_weight, utau_matrix
-from .quantize import chirp_exponents, convert_symbol, dequantize, op_tau, tau_wigner
+from .quantize import tau_wigner
 from .serialize import envelope_csv_lines, format_float, write_json
-from .transforms import dft, stft, stft_adjoint, stft_grid
-
-SUITE_TOL = 1e-10
-VERIFY_TRIALS = 20
+from .verify import SUITE_TOL, VERIFY_SUITES, covariance_taus, rand_complex
 
 
 class ConfigError(ValueError):
@@ -68,10 +65,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {
-            "n", "tau", "symbol", "window", "lattice", "s", "trials", "seed", "suites",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key in ("symbol", "window", "lattice"):
@@ -83,7 +77,10 @@ class ExperimentConfig:
         cfg.tau = [_number(t, "tau") for t in (tau if isinstance(tau, list) else [tau])]
         cfg.symbol = dict(data.get("symbol", cfg.symbol))
         cfg.window = dict(data.get("window", cfg.window))
-        lat = data.get("lattice", {"a": 1, "b": 1})
+        lat = data.get("lattice", {})
+        unknown = set(lat) - {"a", "b"}
+        if unknown:
+            raise ConfigError(f"unknown lattice keys: {sorted(unknown)}")
         cfg.lattice = Lattice(*(_integer(lat.get(k, 1), f"lattice {k}") for k in ("a", "b")))
         cfg.s = _number(data.get("s", cfg.s), "weight order s")
         cfg.trials = _integer(data.get("trials", cfg.trials), "trials")
@@ -115,6 +112,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be nonnegative")
         if self.suites is not None and not isinstance(self.suites, list):
             raise ConfigError("suites must be a suite name or a list of suite names")
+        if self.suites == []:
+            raise ConfigError("suites must name at least one suite")
         name = self.symbol.get("name", "random-seeded")
         if name not in gen.SYMBOL_PARAMS:
             raise ConfigError(f"unknown symbol generator {name!r}")
@@ -151,191 +150,21 @@ class ExperimentConfig:
         return gen.make_window(self.window.get("name", "gaussian"), self.n, **params)
 
 
-# --------------------------------------------------------------------------
-# verify suites
-
-
-def _rand_signal(rng, n):
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-
-def _rand_symbol(rng, n):
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
-def _suite_fundamental_identity(cfg, rng):
-    n = cfg.n
-    xg, wg = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    phase = np.exp(-2j * np.pi * xg * wg / n)
-    worst = 0.0
-    for _ in range(VERIFY_TRIALS):
-        f, g = _rand_signal(rng, n), _rand_signal(rng, n)
-        lhs = stft(f, g)
-        rhs = phase * stft(dft(f), dft(g))[wg, (-xg) % n]
-        worst = max(worst, np.abs(lhs - rhs).max() / np.abs(lhs).max())
-    return worst
-
-
-def _suite_stft_inversion(cfg, rng):
-    n = cfg.n
-    worst = 0.0
-    for _ in range(VERIFY_TRIALS):
-        f, g = _rand_signal(rng, n), _rand_signal(rng, n)
-        recon = stft_adjoint(stft(f, g), g) / (n * np.linalg.norm(g) ** 2)
-        worst = max(worst, np.abs(recon - f).max() / max(np.abs(f).max(), 1e-30))
-    return worst
-
-
-def _suite_quantize_duality(cfg, rng):
-    n = cfg.n
-    worst = 0.0
-    for tau in (0.0, 0.3, 0.5, 1.0):
-        for _ in range(VERIFY_TRIALS // 4 + 1):
-            sigma = _rand_symbol(rng, n)
-            f, g = _rand_signal(rng, n), _rand_signal(rng, n)
-            lhs = np.vdot(g, op_tau(sigma, tau) @ f)
-            rhs = np.vdot(tau_wigner(g, f, tau), sigma)
-            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-30))
-    return worst
-
-
-def _suite_quantize_roundtrip(cfg, rng):
-    n = cfg.n
-    worst = 0.0
-    for tau in (0.0, 0.25, 1 / 3, 0.5, 1 / np.pi, 1.0):
-        sigma = _rand_symbol(rng, n)
-        back = dequantize(op_tau(sigma, tau), tau)
-        worst = max(worst, np.abs(back - sigma).max() / np.abs(sigma).max())
-    return worst
-
-
-def _suite_convert_consistency(cfg, rng):
-    n = cfg.n
-    worst = 0.0
-    for tau1, tau2 in ((0.0, 0.5), (0.3, 0.8), (0.5, 1.0), (0.25, 0.25)):
-        sigma = _rand_symbol(rng, n)
-        direct = op_tau(convert_symbol(sigma, tau1, tau2), tau2)
-        worst = max(worst, np.abs(direct - op_tau(sigma, tau1)).max() / np.abs(sigma).max())
-        via_ops = dequantize(op_tau(sigma, tau1), tau2)
-        worst = max(
-            worst, np.abs(via_ops - convert_symbol(sigma, tau1, tau2)).max() / np.abs(sigma).max()
-        )
-    return worst
-
-
-def _suite_symplectic_covariance(cfg, rng):
-    n = cfg.n
-    worst = 0.0
-    # the exact set: for N == 2 (mod 4) the chirp's one self-rotating mode
-    # (N/2, N/2) breaks the identity away from tau in {0, 1}
-    for tau in (0.0, 1.0) if n % 4 == 2 else (0.0, 0.3, 0.5, 1.0):
-        for _ in range(VERIFY_TRIALS // 4 + 1):
-            worst = max(worst, dg.covariance_check(_rand_symbol(rng, n), tau))
-    return worst
-
-
-def _channel_modulus_cases(n: int):
-    """Window/tau/pair-restriction cases where the modulus identity is exact.
-
-    Endpoints hold for any window and all pairs.  tau = 1/2 needs either an
-    odd grid (all even-sum pairs) or, on grids divisible by 8, the comb
-    window whose ambiguity function lives on the even sublattice.
-    """
-    cases = [
-        (0.0, gen.gaussian_window(n), "gaussian"),
-        (1.0, gen.gaussian_window(n), "gaussian"),
-    ]
-    if n % 2 == 1:
-        cases.append((0.5, gen.gaussian_window(n), "gaussian"))
-    elif n % 8 == 0:
-        cases.append((0.5, gen.comb_window(n), "comb"))
-    return cases
-
-
-def _channel_modulus_residual(entries: np.ndarray, mags: np.ndarray, tau: float):
-    """Worst mismatch of |<Op pi(z) phi, pi(w) phi>| = |V_Phi sigma(T_tau(w, z), J(w - z))|.
-
-    entries is the full-grid channel matrix (rows w, columns z, both in
-    row-major (x, omega) order) and mags = |stft_grid(sigma, Phi)|.  Only the
-    pairs whose T_tau(w, z) = ((1 - tau) w0 + tau z0, tau w1 + (1 - tau) z1)
-    lies on the grid are compared.  Returns the worst difference relative to
-    max |entries|, and the number of pairs compared.
-
-    The first coordinate of T_tau depends on (w0, z0) only and the second on
-    (w1, z1) only, so the grid tests and indices are N x N tables; the loop
-    runs over w0 and keeps every temporary at O(N^3).
-    """
-    n = mags.shape[0]
-    chan = entries.reshape(n, n, n, n)  # (w0, w1, z0, z1)
-    x = np.arange(n)
-    p1 = (1 - tau) * x[:, None] + tau * x[None, :]  # (w0, z0)
-    p2 = tau * x[:, None] + (1 - tau) * x[None, :]  # (w1, z1)
-    on1 = np.abs(p1 - np.rint(p1)) <= 1e-9
-    on2 = np.abs(p2 - np.rint(p2)) <= 1e-9
-    # flat index into mags of (rint(p1), rint(p2), w1 - z1, z0 - w0), split
-    # into its (w0, z0) and (w1, z1) parts
-    at1 = (np.rint(p1).astype(np.int64) % n) * n**3 + (x[None, :] - x[:, None]) % n
-    at2 = ((np.rint(p2).astype(np.int64) % n) * n + (x[:, None] - x[None, :]) % n) * n
-    flat_mags = mags.ravel()
-    worst = scale = 0.0
-    for w0 in range(n):
-        lhs = np.abs(chan[w0])  # (w1, z0, z1)
-        scale = max(scale, lhs.max())
-        cols = np.flatnonzero(on1[w0])  # never empty: z0 = w0 is on the grid
-        rhs = flat_mags[at1[w0, cols][None, :, None] + at2[:, None, :]]
-        diff = np.abs(lhs[:, cols] - rhs).max(axis=1)  # (w1, z1)
-        worst = max(worst, diff[on2].max())
-    return worst / scale, int(on1.sum()) * int(on2.sum())
-
-
-def _suite_channel_modulus(cfg, rng):
-    n = cfg.n
-    worst = 0.0
-    for tau, phi, _label in _channel_modulus_cases(n):
-        sigma = _rand_symbol(rng, n)
-        # both arrays are arguments only, so each case frees them on return
-        residual, _pairs = _channel_modulus_residual(
-            dg.channel_matrix(sigma, tau, phi).entries,
-            np.abs(stft_grid(sigma, tau_wigner(phi, phi, tau))),
-            tau,
-        )
-        worst = max(worst, residual)
-    return worst
-
-
-VERIFY_SUITES = {
-    "fundamental-identity": _suite_fundamental_identity,
-    "stft-inversion": _suite_stft_inversion,
-    "quantize-duality": _suite_quantize_duality,
-    "quantize-roundtrip": _suite_quantize_roundtrip,
-    "convert-consistency": _suite_convert_consistency,
-    "symplectic-covariance": _suite_symplectic_covariance,
-    "channel-modulus": _suite_channel_modulus,
-}
-
-
 def run_verify(cfg: ExperimentConfig, quiet: bool = False) -> int:
     names = cfg.suites or list(VERIFY_SUITES)
     unknown = [s for s in names if s not in VERIFY_SUITES]
     if unknown:
         raise ConfigError(f"unknown suites: {unknown}")
-    chirp_exponents(cfg.n)  # fail early if the grid is unusable
-    if not quiet and "symplectic-covariance" in names and cfg.n % 4 == 2:
+    if not quiet and "symplectic-covariance" in names and covariance_taus(cfg.n) == (0.0, 1.0):
         half = cfg.n // 2
         print(f"note: N = {cfg.n} is 2 mod 4, so symplectic-covariance checks tau in {{0, 1}} only:"
               f" the chirp defect at mode ({half}, {half}) breaks it elsewhere", file=sys.stderr)
-    failures = 0
-    rows = []
-    for name in names:
-        rng = np.random.default_rng(cfg.seed)
-        residual = VERIFY_SUITES[name](cfg, rng)
-        ok = residual < SUITE_TOL
-        failures += 0 if ok else 1
-        rows.append((name, residual, ok))
+    rows = [(name, VERIFY_SUITES[name](cfg.n, np.random.default_rng(cfg.seed))) for name in names]
+    failures = sum(not residual < SUITE_TOL for _, residual in rows)
     if not quiet:
-        width = max(len(name) for name, _, _ in rows)
-        for name, residual, ok in rows:
-            print(f"{name:<{width}}  {format_float(residual):>12}  {'pass' if ok else 'FAIL'}")
+        width = max(len(name) for name, _ in rows)
+        for name, residual in rows:
+            print(f"{name:<{width}}  {format_float(residual):>12}  {'pass' if residual < SUITE_TOL else 'FAIL'}")
         print(f"{len(rows)} suites, {len(rows) - failures} passed, {failures} failed")
     return 0 if failures == 0 else 1
 
@@ -413,7 +242,7 @@ def run_norms(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
     sigma = cfg.make_symbol()
     phi = cfg.make_window()
     rng = np.random.default_rng(cfg.seed)
-    probe = _rand_signal(rng, cfg.n)
+    probe = rand_complex(rng, cfg.n)
     v = polynomial_weight(cfg.s)
     tau = cfg.tau[0]
     sups = symbol_sups(sigma, tau_wigner(phi, phi, tau))

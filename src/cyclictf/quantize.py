@@ -15,10 +15,11 @@ The chirp table is the one non-obvious convention.  It is chosen exactly
 antisymmetric under the rotation (omega, u) -> (-u, omega), which makes the
 conjugation rule  F Op_tau(sigma) F* = Op_{1-tau}(sigma o J^{-1})  and the
 half-point involution  Op_{1/2}(sigma)* = Op_{1/2}(conj sigma)  hold to
-machine precision for every real tau.  Values are centered-representative
-products propagated along rotation orbits; for odd N this reduces to
-(N+1) rc(omega) rc(u), the half-inverse chirp of the odd cyclic calculus.
-For N == 2 (mod 4) the single self-rotating mode (N/2, N/2) cannot satisfy
+machine precision for every real tau.  In closed form it is
+kappa c(omega) c(u) on centered representatives c, with kappa = N+1 for odd
+N (the half-inverse chirp of the odd cyclic calculus) and 1 for even N, where
+row and column N/2 are +-(N/2) |c| (see `chirp_exponents`).  For
+N == 2 (mod 4) the single self-rotating mode (N/2, N/2) cannot satisfy
 both the antisymmetry and the mod-N product constraint; the product wins
 there, and conjugation acquires a one-mode defect away from tau in {0, 1}.
 """
@@ -49,44 +50,24 @@ def _check_tau(tau: float) -> float:
     return tau
 
 
-def _centered(a: int, n: int) -> int:
-    a %= n
-    return a - n if a >= (n + 1) // 2 else a
-
-
 @lru_cache(maxsize=None)
 def chirp_exponents(n: int) -> np.ndarray:
     """Integer table psi with psi == omega*u (mod N), antisymmetric under rotation.
 
-    Built per orbit of R(omega, u) = (-u, omega): the lexicographically first
-    orbit point gets kappa * rc(omega) rc(u) (centered representatives,
-    kappa = N+1 for odd N else 1) and the value alternates in sign along the
-    orbit.  Rotation-fixed points get 0.  The returned array is read-only.
+    psi(omega, u) = kappa c(omega) c(u), with centered representatives
+    c(r) = r - N if 2r >= N else r, and kappa = N+1 for odd N else 1.  For
+    even N, with h = N/2, row h is h |c(u)|, column h is -h |c(omega)|, and
+    the self-rotating mode psi(h, h) is h^2 for N == 2 (mod 4), where the
+    antisymmetry is unattainable, else 0.  The returned array is read-only.
     """
-    kappa = n + 1 if n % 2 else 1
-    psi = np.zeros((n, n), dtype=np.int64)
-    seen = np.zeros((n, n), dtype=bool)
-    for a in range(n):
-        for b in range(n):
-            if seen[a, b]:
-                continue
-            orbit = [(a, b)]
-            while True:
-                w, u = orbit[-1]
-                nxt = ((-u) % n, w)
-                if nxt == orbit[0]:
-                    break
-                orbit.append(nxt)
-            if len(orbit) == 1 and (a * b) % n != 0:
-                # only (N/2, N/2) with N == 2 (mod 4); antisymmetry unattainable
-                value = kappa * _centered(a, n) * _centered(b, n)
-            else:
-                value = 0 if len(orbit) == 1 else kappa * _centered(a, n) * _centered(b, n)
-            sign = 1
-            for (w, u) in orbit:
-                psi[w, u] = sign * value
-                seen[w, u] = True
-                sign = -sign
+    c = np.arange(n, dtype=np.int64)
+    c[2 * c >= n] -= n
+    psi = (n + 1 if n % 2 else 1) * np.outer(c, c)
+    if n % 2 == 0:
+        h = n // 2
+        psi[h, :] = h * np.abs(c)
+        psi[:, h] = -h * np.abs(c)
+        psi[h, h] = h * h if n % 4 == 2 else 0
     psi.setflags(write=False)
     return psi
 

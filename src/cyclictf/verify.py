@@ -1,0 +1,162 @@
+"""The exact-identity suites behind `cyclictf verify`.
+
+Each suite is `suite(n, rng) -> residual`: it draws random inputs from rng,
+checks one identity of the calculus on Z_N at every case where that identity
+is exact, and returns the worst relative residual.  A suite passes when the
+residual is below SUITE_TOL.  Where an identity is exact only on part of the
+grids or taus, that exact set is one function of n (`covariance_taus`,
+`channel_modulus_cases`), read by the suite, the CLI and the tests alike.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from . import diagnostics as dg
+from .generators import comb_window, gaussian_window
+from .quantize import convert_symbol, dequantize, op_tau, tau_wigner
+from .transforms import dft, stft, stft_adjoint, stft_grid
+
+SUITE_TOL = 1e-10
+VERIFY_TRIALS = 20
+CONVERT_PAIRS = ((0.0, 0.5), (0.3, 0.8), (0.5, 1.0), (0.25, 0.25), (0.7, 0.2))
+
+
+def rand_complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _rel(diff, ref) -> float:
+    """max |diff| relative to max |ref|."""
+    return np.abs(diff).max() / max(np.abs(ref).max(), 1e-30)
+
+
+def fundamental_identity(n, rng):
+    xg, wg = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    phase = np.exp(-2j * np.pi * xg * wg / n)
+
+    def residual(f, g):
+        lhs = stft(f, g)
+        return _rel(lhs - phase * stft(dft(f), dft(g))[wg, (-xg) % n], lhs)
+
+    return max(residual(rand_complex(rng, n), rand_complex(rng, n)) for _ in range(VERIFY_TRIALS))
+
+
+def stft_inversion(n, rng):
+    def residual(f, g):
+        return _rel(stft_adjoint(stft(f, g), g) / (n * np.linalg.norm(g) ** 2) - f, f)
+
+    return max(residual(rand_complex(rng, n), rand_complex(rng, n)) for _ in range(VERIFY_TRIALS))
+
+
+def quantize_duality(n, rng):
+    def residual(tau):
+        sigma, f, g = rand_complex(rng, n, n), rand_complex(rng, n), rand_complex(rng, n)
+        lhs = np.vdot(g, op_tau(sigma, tau) @ f)
+        return _rel(lhs - np.vdot(tau_wigner(g, f, tau), sigma), lhs)
+
+    return max(residual(tau) for tau in (0.0, 0.3, 0.5, 1.0) for _ in range(VERIFY_TRIALS // 4 + 1))
+
+
+def quantize_roundtrip(n, rng):
+    def residual(tau):
+        sigma = rand_complex(rng, n, n)
+        return _rel(dequantize(op_tau(sigma, tau), tau) - sigma, sigma)
+
+    return max(residual(tau) for tau in (0.0, 0.25, 1 / 3, 0.5, 1 / np.pi, 1.0))
+
+
+def convert_consistency(n, rng):
+    def residual(tau1, tau2):
+        sigma = rand_complex(rng, n, n)
+        moved = convert_symbol(sigma, tau1, tau2)
+        return max(_rel(op_tau(moved, tau2) - op_tau(sigma, tau1), sigma),
+                   _rel(dequantize(op_tau(sigma, tau1), tau2) - moved, sigma))
+
+    return max(residual(tau1, tau2) for tau1, tau2 in CONVERT_PAIRS)
+
+
+def covariance_taus(n: int) -> tuple[float, ...]:
+    """The taus where F Op_tau(sigma) F* = Op_{1-tau}(sigma o J^{-1}) is exact on Z_N.
+
+    For N == 2 (mod 4) the chirp's one self-rotating mode (N/2, N/2) breaks
+    the identity away from tau in {0, 1}.
+    """
+    return (0.0, 1.0) if n % 4 == 2 else (0.0, 0.3, 0.5, 1.0)
+
+
+def symplectic_covariance(n, rng):
+    return max(dg.covariance_check(rand_complex(rng, n, n), tau)
+               for tau in covariance_taus(n) for _ in range(VERIFY_TRIALS // 4 + 1))
+
+
+def channel_modulus_cases(n: int):
+    """Window/tau/pair-restriction cases where the modulus identity is exact.
+
+    Endpoints hold for any window and all pairs.  tau = 1/2 needs either an
+    odd grid (all even-sum pairs) or, on grids divisible by 8, the comb
+    window whose ambiguity function lives on the even sublattice.
+    """
+    cases = [(0.0, gaussian_window(n), "gaussian"), (1.0, gaussian_window(n), "gaussian")]
+    if n % 2 == 1:
+        cases.append((0.5, gaussian_window(n), "gaussian"))
+    elif n % 8 == 0:
+        cases.append((0.5, comb_window(n), "comb"))
+    return cases
+
+
+def channel_modulus_residual(entries: np.ndarray, mags: np.ndarray, tau: float):
+    """Worst mismatch of |<Op pi(z) phi, pi(w) phi>| = |V_Phi sigma(T_tau(w, z), J(w - z))|.
+
+    entries is the full-grid channel matrix (rows w, columns z, both in
+    row-major (x, omega) order) and mags = |stft_grid(sigma, Phi)|.  Only the
+    pairs whose T_tau(w, z) = ((1 - tau) w0 + tau z0, tau w1 + (1 - tau) z1)
+    lies on the grid are compared.  Returns the worst difference relative to
+    max |entries|, and the number of pairs compared.
+
+    The first coordinate of T_tau depends on (w0, z0) only and the second on
+    (w1, z1) only, so the grid tests and indices are N x N tables; the loop
+    runs over w0 and keeps every temporary at O(N^3).
+    """
+    n = mags.shape[0]
+    chan = entries.reshape(n, n, n, n)  # (w0, w1, z0, z1)
+    x = np.arange(n)
+    p1 = (1 - tau) * x[:, None] + tau * x[None, :]  # (w0, z0)
+    p2 = tau * x[:, None] + (1 - tau) * x[None, :]  # (w1, z1)
+    on1 = np.abs(p1 - np.rint(p1)) <= 1e-9
+    on2 = np.abs(p2 - np.rint(p2)) <= 1e-9
+    # flat index into mags of (rint(p1), rint(p2), w1 - z1, z0 - w0), split
+    # into its (w0, z0) and (w1, z1) parts
+    at1 = (np.rint(p1).astype(np.int64) % n) * n**3 + (x[None, :] - x[:, None]) % n
+    at2 = ((np.rint(p2).astype(np.int64) % n) * n + (x[:, None] - x[None, :]) % n) * n
+    flat_mags = mags.ravel()
+    worst = scale = 0.0
+    for w0 in range(n):
+        lhs = np.abs(chan[w0])  # (w1, z0, z1)
+        scale = max(scale, lhs.max())
+        cols = np.flatnonzero(on1[w0])  # never empty: z0 = w0 is on the grid
+        rhs = flat_mags[at1[w0, cols][None, :, None] + at2[:, None, :]]
+        diff = np.abs(lhs[:, cols] - rhs).max(axis=1)  # (w1, z1)
+        worst = max(worst, diff[on2].max())
+    return worst / scale, int(on1.sum()) * int(on2.sum())
+
+
+def channel_modulus(n, rng):
+    def residual(tau, phi):
+        sigma = rand_complex(rng, n, n)
+        # both arrays are arguments only, so each case frees them on return
+        return channel_modulus_residual(dg.channel_matrix(sigma, tau, phi).entries,
+                                        np.abs(stft_grid(sigma, tau_wigner(phi, phi, tau))), tau)[0]
+
+    return max(residual(tau, phi) for tau, phi, _label in channel_modulus_cases(n))
+
+
+VERIFY_SUITES = {
+    "fundamental-identity": fundamental_identity,
+    "stft-inversion": stft_inversion,
+    "quantize-duality": quantize_duality,
+    "quantize-roundtrip": quantize_roundtrip,
+    "convert-consistency": convert_consistency,
+    "symplectic-covariance": symplectic_covariance,
+    "channel-modulus": channel_modulus,
+}

@@ -23,7 +23,7 @@ import json
 import numpy as np
 import pytest
 
-from cyclictf.cli import _channel_modulus_cases, _channel_modulus_residual, main
+from cyclictf.cli import main
 from cyclictf.diagnostics import (
     boundedness_report,
     channel_matrix,
@@ -41,19 +41,13 @@ from cyclictf.generators import (
 )
 from cyclictf.normbank import MixedNormSpec
 from cyclictf.phasespace import Lattice, polynomial_weight
-from cyclictf.quantize import convert_symbol, dequantize, op_tau, tau_wigner, twisted_product
-from cyclictf.transforms import (
-    canonical_dual,
-    dft,
-    frame_bounds,
-    gabor_reconstruct,
-    stft,
-    stft_adjoint,
-    stft_grid,
-)
+from cyclictf.quantize import dequantize, op_tau, tau_wigner, twisted_product
+from cyclictf.transforms import canonical_dual, frame_bounds, gabor_reconstruct, stft_grid
+from cyclictf.verify import VERIFY_SUITES, channel_modulus_cases, channel_modulus_residual
+
+from modulus_oracle import inverse_map_loop, pair_loop
 
 GRIDS = (4, 8, 16)
-TRIALS = 100
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -70,124 +64,25 @@ def rand_symbol(rng, n):
 
 class TestCriterion1ExactIdentities:
     TOL = 1e-10
+    SEEDS = 20  # per grid; at least 100 random draws per identity and grid
 
     def test_exact_identity_suite(self):
-        worst = {}
-        for n in GRIDS:
-            rng = np.random.default_rng(1000 + n)
-            x = np.arange(n)
-            xg, wg = np.meshgrid(x, x, indexing="ij")
-
-            # fundamental identity
-            res = 0.0
-            for _ in range(TRIALS):
-                f, g = rand_signal(rng, n), rand_signal(rng, n)
-                lhs = stft(f, g)
-                hat = stft(dft(f), dft(g))
-                rhs = np.exp(-2j * np.pi * xg * wg / n) * hat[wg, (-xg) % n]
-                res = max(res, np.abs(lhs - rhs).max() / np.abs(lhs).max())
-            worst["fundamental-identity"] = res
-
-            # STFT inversion with the calibrated constant 1/N
-            res = 0.0
-            for _ in range(TRIALS):
-                f, g = rand_signal(rng, n), rand_signal(rng, n)
-                recon = stft_adjoint(stft(f, g), g) / (n * np.linalg.norm(g) ** 2)
-                res = max(res, np.abs(recon - f).max() / np.abs(f).max())
-            worst["stft-inversion"] = max(worst.get("stft-inversion", 0.0), res)
-
-            # quantization duality
-            res = 0.0
-            for tau in (0.0, 0.3, 0.5, 1.0):
-                for _ in range(TRIALS // 4):
-                    sigma = rand_symbol(rng, n)
-                    f, g = rand_signal(rng, n), rand_signal(rng, n)
-                    lhs = np.vdot(g, op_tau(sigma, tau) @ f)
-                    rhs = np.vdot(tau_wigner(g, f, tau), sigma)
-                    res = max(res, abs(lhs - rhs) / abs(lhs))
-            worst["duality"] = max(worst.get("duality", 0.0), res)
-
-            # round trips, six tau values including an irrational one
-            res = 0.0
-            for tau in (0.0, 0.25, 1 / 3, 0.5, 1 / np.pi, 1.0):
-                for _ in range(TRIALS // 6 + 1):
-                    sigma = rand_symbol(rng, n)
-                    back = dequantize(op_tau(sigma, tau), tau)
-                    res = max(res, np.abs(back - sigma).max() / np.abs(sigma).max())
-            worst["round-trip"] = max(worst.get("round-trip", 0.0), res)
-
-            # convert_symbol consistency
-            res = 0.0
-            for tau1, tau2 in ((0.0, 0.5), (0.3, 0.8), (0.5, 1.0), (0.7, 0.2)):
-                for _ in range(TRIALS // 4):
-                    sigma = rand_symbol(rng, n)
-                    moved = convert_symbol(sigma, tau1, tau2)
-                    res = max(
-                        res,
-                        np.abs(op_tau(moved, tau2) - op_tau(sigma, tau1)).max()
-                        / np.abs(sigma).max(),
-                    )
-            worst["convert"] = max(worst.get("convert", 0.0), res)
-
-            # symplectic covariance
-            res = 0.0
-            from cyclictf.diagnostics import covariance_check
-
-            for tau in (0.0, 0.3, 0.5, 1.0):
-                for _ in range(TRIALS // 4):
-                    res = max(res, covariance_check(rand_symbol(rng, n), tau))
-            worst["covariance"] = max(worst.get("covariance", 0.0), res)
-
+        # the verify suites at their exact sets; criterion 2 covers channel-modulus
+        worst = {
+            name: max(suite(n, np.random.default_rng([1000 + n, seed]))
+                      for n in GRIDS for seed in range(self.SEEDS))
+            for name, suite in VERIFY_SUITES.items()
+            if name != "channel-modulus"
+        }
         bad = {k: v for k, v in worst.items() if not v < self.TOL}
         detail = ", ".join(f"{k}={v:.2e}" for k, v in worst.items())
         report("criterion 1 (exact identities)", not bad, detail)
+        assert len(worst) == 6
         assert not bad, f"identities above tolerance: {bad}"
 
 
 class TestCriterion2ChannelModulusIdentity:
     TOL = 1e-10
-
-    @staticmethod
-    def _forward(n, tau, phi, sigma, require_even):
-        chan = channel_matrix(sigma, tau, phi)
-        mags = np.abs(stft_grid(sigma, tau_wigner(phi, phi, tau)))
-        worst, pairs = 0.0, 0
-        points = chan.points.tolist()
-        for wi, w in enumerate(points):
-            for zi, z in enumerate(points):
-                if require_even and ((w[0] + z[0]) % 2 or (w[1] + z[1]) % 2):
-                    continue
-                p1 = (1 - tau) * w[0] + tau * z[0]
-                p2 = tau * w[1] + (1 - tau) * z[1]
-                if abs(p1 - round(p1)) > 1e-9 or abs(p2 - round(p2)) > 1e-9:
-                    continue
-                rhs = mags[round(p1) % n, round(p2) % n, (w[1] - z[1]) % n, (z[0] - w[0]) % n]
-                worst = max(worst, abs(abs(chan.entries[wi, zi]) - rhs))
-                pairs += 1
-        return worst, pairs
-
-    @staticmethod
-    def _backward(n, tau, phi, sigma):
-        chan = channel_matrix(sigma, tau, phi)
-        index = {tuple(p): i for i, p in enumerate(chan.points.tolist())}
-        mags = np.abs(stft_grid(sigma, tau_wigner(phi, phi, tau)))
-        worst, pairs = 0.0, 0
-        for x1 in range(n):
-            for x2 in range(n):
-                for y1 in range(n):
-                    for y2 in range(n):
-                        z1 = x1 + (1 - tau) * y2
-                        z2 = x2 - tau * y1
-                        w1 = x1 - tau * y2
-                        w2 = x2 + (1 - tau) * y1
-                        if any(abs(v - round(v)) > 1e-9 for v in (z1, z2, w1, w2)):
-                            continue
-                        z = (round(z1) % n, round(z2) % n)
-                        w = (round(w1) % n, round(w2) % n)
-                        rhs = abs(chan.entries[index[w], index[z]])
-                        worst = max(worst, abs(mags[x1, x2, y1, y2] - rhs))
-                        pairs += 1
-        return worst, pairs
 
     def test_exhaustive_at_n8(self):
         n = 8
@@ -195,13 +90,13 @@ class TestCriterion2ChannelModulusIdentity:
         sigma = rand_symbol(rng, n)
         results = {}
         for tau in (0.0, 1.0):
-            worst, pairs = self._forward(n, tau, gaussian_window(n), sigma, False)
+            worst, pairs = pair_loop(n, tau, gaussian_window(n), sigma, False)
             assert pairs == n**4
             results[f"tau={tau} all pairs"] = worst
-        worst, pairs = self._forward(n, 0.5, comb_window(n), sigma, True)
+        worst, pairs = pair_loop(n, 0.5, comb_window(n), sigma, True)
         assert pairs == n**4 // 4
         results["tau=0.5 even pairs"] = worst
-        worst, pairs = self._backward(n, 0.5, comb_window(n), sigma)
+        worst, pairs = inverse_map_loop(n, 0.5, comb_window(n), sigma)
         assert pairs > 0
         results["tau=0.5 inverse map"] = worst
         bad = {k: v for k, v in results.items() if not v < self.TOL}
@@ -218,19 +113,19 @@ class TestCriterion2ChannelModulusIdentity:
         # on every case the suite runs at this grid; |.| of an array and of
         # a Python complex may differ in the last bit, hence a few eps
         rng = np.random.default_rng(20 + n)
-        for tau, phi, label in _channel_modulus_cases(n):
+        for tau, phi, label in channel_modulus_cases(n):
             sigma = rand_symbol(rng, n)
             entries = channel_matrix(sigma, tau, phi).entries
             mags = np.abs(stft_grid(sigma, tau_wigner(phi, phi, tau)))
-            residual, pairs = _channel_modulus_residual(entries, mags, tau)
-            worst, loop_pairs = self._forward(n, tau, phi, sigma, False)
+            residual, pairs = channel_modulus_residual(entries, mags, tau)
+            worst, loop_pairs = pair_loop(n, tau, phi, sigma, False)
             assert pairs == loop_pairs, (tau, label)
             expected = worst / np.abs(entries).max()
             assert abs(residual - expected) <= 4 * np.finfo(float).eps, (tau, label)
 
     @staticmethod
     def _half_tau_case(n):
-        tau, phi, _label = _channel_modulus_cases(n)[2]
+        tau, phi, _label = channel_modulus_cases(n)[2]
         assert tau == 0.5
         sigma = rand_symbol(np.random.default_rng(3), n)
         entries = channel_matrix(sigma, tau, phi).entries
@@ -249,23 +144,23 @@ class TestCriterion2ChannelModulusIdentity:
     def test_verify_oracle_sees_one_exact_pair(self):
         n, delta = 9, 1e-6
         entries, mags, tau = self._half_tau_case(n)
-        base, _ = _channel_modulus_residual(entries, mags, tau)
+        base, _ = channel_modulus_residual(entries, mags, tau)
         assert base < self.TOL
         wi, zi = 0, 2 * n + 2  # w = (0, 0), z = (2, 2): T_tau(w, z) = (1, 1)
-        residual, _ = _channel_modulus_residual(self._nudged(entries, wi, zi, delta), mags, tau)
+        residual, _ = channel_modulus_residual(self._nudged(entries, wi, zi, delta), mags, tau)
         assert residual >= delta / 2
 
     def test_verify_oracle_skips_odd_sum_pairs(self):
         # at tau = 1/2 a pair with w + z odd has no grid point T_tau(w, z)
         n = 9
         entries, mags, tau = self._half_tau_case(n)
-        base, pairs = _channel_modulus_residual(entries, mags, tau)
+        base, pairs = channel_modulus_residual(entries, mags, tau)
         pts = np.array([(x, w) for x in range(n) for w in range(n)])
         odd = ((pts[:, None, :] + pts[None, :, :]) % 2).any(axis=2)
         mags_of_odd = np.where(odd, np.abs(entries), np.inf)
         wi, zi = np.unravel_index(mags_of_odd.argmin(), odd.shape)  # far below the max
         nudged = self._nudged(entries, wi, zi, 1e-6)
-        assert _channel_modulus_residual(nudged, mags, tau) == (base, pairs)
+        assert channel_modulus_residual(nudged, mags, tau) == (base, pairs)
 
 
 class TestCriterion3FrameMachinery:

@@ -58,6 +58,13 @@ class TestVerify:
         assert out.startswith("channel-modulus ")
         assert "1 suites, 1 passed, 0 failed" in out
 
+    def test_empty_suites_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"n": 8, "suites": []})
+        assert main(["verify", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "suites must name at least one suite" in captured.err
+        assert captured.out == ""
+
     def test_suites_of_wrong_type_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"suites": 3})
         assert main(["verify", "--config", str(cfg)]) == 2
@@ -169,6 +176,7 @@ class TestConfigValidation:
             ({"s": float("nan")}, "weight order must be finite and nonnegative"),
             ({"s": float("inf")}, "weight order must be finite and nonnegative"),
             ({"n": 8.7}, "grid size n must be an integer"),
+            ({"n": 8, "lattice": {"a": 2, "bb": 4}}, "unknown lattice keys: ['bb']"),
         ],
     )
     def test_malformed_values_exit_2(self, tmp_path, capsys, data, message):

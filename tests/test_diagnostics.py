@@ -46,7 +46,9 @@ from cyclictf.quantize import (
     symbol_from_spreading,
     tau_wigner,
 )
-from cyclictf.transforms import dft_matrix, stft, stft_grid, tf_shift
+from cyclictf.transforms import dft_matrix, stft, tf_shift
+
+from modulus_oracle import inverse_map_loop, pair_loop
 
 V0 = polynomial_weight(0.0)
 V1 = polynomial_weight(1.0)
@@ -154,24 +156,7 @@ class TestModulusIdentity:
     """|channel entry| equals the symbol-STFT magnitude where the pairing is on-grid."""
 
     def _check(self, n, tau, phi, require_even=False):
-        sigma = random_symbol(n, 3)
-        chan = channel_matrix(sigma, tau, phi)
-        mags = np.abs(stft_grid(sigma, tau_wigner(phi, phi, tau)))
-        worst = 0.0
-        pairs = 0
-        points = chan.points.tolist()
-        for wi, w in enumerate(points):
-            for zi, z in enumerate(points):
-                if require_even and ((w[0] + z[0]) % 2 or (w[1] + z[1]) % 2):
-                    continue
-                p1 = (1 - tau) * w[0] + tau * z[0]
-                p2 = tau * w[1] + (1 - tau) * z[1]
-                if abs(p1 - round(p1)) > 1e-9 or abs(p2 - round(p2)) > 1e-9:
-                    continue
-                rhs = mags[round(p1) % n, round(p2) % n, (w[1] - z[1]) % n, (z[0] - w[0]) % n]
-                worst = max(worst, abs(abs(chan.entries[wi, zi]) - rhs))
-                pairs += 1
-        return worst, pairs
+        return pair_loop(n, tau, phi, random_symbol(n, 3), require_even)
 
     @pytest.mark.parametrize("tau", [0.0, 1.0])
     def test_endpoints_generic_window(self, tau):
@@ -206,29 +191,9 @@ class TestModulusIdentity:
 
     def test_inverse_map_direction(self):
         # read the identity backwards: (x, y) with the paired points on-grid
-        n, tau = 8, 0.5
-        phi = comb_window(n)
-        sigma = random_symbol(n, 4)
-        chan = channel_matrix(sigma, tau, phi)
-        index = {tuple(p): i for i, p in enumerate(chan.points.tolist())}
-        mags = np.abs(stft_grid(sigma, tau_wigner(phi, phi, tau)))
-        checked = 0
-        for x1 in range(n):
-            for x2 in range(n):
-                for y1 in range(n):
-                    for y2 in range(n):
-                        z1 = x1 + (1 - tau) * y2
-                        z2 = x2 - tau * y1
-                        w1 = x1 - tau * y2
-                        w2 = x2 + (1 - tau) * y1
-                        if any(abs(v - round(v)) > 1e-9 for v in (z1, z2, w1, w2)):
-                            continue
-                        z = (round(z1) % n, round(z2) % n)
-                        w = (round(w1) % n, round(w2) % n)
-                        lhs = mags[x1, x2, y1, y2]
-                        rhs = abs(chan.entries[index[w], index[z]])
-                        assert abs(lhs - rhs) < 1e-10
-                        checked += 1
+        n = 8
+        worst, checked = inverse_map_loop(n, 0.5, comb_window(n), random_symbol(n, 4))
+        assert worst < 1e-10
         assert checked > 0
 
 

@@ -41,7 +41,53 @@ def op_tau_slow(sigma, tau):
     return out / n
 
 
+def chirp_by_orbits(n):
+    """The chirp table as first built: walk each orbit of R(omega, u) = (-u, omega).
+
+    The lexicographically first orbit point gets kappa * c(omega) c(u)
+    (centered representatives, kappa = N+1 for odd N else 1) and the value
+    alternates in sign along the orbit.  Rotation-fixed points get 0, except
+    (N/2, N/2) for N == 2 (mod 4), where the product constraint wins.
+    """
+
+    def centered(a):
+        a %= n
+        return a - n if a >= (n + 1) // 2 else a
+
+    kappa = n + 1 if n % 2 else 1
+    psi = np.zeros((n, n), dtype=np.int64)
+    seen = np.zeros((n, n), dtype=bool)
+    for a in range(n):
+        for b in range(n):
+            if seen[a, b]:
+                continue
+            orbit = [(a, b)]
+            while True:
+                w, u = orbit[-1]
+                nxt = ((-u) % n, w)
+                if nxt == orbit[0]:
+                    break
+                orbit.append(nxt)
+            if len(orbit) == 1 and (a * b) % n != 0:
+                # only (N/2, N/2) with N == 2 (mod 4); antisymmetry unattainable
+                value = kappa * centered(a) * centered(b)
+            else:
+                value = 0 if len(orbit) == 1 else kappa * centered(a) * centered(b)
+            sign = 1
+            for (w, u) in orbit:
+                psi[w, u] = sign * value
+                seen[w, u] = True
+                sign = -sign
+    return psi
+
+
 class TestChirpTable:
+    def test_closed_form_equals_orbit_walk(self):
+        for n in range(2, 129):
+            psi = chirp_exponents(n)
+            assert psi.dtype == np.int64 and not psi.flags.writeable, n
+            assert np.array_equal(psi, chirp_by_orbits(n)), n
+
     @pytest.mark.parametrize("n", [4, 5, 8, 9, 16])
     def test_congruent_to_index_product(self, n):
         psi = chirp_exponents(n)
