@@ -19,6 +19,7 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from dataclasses import dataclass, field, fields
@@ -42,7 +43,10 @@ class ConfigError(ValueError):
 def _number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is out of range") from None
 
 
 def _integer(value, name: str) -> int:
@@ -51,20 +55,83 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _seed(value, name: str, n: int) -> int:
+    if _integer(value, name) < 0:
+        raise ConfigError(f"{name} must be nonnegative")
+    return int(value)
+
+
+def _width(value, name: str, n: int) -> float:
+    if not _number(value, name) > 0:
+        raise ConfigError(f"{name} must be positive")
+    return float(value)
+
+
+def _step(value, name: str, n: int) -> int:
+    step = _number(value, name)
+    if not (step.is_integer() and step >= 1 and n % step**2 == 0):
+        raise ConfigError(f"{name} must be a positive integer with step^2 dividing n")
+    return int(step)
+
+
+def _values(value, name: str, n: int) -> list[float] | None:
+    if value is None:
+        return None
+    try:
+        if isinstance(value, list) and len(value) == n:
+            return [_number(v, name) for v in value]
+    except ConfigError:
+        pass
+    raise ConfigError(f"{name} must be a list of n = {n} numbers")
+
+
+# generator parameter -> its check and conversion, the same in every generator that reads it
+GENERATOR_KEYS = {"seed": _seed, "width": _width, "step": _step, "values": _values}
+
+
+def _generator(cfg: "ExperimentConfig", kind: str, spec: dict, table: dict) -> dict:
+    """The canonical `kind` section: the name and every key its generator reads.
+
+    An absent key takes the default of the generator's signature, except
+    `seed`, which defaults to the config seed.
+    """
+    name = spec.get("name", getattr(cfg, kind)["name"])
+    if not isinstance(name, str):
+        raise ConfigError(f"{kind} name must be a string")
+    if name not in table:
+        raise ConfigError(f"unknown {kind} generator {name!r}")
+    fn, keys = table[name]
+    unknown = set(spec) - {"name", *keys}
+    if unknown:
+        raise ConfigError(f"unknown {kind} keys for {name!r}: {sorted(unknown)}")
+    defaults = {k: p.default for k, p in inspect.signature(fn).parameters.items()} | {"seed": cfg.seed}
+    checked = {k: GENERATOR_KEYS[k](spec.get(k, defaults[k]), f"{name} {kind} {k}", cfg.n) for k in keys}
+    return {"name": name, **checked}
+
+
 @dataclass
 class ExperimentConfig:
+    """A checked experiment config; build it from JSON with `from_dict`."""
+
     n: int = 8
     tau: list[float] = field(default_factory=lambda: [0.5])
-    symbol: dict = field(default_factory=lambda: {"name": "random-seeded"})
-    window: dict = field(default_factory=lambda: {"name": "gaussian"})
+    symbol: dict = field(default_factory=lambda: {"name": "random-seeded", "seed": 0})
+    window: dict = field(default_factory=lambda: {"name": "gaussian", "width": 1.0})
     lattice: Lattice = Lattice(1, 1)
     s: float = 1.0
     trials: int = 20
     seed: int = 0
-    suites: list[str] | None = None
+    suites: list[str] = field(default_factory=lambda: list(VERIFY_SUITES))
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
+    def from_dict(cls, data) -> "ExperimentConfig":
+        """The config of a parsed JSON document, with every default filled in.
+
+        This is the whole config contract: anything it returns is safe to run,
+        and every violation raises ConfigError naming the constraint.
+        """
+        if not isinstance(data, dict):
+            raise ConfigError("config must be a JSON object")
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -73,93 +140,57 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be a JSON object")
         cfg = cls()
         cfg.n = _integer(data.get("n", cfg.n), "grid size n")
-        tau = data.get("tau", [0.5])
+        if cfg.n < 2:
+            raise ConfigError("grid size must be at least 2")
+        if cfg.n > dg.FULL_CHANNEL_CAP:
+            raise ConfigError("full channel matrix too large; use a lattice")
+        tau = data.get("tau", cfg.tau)
         cfg.tau = [_number(t, "tau") for t in (tau if isinstance(tau, list) else [tau])]
-        cfg.symbol = dict(data.get("symbol", cfg.symbol))
-        cfg.window = dict(data.get("window", cfg.window))
+        if not cfg.tau:
+            raise ConfigError("empty tau list")
+        if not all(0.0 <= t <= 1.0 for t in cfg.tau):
+            raise ConfigError("quantization parameter out of range")
         lat = data.get("lattice", {})
         unknown = set(lat) - {"a", "b"}
         if unknown:
             raise ConfigError(f"unknown lattice keys: {sorted(unknown)}")
         cfg.lattice = Lattice(*(_integer(lat.get(k, 1), f"lattice {k}") for k in ("a", "b")))
-        cfg.s = _number(data.get("s", cfg.s), "weight order s")
-        cfg.trials = _integer(data.get("trials", cfg.trials), "trials")
-        cfg.seed = _integer(data.get("seed", cfg.seed), "seed")
-        suites = data.get("suites")
-        cfg.suites = [suites] if isinstance(suites, str) else suites
-        return cfg
-
-    def validate(self) -> None:
-        if self.n < 2:
-            raise ConfigError("grid size must be at least 2")
-        if not self.tau:
-            raise ConfigError("empty tau list")
-        for t in self.tau:
-            if not 0.0 <= t <= 1.0:
-                raise ConfigError("quantization parameter out of range")
         try:
-            self.lattice.validate(self.n)
+            cfg.lattice.validate(cfg.n)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.n > dg.FULL_CHANNEL_CAP:
-            raise ConfigError("full channel matrix too large; use a lattice")
-        if not 0 <= self.s < np.inf:
+        cfg.s = _number(data.get("s", cfg.s), "weight order s")
+        if not 0 <= cfg.s < np.inf:
             raise ConfigError("weight order must be finite and nonnegative")
-        if self.trials < 1:
+        cfg.trials = _integer(data.get("trials", cfg.trials), "trials")
+        if cfg.trials < 1:
             raise ConfigError("trials must be at least 1")
-        for key, seed in (("seed", self.seed), ("symbol seed", self.symbol.get("seed", 0))):
-            if _integer(seed, key) < 0:
-                raise ConfigError(f"{key} must be nonnegative")
-        if self.suites is not None and not isinstance(self.suites, list):
+        cfg.seed = _seed(data.get("seed", cfg.seed), "seed", cfg.n)
+        suites = data.get("suites", cfg.suites)
+        cfg.suites = [suites] if isinstance(suites, str) else suites
+        if not (isinstance(cfg.suites, list) and all(isinstance(name, str) for name in cfg.suites)):
             raise ConfigError("suites must be a suite name or a list of suite names")
-        if self.suites == []:
+        if not cfg.suites:
             raise ConfigError("suites must name at least one suite")
-        name = self.symbol.get("name", "random-seeded")
-        if name not in gen.SYMBOL_PARAMS:
-            raise ConfigError(f"unknown symbol generator {name!r}")
-        wname = self.window.get("name", "gaussian")
-        if wname not in gen.WINDOW_PARAMS:
-            raise ConfigError(f"unknown window generator {wname!r}")
-        for kind, gname, spec, params in (("symbol", name, self.symbol, gen.SYMBOL_PARAMS),
-                                          ("window", wname, self.window, gen.WINDOW_PARAMS)):
-            unknown = set(spec) - {"name", *params[gname]}
-            if unknown:
-                raise ConfigError(f"unknown {kind} keys for {gname!r}: {sorted(unknown)}")
-            if gname == "gaussian" and not _number(spec.get("width", 1.0), f"gaussian {kind} width") > 0:
-                raise ConfigError(f"gaussian {kind} width must be positive")
-        values = self.symbol.get("values")
-        if name.startswith("separable") and values is not None:
-            profile = np.asarray(values)
-            if profile.shape != (self.n,) or profile.dtype.kind not in "biufc":
-                raise ConfigError(f"separable symbol values must be a list of n = {self.n} numbers")
-        step = _number(self.window.get("step", 2), "comb window step")
-        if wname == "comb" and not (step.is_integer() and step >= 1 and self.n % step**2 == 0):
-            raise ConfigError("comb window step must be a positive integer with step^2 dividing n")
+        unknown = [name for name in cfg.suites if name not in VERIFY_SUITES]
+        if unknown:
+            raise ConfigError(f"unknown suites: {unknown}")
+        cfg.symbol = _generator(cfg, "symbol", data.get("symbol", {}), gen.SYMBOL_PARAMS)
+        cfg.window = _generator(cfg, "window", data.get("window", {}), gen.WINDOW_PARAMS)
+        return cfg
 
-    def make_symbol(self) -> np.ndarray:
-        params = {k: v for k, v in self.symbol.items() if k not in ("name", "seed")}
-        return gen.make_symbol(
-            self.symbol.get("name", "random-seeded"),
-            self.n,
-            seed=int(self.symbol.get("seed", self.seed)),
-            **params,
-        )
 
-    def make_window(self) -> np.ndarray:
-        params = {k: v for k, v in self.window.items() if k != "name"}
-        return gen.make_window(self.window.get("name", "gaussian"), self.n, **params)
+def _generated(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The configured symbol and window."""
+    return gen.make_symbol(n=cfg.n, **cfg.symbol), gen.make_window(n=cfg.n, **cfg.window)
 
 
 def run_verify(cfg: ExperimentConfig, quiet: bool = False) -> int:
-    names = cfg.suites or list(VERIFY_SUITES)
-    unknown = [s for s in names if s not in VERIFY_SUITES]
-    if unknown:
-        raise ConfigError(f"unknown suites: {unknown}")
-    if not quiet and "symplectic-covariance" in names and covariance_taus(cfg.n) == (0.0, 1.0):
+    if not quiet and "symplectic-covariance" in cfg.suites and covariance_taus(cfg.n) == (0.0, 1.0):
         half = cfg.n // 2
         print(f"note: N = {cfg.n} is 2 mod 4, so symplectic-covariance checks tau in {{0, 1}} only:"
               f" the chirp defect at mode ({half}, {half}) breaks it elsewhere", file=sys.stderr)
-    rows = [(name, VERIFY_SUITES[name](cfg.n, np.random.default_rng(cfg.seed))) for name in names]
+    rows = [(name, VERIFY_SUITES[name](cfg.n, np.random.default_rng(cfg.seed))) for name in cfg.suites]
     failures = sum(not residual < SUITE_TOL for _, residual in rows)
     if not quiet:
         width = max(len(name) for name, _ in rows)
@@ -192,8 +223,7 @@ def _envelope_masses(sigma, tau, phi, v) -> list[float]:
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
-    sigma = cfg.make_symbol()
-    phi = cfg.make_window()
+    sigma, phi = _generated(cfg)
     v = polynomial_weight(cfg.s)
     lines = [",".join(SWEEP_COLUMNS)]
     for tau in cfg.tau:
@@ -210,17 +240,15 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
 
 
 def run_wiener(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
-    sigma = cfg.make_symbol()
-    phi = cfg.make_window()
+    sigma, phi = _generated(cfg)
     rows = []
     for tau in cfg.tau:
-        rep = dg.wiener_experiment(sigma, tau, cfg.s, window=phi,
-                                   class_tag=cfg.symbol.get("name", "unspecified"))
+        rep = dg.wiener_experiment(sigma, tau, cfg.s, window=phi)
         row = {
             "tau": tau,
             "invertible": rep.invertible,
             "condition": rep.condition,
-            "class_tag": rep.class_tag,
+            "class_tag": cfg.symbol["name"],
         }
         if rep.invertible:
             row["weyl_track_norm"] = rep.weyl_track_norm
@@ -239,8 +267,7 @@ def run_wiener(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int
 
 
 def run_norms(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
-    sigma = cfg.make_symbol()
-    phi = cfg.make_window()
+    sigma, phi = _generated(cfg)
     rng = np.random.default_rng(cfg.seed)
     probe = rand_complex(rng, cfg.n)
     v = polynomial_weight(cfg.s)
@@ -264,8 +291,7 @@ def run_norms(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
 
 
 def run_channel(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
-    sigma = cfg.make_symbol()
-    phi = cfg.make_window()
+    sigma, phi = _generated(cfg)
     tau = cfg.tau[0]
     lattice = None if cfg.lattice == Lattice(1, 1) else cfg.lattice
     rep = dg.almost_diag_report(sigma, tau, phi, lattice, cfg.s)
@@ -316,11 +342,10 @@ def main(argv=None) -> int:
         data = {}
         if args.config is not None:
             data = json.loads(Path(args.config).read_text())
+        if args.seed is not None and isinstance(data, dict):
+            data["seed"] = args.seed
         cfg = ExperimentConfig.from_dict(data)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        cfg.validate()
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -335,9 +360,6 @@ def main(argv=None) -> int:
         if args.command == "norms":
             return run_norms(cfg, args.out, quiet=args.quiet)
         return run_channel(cfg, args.out, quiet=args.quiet)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

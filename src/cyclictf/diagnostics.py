@@ -274,7 +274,6 @@ class BoundednessReport:
     pair: str
     max_ratio: float
     norm_bound: float
-    bound_constant: float
     trials: int
     seed: int
     sups: tuple[np.ndarray, np.ndarray]  # the symbol_sups that norm_bound was read from
@@ -335,12 +334,10 @@ def boundedness_report(
     sups = symbol_sups(arr, tau_wigner(phi, phi, tau))
     class_norm = sjostrand_norm if pair in ("modulation", "amalgam") else fsjostrand_norm
     norm_bound = class_norm(sups, polynomial_weight(0.0))
-    constant = max_ratio / norm_bound if norm_bound > 0 else float("inf")
     return BoundednessReport(
         pair=pair,
         max_ratio=max_ratio,
         norm_bound=norm_bound,
-        bound_constant=constant,
         trials=trials,
         seed=seed,
         sups=sups,
@@ -351,7 +348,6 @@ def boundedness_report(
 class WienerReport:
     invertible: bool
     condition: float
-    class_tag: str
     weyl_track_norm: float | None = None
     fclass_track_norm: float | None = None
     inverse_symbol: np.ndarray | None = None
@@ -363,7 +359,6 @@ def wiener_experiment(
     tau: float,
     s: float,
     window: np.ndarray | None = None,
-    class_tag: str = "unspecified",
 ) -> WienerReport:
     """Inverse-closedness probe: dequantize the inverse operator on both tracks.
 
@@ -378,7 +373,7 @@ def wiener_experiment(
     operator = op_tau(arr, tau)
     condition = float(np.linalg.cond(operator))
     if not condition < CONDITION_LIMIT:
-        return WienerReport(invertible=False, condition=condition, class_tag=class_tag)
+        return WienerReport(invertible=False, condition=condition)
     inverse = np.linalg.inv(operator)
     rho = dequantize(inverse, tau)
     b = dequantize(inverse, 1.0 - tau)
@@ -389,7 +384,6 @@ def wiener_experiment(
     return WienerReport(
         invertible=True,
         condition=condition,
-        class_tag=class_tag,
         weyl_track_norm=weyl_norm,
         fclass_track_norm=fclass_norm,
         inverse_symbol=rho,

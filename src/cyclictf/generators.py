@@ -27,17 +27,6 @@ __all__ = [
 
 RNG_ALGORITHM = "numpy-pcg64"
 
-# the config keys each generator reads, besides its name
-WINDOW_PARAMS = {"gaussian": ("width",), "delta": (), "comb": ("step",)}
-SYMBOL_PARAMS = {
-    "constant": (),
-    "separable-x": ("seed", "values"),
-    "separable-omega": ("seed", "values"),
-    "gaussian": ("width",),
-    "delta": (),
-    "random-seeded": ("seed",),
-}
-
 
 def gaussian_window(n: int, width: float = 1.0, normalize: bool = True) -> np.ndarray:
     """Periodized Gaussian exp(-pi t^2 / (N width^2)), summed over wraps.
@@ -74,16 +63,6 @@ def comb_window(n: int, step: int = 2, normalize: bool = True) -> np.ndarray:
         d = min(t % period, period - t % period)
         phi[t] = np.exp(-np.pi * d * d / n)
     return phi / np.linalg.norm(phi) if normalize else phi
-
-
-def make_window(name: str, n: int, **params) -> np.ndarray:
-    if name == "gaussian":
-        return gaussian_window(n, width=float(params.get("width", 1.0)))
-    if name == "delta":
-        return delta_window(n)
-    if name == "comb":
-        return comb_window(n, step=int(params.get("step", 2)))
-    raise ValueError(f"unknown window generator {name!r}")
 
 
 def constant_symbol(n: int) -> np.ndarray:
@@ -128,20 +107,37 @@ def random_symbol(n: int, seed: int = 0, normalize: bool = False) -> np.ndarray:
     return out / np.linalg.norm(out) if normalize else out
 
 
-def make_symbol(name: str, n: int, seed: int = 0, **params) -> np.ndarray:
-    if name == "constant":
-        return constant_symbol(n)
-    if name == "separable-x":
-        return separable_x_symbol(n, seed, values=params.get("values"))
-    if name == "separable-omega":
-        return separable_omega_symbol(n, seed, values=params.get("values"))
-    if name == "gaussian":
-        return gaussian_symbol(n, width=float(params.get("width", 2.0)))
-    if name == "delta":
-        return delta_symbol(n)
-    if name == "random-seeded":
-        return random_symbol(n, seed)
-    raise ValueError(f"unknown symbol generator {name!r}")
+# name -> (generator, the config keys it reads besides its name)
+WINDOW_PARAMS = {
+    "gaussian": (gaussian_window, ("width",)),
+    "delta": (delta_window, ()),
+    "comb": (comb_window, ("step",)),
+}
+SYMBOL_PARAMS = {
+    "constant": (constant_symbol, ()),
+    "separable-x": (separable_x_symbol, ("seed", "values")),
+    "separable-omega": (separable_omega_symbol, ("seed", "values")),
+    "gaussian": (gaussian_symbol, ("width",)),
+    "delta": (delta_symbol, ()),
+    "random-seeded": (random_symbol, ("seed",)),
+}
+
+
+def _generate(table: dict, kind: str, name: str, n: int, params: dict) -> np.ndarray:
+    if name not in table:
+        raise ValueError(f"unknown {kind} generator {name!r}")
+    fn, keys = table[name]
+    return fn(n, **{k: v for k, v in params.items() if k in keys})
+
+
+def make_window(name: str, n: int, **params) -> np.ndarray:
+    """The named window of WINDOW_PARAMS on Z_N; params it does not read are ignored."""
+    return _generate(WINDOW_PARAMS, "window", name, n, params)
+
+
+def make_symbol(name: str, n: int, **params) -> np.ndarray:
+    """The named symbol of SYMBOL_PARAMS on Z_N x Z_N; params it does not read are ignored."""
+    return _generate(SYMBOL_PARAMS, "symbol", name, n, params)
 
 
 def graded_corpus(n: int, count: int = 10, seed: int = 2024) -> list[np.ndarray]:

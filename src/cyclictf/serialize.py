@@ -1,9 +1,8 @@
-"""Wire formats: JSON for signals/grids/reports, CSV tables for envelopes.
+"""Output formats: JSON reports and CSV envelope tables.
 
-Signals serialize as arrays of [re, im] pairs; N x N grids row-major with an
-{"N": ..., "layout": "x-major"} header.  All floating-point output is
-rendered at 12 significant digits so repeated runs (and implementations in
-other languages) can be compared byte for byte.
+All floating-point output is rendered at 12 significant digits so repeated
+runs (and implementations in other languages) can be compared byte for byte;
+complex numbers in reports become [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -15,16 +14,7 @@ import numpy as np
 from .diagnostics import DecayEnvelope
 from .phasespace import Weight
 
-__all__ = [
-    "envelope_csv_lines",
-    "format_float",
-    "grid_csv_lines",
-    "grid_from_json",
-    "grid_to_json",
-    "signal_from_json",
-    "signal_to_json",
-    "write_json",
-]
+__all__ = ["envelope_csv_lines", "format_float", "write_json"]
 
 
 def format_float(x: float) -> str:
@@ -34,53 +24,6 @@ def format_float(x: float) -> str:
 
 def _round12(x: float) -> float:
     return float(format_float(x))
-
-
-def _pairs(values: np.ndarray) -> list[list[float]]:
-    return [[_round12(v.real), _round12(v.imag)] for v in values]
-
-
-def signal_to_json(f: np.ndarray) -> str:
-    """A signal as a JSON array of [re, im] pairs."""
-    return json.dumps(_pairs(np.asarray(f, dtype=complex)))
-
-
-def signal_from_json(text: str) -> np.ndarray:
-    data = json.loads(text)
-    return np.array([complex(re, im) for re, im in data])
-
-
-def grid_to_json(grid: np.ndarray) -> str:
-    """An N x N complex grid, row-major in the first (x) index."""
-    arr = np.asarray(grid, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("grid must be square")
-    payload = {
-        "N": arr.shape[0],
-        "layout": "x-major",
-        "values": _pairs(arr.ravel(order="C")),
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def grid_from_json(text: str) -> np.ndarray:
-    data = json.loads(text)
-    n = int(data["N"])
-    flat = np.array([complex(re, im) for re, im in data["values"]])
-    return flat.reshape(n, n)
-
-
-def grid_csv_lines(grid: np.ndarray) -> list[str]:
-    """An N x N complex grid as CSV rows: x, omega, re, im (row-major in x)."""
-    arr = np.asarray(grid, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("grid must be square")
-    lines = [f"# N={arr.shape[0]} layout=x-major", "x,omega,re,im"]
-    for x in range(arr.shape[0]):
-        for w in range(arr.shape[1]):
-            v = arr[x, w]
-            lines.append(f"{x},{w},{format_float(v.real)},{format_float(v.imag)}")
-    return lines
 
 
 def envelope_csv_lines(env: DecayEnvelope, v: Weight) -> list[str]:

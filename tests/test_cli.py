@@ -1,18 +1,21 @@
 import json
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cyclictf
-from cyclictf.cli import ExperimentConfig, main, run_sweep
-from cyclictf.serialize import (
-    envelope_csv_lines,
-    grid_from_json,
-    grid_to_json,
-    signal_from_json,
-    signal_to_json,
-)
+from cyclictf import generators as gen
+from cyclictf.cli import ConfigError, ExperimentConfig, main, run_sweep
+from cyclictf.serialize import envelope_csv_lines
+from cyclictf.verify import VERIFY_SUITES
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -177,6 +180,12 @@ class TestConfigValidation:
             ({"s": float("inf")}, "weight order must be finite and nonnegative"),
             ({"n": 8.7}, "grid size n must be an integer"),
             ({"n": 8, "lattice": {"a": 2, "bb": 4}}, "unknown lattice keys: ['bb']"),
+            (5, "config must be a JSON object"),
+            (None, "config must be a JSON object"),
+            ([1, 2], "config must be a JSON object"),
+            ("abc", "config must be a JSON object"),
+            ({"suites": [["quantize-roundtrip"]]}, "suites must be a suite name or a list of suite names"),
+            ({"suites": ["bogus"]}, "unknown suites: ['bogus']"),
         ],
     )
     def test_malformed_values_exit_2(self, tmp_path, capsys, data, message):
@@ -197,6 +206,10 @@ class TestConfigValidation:
             ({"symbol": {"name": "gaussian", "width": "x"}}, "gaussian symbol width must be a number"),
             ({"symbol": {"name": "gaussian", "width": True}}, "gaussian symbol width must be a number"),
             ({"n": 16, "window": {"name": "comb", "step": "2"}}, "comb window step must be a number"),
+            ({"symbol": {"name": ["x"]}}, "symbol name must be a string"),
+            ({"window": {"name": {"a": 1}}}, "window name must be a string"),
+            ({"symbol": {"name": "separable-x", "values": [True, 1, 1, 1, 1, 1, 1, 1]}},
+             "separable-x symbol values must be a list of n = 8 numbers"),
         ],
     )
     def test_generator_sections_exit_2(self, tmp_path, capsys, data, message):
@@ -286,6 +299,12 @@ class TestWienerCommand:
         assert row["invertible"] is True
         assert row["condition"] == pytest.approx(1.0)
 
+    def test_default_symbol_name_is_recorded(self, tmp_path):
+        cfg = write_config(tmp_path, {"n": 8, "tau": [0.3], "symbol": {"seed": 3}})
+        assert main(["wiener", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+        row = json.loads((tmp_path / "wiener.json").read_text())["rows"][0]
+        assert row["class_tag"] == "random-seeded"
+
     def test_singular_symbol(self, tmp_path):
         # separable-x with a zero in the profile: singular multiplication operator
         values = [0.0] + [1.0] * 7
@@ -348,31 +367,6 @@ class TestNormsAndChannel:
 
 
 class TestSerialization:
-    def test_signal_round_trip(self):
-        rng = np.random.default_rng(5)
-        f = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        back = signal_from_json(signal_to_json(f))
-        assert np.abs(back - f).max() < 1e-11
-
-    def test_grid_round_trip(self):
-        rng = np.random.default_rng(6)
-        grid = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        text = grid_to_json(grid)
-        meta = json.loads(text)
-        assert meta["N"] == 8 and meta["layout"] == "x-major"
-        back = grid_from_json(text)
-        assert np.abs(back - grid).max() < 1e-11
-
-    def test_grid_csv(self):
-        from cyclictf.serialize import grid_csv_lines
-
-        grid = np.array([[1.0 + 2.0j, 0.0], [0.5, -1.0j]])
-        lines = grid_csv_lines(grid)
-        assert lines[0] == "# N=2 layout=x-major"
-        assert lines[1] == "x,omega,re,im"
-        assert lines[2] == "0,0,1,2"
-        assert len(lines) == 2 + 4
-
     def test_envelope_csv_values(self):
         from cyclictf.diagnostics import DecayEnvelope
         from cyclictf.phasespace import polynomial_weight
@@ -386,3 +380,69 @@ class TestSerialization:
         assert float(cells[2]) == 2.0
         assert float(cells[3]) == 6.0  # (1 + 1 + 4)
         assert float(cells[4]) == 12.0
+
+
+# arbitrary JSON values, non-finite floats and unbounded integers included
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+CONFIG_KEYS = ["n", "tau", "symbol", "window", "lattice", "s", "trials", "seed", "suites"]
+SECTION_KEYS = [(kind, name, key) for kind, table in (("symbol", gen.SYMBOL_PARAMS), ("window", gen.WINDOW_PARAMS))
+                  for name, (_, keys) in table.items() for key in ("name", *keys)]
+
+
+class TestConfigContract:
+    """from_dict either raises ConfigError or returns a config that is safe to run."""
+
+    @staticmethod
+    def check(data):
+        try:
+            cfg = ExperimentConfig.from_dict(data)
+        except ConfigError:
+            return
+        assert 2 <= cfg.n <= 32
+        assert cfg.tau and all(0.0 <= t <= 1.0 for t in cfg.tau)
+        assert cfg.suites and set(cfg.suites) <= set(VERIFY_SUITES)
+        cfg.lattice.validate(cfg.n)
+        assert math.isfinite(cfg.s) and cfg.s >= 0
+        assert cfg.trials >= 1 and cfg.seed >= 0
+        assert gen.make_symbol(n=cfg.n, **cfg.symbol).shape == (cfg.n, cfg.n)
+        assert gen.make_window(n=cfg.n, **cfg.window).shape == (cfg.n,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_VALUES)
+    def test_whole_config(self, data):
+        self.check(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(CONFIG_KEYS), JSON_VALUES)
+    @example("n", 10**400)
+    @example("tau", [0.5, -(10**400)])
+    def test_each_top_level_key(self, key, value):
+        self.check({key: value})
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(SECTION_KEYS), JSON_VALUES, st.sampled_from([2, 3, 4, 16]))
+    def test_each_generator_key(self, where, value, n):
+        kind, name, key = where
+        self.check({"n": n, kind: {"name": name, key: value}})
+
+    def test_generator_defaults(self):
+        for kind, name in {(kind, name) for kind, name, _ in SECTION_KEYS}:
+            for n in range(2, 33):
+                self.check({"n": n, kind: {"name": name}})
+
+    def test_defaults_are_canonical(self):
+        assert ExperimentConfig.from_dict({}) == ExperimentConfig()
+
+    def test_module_entry_point_rejects_a_non_object(self, tmp_path):
+        cfg = write_config(tmp_path, 5)
+        src = str(Path(cyclictf.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "cyclictf", "verify", "--config", str(cfg)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "config must be a JSON object" in proc.stderr
+        assert "Traceback" not in proc.stderr

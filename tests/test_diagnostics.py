@@ -551,12 +551,11 @@ class TestWienerExperiment:
     def test_perturbed_identity(self):
         n = 16
         sigma = np.ones((n, n), dtype=complex) + 0.1 * gaussian_symbol(n, 2.0)
-        rep = wiener_experiment(sigma, 0.5, 1.0, class_tag="weyl")
+        rep = wiener_experiment(sigma, 0.5, 1.0)
         assert rep.invertible
         assert rep.condition < 2.0
         assert np.isfinite(rep.weyl_track_norm)
         assert np.isfinite(rep.fclass_track_norm)
-        assert rep.class_tag == "weyl"
 
     def test_rank_deficient_multiplier_not_invertible(self):
         m = np.ones(8, dtype=complex)

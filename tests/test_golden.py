@@ -33,11 +33,22 @@ TAUS = [0.0, 0.25, 0.5, 0.75, 1.0]
 def _cases() -> dict[str, tuple[str, dict]]:
     cases = {}
     for n in (8, 15, 16):
-        for command in ("sweep", "norms", "channel"):
+        for command in ("sweep", "norms", "channel", "wiener"):
             cases[f"{command}-n{n}"] = (command, {"n": n, "tau": TAUS, "s": 1.0})
     cases["channel-n16-lattice2x2"] = (
         "channel",
         {"n": 16, "tau": TAUS, "s": 1.0, "lattice": {"a": 2, "b": 2}},
+    )
+    # generator parameters: a comb window step and gaussian widths, explicit separable values
+    cases["sweep-n16-comb-gaussian"] = (
+        "sweep",
+        {"n": 16, "tau": TAUS, "s": 1.0, "window": {"name": "comb", "step": 2},
+         "symbol": {"name": "gaussian", "width": 3.0}},
+    )
+    cases["wiener-n8-separable-values"] = (
+        "wiener",
+        {"n": 8, "tau": TAUS, "s": 1.0, "window": {"name": "gaussian", "width": 2.0},
+         "symbol": {"name": "separable-x", "values": [1.0, 2.0, -1.5, 0.5, 3.0, -2.0, 1.25, 0.75]}},
     )
     return cases
 
