@@ -12,7 +12,6 @@ from .diagnostics import (
     CompositionReport,
     DecayEnvelope,
     DiagReport,
-    FioReport,
     WienerReport,
     almost_diag_report,
     boundedness_report,
@@ -22,6 +21,8 @@ from .diagnostics import (
     ell1v,
     envelope,
     fclass_diag_report,
+    fclass_envelope,
+    fclass_weight,
     fio_best_shift,
     fio_membership,
     operator_channel,

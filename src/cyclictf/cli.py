@@ -30,7 +30,7 @@ import numpy as np
 from . import diagnostics as dg
 from . import generators as gen
 from .normbank import MixedNormSpec, fsjostrand_norm, modulation_norm, sjostrand_norm, symbol_sups
-from .phasespace import Lattice, polynomial_weight, utau_matrix
+from .phasespace import Lattice, polynomial_weight
 from .quantize import tau_wigner
 from .serialize import envelope_csv_lines, format_float, write_json
 from .verify import SUITE_TOL, VERIFY_SUITES, covariance_taus, rand_complex
@@ -62,9 +62,11 @@ def _seed(value, name: str, n: int) -> int:
 
 
 def _width(value, name: str, n: int) -> float:
-    if not _number(value, name) > 0:
-        raise ConfigError(f"{name} must be positive")
-    return float(value)
+    width = _number(value, name)
+    # the Gaussian generators divide by n * width^2, which must neither underflow nor overflow
+    if not (width > 0 and 0 < n * (width * width) < np.inf):
+        raise ConfigError(f"{name} must be positive with n * width^2 a positive finite float, not {width!r}")
+    return width
 
 
 def _step(value, name: str, n: int) -> int:
@@ -143,7 +145,7 @@ class ExperimentConfig:
         if cfg.n < 2:
             raise ConfigError("grid size must be at least 2")
         if cfg.n > dg.FULL_CHANNEL_CAP:
-            raise ConfigError("full channel matrix too large; use a lattice")
+            raise ConfigError(f"grid size n = {cfg.n} is too large: n must be at most {dg.FULL_CHANNEL_CAP}")
         tau = data.get("tau", cfg.tau)
         cfg.tau = [_number(t, "tau") for t in (tau if isinstance(tau, list) else [tau])]
         if not cfg.tau:
@@ -216,10 +218,10 @@ SWEEP_COLUMNS = [
 
 
 def _envelope_masses(sigma, tau, phi, v) -> list[float]:
-    """l^1_v masses of the difference, sum and shifted (weak ttau at the endpoints) envelopes."""
+    """l^1_v masses of the difference, sum and Fourier-class envelopes."""
     chan = dg.channel_matrix(sigma, tau, phi)  # freed on return, before the next symbol STFT
-    shifted = ("shifted", utau_matrix(tau)) if 0.0 < tau < 1.0 else ("ttau", None)
-    return [dg.ell1v(dg.envelope(chan, m, a), v) for m, a in (("difference", None), ("sum", None), shifted)]
+    return [dg.ell1v(env, v) for env in (dg.envelope(chan, "difference"), dg.envelope(chan, "sum"),
+                                         dg.fclass_envelope(chan))]
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
@@ -228,7 +230,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
     lines = [",".join(SWEEP_COLUMNS)]
     for tau in cfg.tau:
         # one symbol STFT per tau: both class norms read the sups of the bound
-        rep = dg.boundedness_report(sigma, tau, MixedNormSpec(2.0, 2.0), cfg.trials, cfg.seed, window=phi)
+        rep = dg.boundedness_report(sigma, tau, phi, MixedNormSpec(2.0, 2.0), cfg.trials, cfg.seed)
         sj, fsj = sjostrand_norm(rep.sups, v), fsjostrand_norm(rep.sups, v)
         row = [tau, *_envelope_masses(sigma, tau, phi, v), sj, fsj, rep.max_ratio]
         lines.append(",".join(format_float(x) for x in row))
@@ -243,7 +245,7 @@ def run_wiener(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int
     sigma, phi = _generated(cfg)
     rows = []
     for tau in cfg.tau:
-        rep = dg.wiener_experiment(sigma, tau, cfg.s, window=phi)
+        rep = dg.wiener_experiment(sigma, tau, phi, cfg.s)
         row = {
             "tau": tau,
             "invertible": rep.invertible,
@@ -254,7 +256,7 @@ def run_wiener(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int
             row["weyl_track_norm"] = rep.weyl_track_norm
             row["fclass_track_norm"] = rep.fclass_track_norm
             if 0.0 < tau < 1.0:
-                comp = dg.composition_symmetry_check(sigma, sigma, tau, window=phi, s=cfg.s)
+                comp = dg.composition_symmetry_check(sigma, sigma, tau, phi, cfg.s)
                 row["composition_weyl_norm"] = comp.weyl_class_norm
                 row["left_module_norm"] = comp.left_module_norm
                 row["right_module_norm"] = comp.right_module_norm
@@ -293,8 +295,7 @@ def run_norms(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
 def run_channel(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
     sigma, phi = _generated(cfg)
     tau = cfg.tau[0]
-    lattice = None if cfg.lattice == Lattice(1, 1) else cfg.lattice
-    rep = dg.almost_diag_report(sigma, tau, phi, lattice, cfg.s)
+    rep = dg.almost_diag_report(sigma, tau, phi, cfg.lattice, cfg.s)
     csv_out = out_dir / "envelope.csv"
     csv_out.write_text("\n".join(envelope_csv_lines(rep.envelope, polynomial_weight(cfg.s))) + "\n")
     json_out = out_dir / "channel_report.json"
@@ -302,10 +303,10 @@ def run_channel(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> in
         json_out,
         {
             "rng": gen.RNG_ALGORITHM,
-            "n": rep.n,
-            "tau": rep.tau,
-            "s": rep.s,
-            "mode": rep.mode,
+            "n": cfg.n,
+            "tau": tau,
+            "s": cfg.s,
+            "mode": rep.envelope.mode,
             "envelope_l1": rep.envelope_l1,
             "class_norm": rep.class_norm,
             "ratio": rep.ratio,

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import gaussian_window
 from .normbank import (MixedNormSpec, amalgam_norm, fsjostrand_norm, modulation_norm,
                        sjostrand_norm, symbol_sups)
 from .phasespace import (
@@ -38,7 +37,6 @@ __all__ = [
     "DecayEnvelope",
     "DiagReport",
     "FULL_CHANNEL_CAP",
-    "FioReport",
     "WienerReport",
     "almost_diag_report",
     "boundedness_report",
@@ -48,6 +46,8 @@ __all__ = [
     "ell1v",
     "envelope",
     "fclass_diag_report",
+    "fclass_envelope",
+    "fclass_weight",
     "fio_best_shift",
     "fio_membership",
     "operator_channel",
@@ -72,7 +72,7 @@ class ChannelMatrix:
 def operator_channel(
     operator: np.ndarray,
     phi: np.ndarray,
-    lattice: Lattice | None = None,
+    lattice: Lattice = Lattice(1, 1),
     tau: float | None = None,
 ) -> ChannelMatrix:
     """Channel matrix of an arbitrary operator matrix (no symbol needed)."""
@@ -81,10 +81,8 @@ def operator_channel(
     phi = np.asarray(phi, dtype=complex)
     if not np.any(phi):
         raise ValueError("window must be non-zero")
-    if lattice is None:
-        if n > FULL_CHANNEL_CAP:
-            raise ValueError("full channel matrix too large; use a lattice")
-        lattice = Lattice(1, 1)
+    if lattice == Lattice(1, 1) and n > FULL_CHANNEL_CAP:
+        raise ValueError(f"full channel matrix too large at N = {n} > {FULL_CHANNEL_CAP}; use a lattice")
     points = lattice.points(n)
     bank = shift_bank(phi, points)
     entries = bank.conj().T @ (arr @ bank)
@@ -95,7 +93,7 @@ def channel_matrix(
     sigma: np.ndarray,
     tau: float,
     phi: np.ndarray,
-    lattice: Lattice | None = None,
+    lattice: Lattice = Lattice(1, 1),
 ) -> ChannelMatrix:
     """Channel matrix of Op_tau(sigma); full grid by default (capped at N=32)."""
     return operator_channel(op_tau(sigma, tau), phi, lattice, tau=tau)
@@ -170,6 +168,18 @@ def envelope(channel: ChannelMatrix, mode: str, shift_map: np.ndarray | None = N
     return DecayEnvelope(mode=mode, table=table.reshape(n, n), n=n)
 
 
+def fclass_envelope(chan: ChannelMatrix) -> DecayEnvelope:
+    """U_tau-shifted envelope at the channel's tau in (0, 1); the weak "ttau" form at the endpoints."""
+    if chan.tau is not None and 0.0 < chan.tau < 1.0:
+        return envelope(chan, "shifted", utau_matrix(chan.tau))
+    return envelope(chan, "ttau")
+
+
+def fclass_weight(v: Weight, tau: float) -> Weight:
+    """The weight paired with fclass_envelope: v o B_tau inside (0, 1), v at the endpoints."""
+    return v.compose(btau_matrix(tau)) if 0.0 < tau < 1.0 else v
+
+
 def ell1v(env: DecayEnvelope, v: Weight) -> float:
     """Weighted l^1 mass sum_k h(k) v(k) of an envelope."""
     return float(np.sum(env.table * v.on_grid(env.n)))
@@ -189,46 +199,37 @@ class DiagReport:
     envelope_l1: float
     class_norm: float
     ratio: float
-    tau: float
-    s: float
-    n: int
-    lattice: Lattice | None = None
-    mode: str = "difference"
+    envelope: DecayEnvelope  # the envelope whose mass is envelope_l1
     warnings: tuple[str, ...] = ()
-    envelope: DecayEnvelope | None = None  # the envelope whose mass is envelope_l1
 
 
-def _diag_report(env: DecayEnvelope, v: Weight, class_norm: float, **fields) -> DiagReport:
-    """The l^1_v mass of env against class_norm; fields fill the rest of the report."""
+def _diag_report(env: DecayEnvelope, v: Weight, class_norm: float, warnings=()) -> DiagReport:
+    """The l^1_v mass of env against class_norm."""
     mass = ell1v(env, v)
     ratio = mass / class_norm if class_norm > 0 else float("inf")
-    return DiagReport(mass, class_norm, ratio, n=env.n, mode=env.mode, envelope=env, **fields)
+    return DiagReport(mass, class_norm, ratio, env, warnings)
 
 
 def almost_diag_report(
     sigma: np.ndarray,
     tau: float,
     phi: np.ndarray,
-    lattice: Lattice | None,
+    lattice: Lattice,
     s: float,
 ) -> DiagReport:
     """Difference-envelope mass against the weighted symbol-class norm.
 
     Envelope side: l^1_{v_s} of the difference envelope of the channel matrix
-    over the lattice (or the full grid).  Class side: sjostrand_norm with the
-    window W_tau(phi, phi) and the weight v_s o J^{-1}.  The equivalence
-    theorem behind this predicts a window-dependent band for the ratio; the
-    report just records it.
+    over the lattice (Lattice(1, 1) is the full grid, a tight frame).  Class
+    side: sjostrand_norm with the window W_tau(phi, phi) and the weight
+    v_s o J^{-1}.  The equivalence theorem behind this predicts a
+    window-dependent band for the ratio; the report just records it.
     """
-    warnings: list[str] = []
-    if lattice is not None:
-        rep = frame_bounds(phi, lattice)
-        if not rep.is_frame:
-            warnings.append("window/lattice pair is not a frame")
+    warnings = () if frame_bounds(phi, lattice).is_frame else ("window/lattice pair is not a frame",)
     env = envelope(channel_matrix(sigma, tau, phi, lattice), "difference")
     v = polynomial_weight(s)
     class_norm = sjostrand_norm(symbol_sups(sigma, tau_wigner(phi, phi, tau)), v.compose(J_INV_MATRIX))
-    return _diag_report(env, v, class_norm, tau=tau, s=s, lattice=lattice, warnings=tuple(warnings))
+    return _diag_report(env, v, class_norm, warnings)
 
 
 def fclass_diag_report(
@@ -236,26 +237,15 @@ def fclass_diag_report(
     tau: float,
     phi: np.ndarray,
     s: float,
-    weak: bool = False,
 ) -> DiagReport:
-    """U_tau-shifted envelope mass against the Fourier-image class norm.
+    """Fourier-class envelope mass against the Fourier-image class norm.
 
-    For tau in (0, 1): envelope(shifted, U_tau) with weight v_s, compared to
-    fsjostrand_norm with weight v_s o B_tau.  At the endpoints the shifted
-    form degenerates (`weak=True` computes the convex-pairing envelope
-    instead, compared against the unweighted-class fsjostrand norm).
+    fclass_envelope with weight v_s, compared to fsjostrand_norm with weight
+    fclass_weight(v_s, tau): v_s o B_tau inside (0, 1), v_s at the endpoints.
     """
-    at_endpoint = tau in (0.0, 1.0, 0, 1)
-    if at_endpoint and not weak:
-        raise ValueError("use weak form at endpoints")
-    chan = channel_matrix(sigma, tau, phi)
     v = polynomial_weight(s)
-    if weak:
-        env, v_class = envelope(chan, "ttau"), v
-    else:
-        env, v_class = envelope(chan, "shifted", utau_matrix(tau)), v.compose(btau_matrix(tau))
-    class_norm = fsjostrand_norm(symbol_sups(sigma, tau_wigner(phi, phi, tau)), v_class)
-    return _diag_report(env, v, class_norm, tau=tau, s=s)
+    class_norm = fsjostrand_norm(symbol_sups(sigma, tau_wigner(phi, phi, tau)), fclass_weight(v, tau))
+    return _diag_report(fclass_envelope(channel_matrix(sigma, tau, phi)), v, class_norm)
 
 
 def covariance_check(sigma: np.ndarray, tau: float) -> float:
@@ -271,22 +261,19 @@ def covariance_check(sigma: np.ndarray, tau: float) -> float:
 
 @dataclass(frozen=True)
 class BoundednessReport:
-    pair: str
     max_ratio: float
     norm_bound: float
-    trials: int
-    seed: int
     sups: tuple[np.ndarray, np.ndarray]  # the symbol_sups that norm_bound was read from
 
 
 def boundedness_report(
     sigma: np.ndarray,
     tau: float,
+    phi: np.ndarray,
     spec: MixedNormSpec,
     trials: int,
     seed: int,
     pair: str = "modulation",
-    window: np.ndarray | None = None,
 ) -> BoundednessReport:
     """Empirical operator-norm ratio against the symbol-class norm.
 
@@ -301,7 +288,6 @@ def boundedness_report(
         raise ValueError("trials must be at least 1")
     arr = np.asarray(sigma, dtype=complex)
     n = arr.shape[0]
-    phi = gaussian_window(n) if window is None else np.asarray(window, dtype=complex)
     operator = op_tau(arr, tau)
     rng = np.random.default_rng(seed)
 
@@ -334,14 +320,7 @@ def boundedness_report(
     sups = symbol_sups(arr, tau_wigner(phi, phi, tau))
     class_norm = sjostrand_norm if pair in ("modulation", "amalgam") else fsjostrand_norm
     norm_bound = class_norm(sups, polynomial_weight(0.0))
-    return BoundednessReport(
-        pair=pair,
-        max_ratio=max_ratio,
-        norm_bound=norm_bound,
-        trials=trials,
-        seed=seed,
-        sups=sups,
-    )
+    return BoundednessReport(max_ratio=max_ratio, norm_bound=norm_bound, sups=sups)
 
 
 @dataclass(frozen=True)
@@ -357,8 +336,8 @@ class WienerReport:
 def wiener_experiment(
     sigma: np.ndarray,
     tau: float,
+    phi: np.ndarray,
     s: float,
-    window: np.ndarray | None = None,
 ) -> WienerReport:
     """Inverse-closedness probe: dequantize the inverse operator on both tracks.
 
@@ -367,10 +346,7 @@ def wiener_experiment(
     at 1 - tau (the complementary quantization of the inverse theorem,
     Fourier-image norm with v_s o B_{1-tau}; plain v_s at the endpoints).
     """
-    arr = np.asarray(sigma, dtype=complex)
-    n = arr.shape[0]
-    phi = gaussian_window(n) if window is None else np.asarray(window, dtype=complex)
-    operator = op_tau(arr, tau)
+    operator = op_tau(np.asarray(sigma, dtype=complex), tau)
     condition = float(np.linalg.cond(operator))
     if not condition < CONDITION_LIMIT:
         return WienerReport(invertible=False, condition=condition)
@@ -379,7 +355,7 @@ def wiener_experiment(
     b = dequantize(inverse, 1.0 - tau)
     v = polynomial_weight(s)
     weyl_norm = sjostrand_norm(symbol_sups(rho, tau_wigner(phi, phi, tau)), v)
-    v_b = v if (1.0 - tau) in (0.0, 1.0) else v.compose(btau_matrix(1.0 - tau))
+    v_b = fclass_weight(v, 1.0 - tau)
     fclass_norm = fsjostrand_norm(symbol_sups(b, tau_wigner(phi, phi, 1.0 - tau)), v_b)
     return WienerReport(
         invertible=True,
@@ -405,9 +381,9 @@ def composition_symmetry_check(
     a: np.ndarray,
     b: np.ndarray,
     tau: float,
+    phi: np.ndarray,
+    s: float,
     tau0: float = 0.5,
-    window: np.ndarray | None = None,
-    s: float = 0.0,
 ) -> CompositionReport:
     """Complementary-quantization composition and the bimodule laws.
 
@@ -417,17 +393,14 @@ def composition_symmetry_check(
     """
     if not 0.0 < tau < 1.0:
         raise ValueError("composition symmetry requires tau in (0, 1)")
-    arr_a = np.asarray(a, dtype=complex)
-    n = arr_a.shape[0]
-    phi = gaussian_window(n) if window is None else np.asarray(window, dtype=complex)
     v = polynomial_weight(s)
-    op_a = op_tau(arr_a, tau)
+    op_a = op_tau(np.asarray(a, dtype=complex), tau)
     c = dequantize(op_a @ op_tau(b, 1.0 - tau), 0.5)
     c1 = dequantize(op_tau(b, tau0) @ op_a, tau)
     c2 = dequantize(op_a @ op_tau(b, tau0), tau)
     big_phi_half = tau_wigner(phi, phi, 0.5)
     big_phi_tau = tau_wigner(phi, phi, tau)
-    v_b = v.compose(btau_matrix(tau))
+    v_b = fclass_weight(v, tau)
     return CompositionReport(
         half_symbol=c,
         weyl_class_norm=sjostrand_norm(symbol_sups(c, big_phi_half), v),
@@ -438,25 +411,15 @@ def composition_symmetry_check(
     )
 
 
-@dataclass(frozen=True)
-class FioReport:
-    envelope_l1: float
-    shift: tuple
-    s: float
-
-
 def fio_membership(
     operator: np.ndarray,
     shift_map: np.ndarray,
     phi: np.ndarray,
     s: float,
-    lattice: Lattice | None = None,
-) -> FioReport:
+) -> float:
     """l^1_{v_s} mass of the channel envelope along the graph of a shift map."""
-    chan = operator_channel(operator, phi, lattice)
-    env = envelope(chan, "shifted", shift_map)
-    mass = ell1v(env, polynomial_weight(s))
-    return FioReport(envelope_l1=mass, shift=tuple(np.asarray(shift_map, float).ravel()), s=s)
+    env = envelope(operator_channel(operator, phi), "shifted", shift_map)
+    return ell1v(env, polynomial_weight(s))
 
 
 def fio_best_shift(
@@ -464,13 +427,12 @@ def fio_best_shift(
     phi: np.ndarray,
     candidates: list[np.ndarray],
     s: float = 0.0,
-    lattice: Lattice | None = None,
 ) -> int:
     """Index of the candidate shift map minimizing the envelope l^1_{v_s}.
 
     For T1 in FIO(A1), T2 in FIO(A2) the product's best-fitting shift over a
     candidate set is expected at A1 A2.
     """
-    chan = operator_channel(operator, phi, lattice)
+    chan = operator_channel(operator, phi)
     masses = [ell1v(envelope(chan, "shifted", a), polynomial_weight(s)) for a in candidates]
     return int(np.argmin(masses))

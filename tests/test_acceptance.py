@@ -271,7 +271,7 @@ class TestCriterion6Boundedness:
         n = 16
         corpus = graded_corpus(n, 10, 2024)
         spec = MixedNormSpec(2.0, 2.0)
-        reports = [boundedness_report(s, 0.5, spec, 20, 7) for s in corpus]
+        reports = [boundedness_report(s, 0.5, gaussian_window(n), spec, 20, 7) for s in corpus]
         ratios = [r.max_ratio for r in reports]
         bounds = [r.norm_bound for r in reports]
         corpus_constant = 0.032  # recorded once from the build-time run

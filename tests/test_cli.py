@@ -135,6 +135,14 @@ class TestConfigValidation:
         assert main(["verify", "--config", str(cfg)]) == 2
         assert "too large" in capsys.readouterr().err
 
+    def test_grid_cap_names_the_bound_with_a_lattice_set(self, tmp_path, capsys):
+        # the cap holds for every subcommand, so a lattice does not lift it
+        cfg = write_config(tmp_path, {"n": 64, "lattice": {"a": 4, "b": 4}})
+        assert main(["channel", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "32" in err and "too large" in err
+        assert "use a lattice" not in err
+
     def test_grid_size_floor(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"n": 1})
         assert main(["verify", "--config", str(cfg)]) == 2
@@ -210,6 +218,11 @@ class TestConfigValidation:
             ({"window": {"name": {"a": 1}}}, "window name must be a string"),
             ({"symbol": {"name": "separable-x", "values": [True, 1, 1, 1, 1, 1, 1, 1]}},
              "separable-x symbol values must be a list of n = 8 numbers"),
+            # n * width^2 underflows to 0 (an all-NaN generator) or overflows
+            ({"n": 8, "window": {"name": "gaussian", "width": 1e-200}}, "gaussian window width must be positive"),
+            ({"n": 8, "window": {"name": "gaussian", "width": 1e200}}, "gaussian window width must be positive"),
+            ({"n": 8, "symbol": {"name": "gaussian", "width": 1e-200}}, "gaussian symbol width must be positive"),
+            ({"n": 8, "symbol": {"name": "gaussian", "width": 1e200}}, "gaussian symbol width must be positive"),
         ],
     )
     def test_generator_sections_exit_2(self, tmp_path, capsys, data, message):
@@ -408,8 +421,10 @@ class TestConfigContract:
         cfg.lattice.validate(cfg.n)
         assert math.isfinite(cfg.s) and cfg.s >= 0
         assert cfg.trials >= 1 and cfg.seed >= 0
-        assert gen.make_symbol(n=cfg.n, **cfg.symbol).shape == (cfg.n, cfg.n)
-        assert gen.make_window(n=cfg.n, **cfg.window).shape == (cfg.n,)
+        symbol = gen.make_symbol(n=cfg.n, **cfg.symbol)
+        window = gen.make_window(n=cfg.n, **cfg.window)
+        assert symbol.shape == (cfg.n, cfg.n) and np.all(np.isfinite(symbol))
+        assert window.shape == (cfg.n,) and np.all(np.isfinite(window))
 
     @settings(max_examples=200, deadline=None)
     @given(JSON_VALUES)
@@ -425,6 +440,10 @@ class TestConfigContract:
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(SECTION_KEYS), JSON_VALUES, st.sampled_from([2, 3, 4, 16]))
+    @example(("window", "gaussian", "width"), 1e-200, 8)
+    @example(("window", "gaussian", "width"), 1e200, 8)
+    @example(("symbol", "gaussian", "width"), 1e-200, 8)
+    @example(("symbol", "gaussian", "width"), 1e200, 8)
     def test_each_generator_key(self, where, value, n):
         kind, name, key = where
         self.check({"n": n, kind: {"name": name, key: value}})

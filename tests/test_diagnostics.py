@@ -147,6 +147,11 @@ class TestChannelMatrix:
         with pytest.raises(ValueError, match="too large"):
             channel_matrix(np.ones((34, 34)), 0.5, gaussian_window(34))
 
+    def test_explicit_full_grid_is_capped(self):
+        # Lattice(1, 1) is the full grid, so the cap applies to it as written
+        with pytest.raises(ValueError, match="too large"):
+            channel_matrix(np.ones((34, 34)), 0.5, gaussian_window(34), Lattice(1, 1))
+
     def test_zero_window_rejected(self):
         with pytest.raises(ValueError, match="non-zero"):
             channel_matrix(np.ones((4, 4)), 0.5, np.zeros(4))
@@ -375,9 +380,10 @@ class TestEll1v:
 class TestAlmostDiagReport:
     def test_identity_symbol_self_calibration(self):
         # full-grid envelope mass equals the class norm exactly for sigma == 1
-        rep = almost_diag_report(np.ones((8, 8)), 0.5, gaussian_window(8), None, 0.0)
+        rep = almost_diag_report(np.ones((8, 8)), 0.5, gaussian_window(8), Lattice(1, 1), 0.0)
         assert rep.envelope_l1 == pytest.approx(15.522112529092, rel=1e-9)
         assert rep.ratio == pytest.approx(1.0, abs=1e-9)
+        assert rep.warnings == ()  # the full grid is a tight frame
 
     def test_smooth_vs_rough_ordering(self):
         smooth = gaussian_symbol(16, width=2.0, normalize=True)
@@ -392,8 +398,8 @@ class TestAlmostDiagReport:
     def test_scaling_leaves_ratio_invariant(self):
         sigma = random_symbol(8, 9)
         phi = gaussian_window(8)
-        rep1 = almost_diag_report(sigma, 0.3, phi, None, 1.0)
-        rep2 = almost_diag_report(5.0 * sigma, 0.3, phi, None, 1.0)
+        rep1 = almost_diag_report(sigma, 0.3, phi, Lattice(1, 1), 1.0)
+        rep2 = almost_diag_report(5.0 * sigma, 0.3, phi, Lattice(1, 1), 1.0)
         assert rep2.envelope_l1 == pytest.approx(5.0 * rep1.envelope_l1, rel=1e-9)
         assert rep2.ratio == pytest.approx(rep1.ratio, rel=1e-9)
 
@@ -438,10 +444,8 @@ class TestFclassDiagReport:
         assert ratios[0] > 1.0
 
     def test_endpoint_requires_weak_form(self):
-        with pytest.raises(ValueError, match="weak form"):
-            fclass_diag_report(delta_symbol(8), 0.0, gaussian_window(8), 0.0)
-        rep = fclass_diag_report(delta_symbol(8), 0.0, gaussian_window(8), 0.0, weak=True)
-        assert rep.mode == "ttau"
+        rep = fclass_diag_report(delta_symbol(8), 0.0, gaussian_window(8), 0.0)
+        assert rep.envelope.mode == "ttau"
         assert np.isfinite(rep.envelope_l1)
 
     def test_utau_shift_maps_invert_each_other(self):
@@ -498,20 +502,20 @@ class TestBoundedness:
             ("endpoint", 0.0),
             ("endpoint", 1.0),
         ]:
-            rep = boundedness_report(ones, tau, MixedNormSpec(2.0, 2.0), 10, 0, pair=pair)
+            rep = boundedness_report(ones, tau, gaussian_window(8), MixedNormSpec(2.0, 2.0), 10, 0, pair=pair)
             assert rep.max_ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_unimodular_multiplier_unitary(self):
         rng = np.random.default_rng(11)
         m = np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
         sigma = np.tile(m[:, None], (1, 8))
-        rep = boundedness_report(sigma, 0.3, MixedNormSpec(2.0, 2.0), 10, 1)
+        rep = boundedness_report(sigma, 0.3, gaussian_window(8), MixedNormSpec(2.0, 2.0), 10, 1)
         assert rep.max_ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_corpus_association(self):
         corpus = graded_corpus(16, 10, 2024)
         reports = [
-            boundedness_report(s, 0.5, MixedNormSpec(2.0, 2.0), 10, 7) for s in corpus
+            boundedness_report(s, 0.5, gaussian_window(16), MixedNormSpec(2.0, 2.0), 10, 7) for s in corpus
         ]
         rho = spearman_rank(
             [r.max_ratio for r in reports], [r.norm_bound for r in reports]
@@ -524,26 +528,29 @@ class TestBoundedness:
         v1 = polynomial_weight(1.0)
         for sym in (delta_symbol(8), random_symbol(8, 1)):
             shifted = boundedness_report(
-                sym, 0.3, MixedNormSpec(2, 2, v1), 10, 0, pair="modulation-utau"
+                sym, 0.3, gaussian_window(8), MixedNormSpec(2, 2, v1), 10, 0, pair="modulation-utau"
             )
             assert shifted.max_ratio <= shifted.norm_bound
-            amalgam = boundedness_report(sym, 0.3, MixedNormSpec(2, 2), 10, 0, pair="amalgam")
+            amalgam = boundedness_report(sym, 0.3, gaussian_window(8), MixedNormSpec(2, 2), 10, 0,
+                                         pair="amalgam")
             assert amalgam.max_ratio <= amalgam.norm_bound
 
     def test_trials_validated(self):
         with pytest.raises(ValueError, match="trials"):
-            boundedness_report(np.ones((4, 4)), 0.5, MixedNormSpec(2, 2), 0, 0)
+            boundedness_report(np.ones((4, 4)), 0.5, gaussian_window(4), MixedNormSpec(2, 2), 0, 0)
 
     def test_pair_validation(self):
         with pytest.raises(ValueError, match="norm pair"):
-            boundedness_report(np.ones((4, 4)), 0.5, MixedNormSpec(2, 2), 1, 0, pair="spectral")
+            boundedness_report(np.ones((4, 4)), 0.5, gaussian_window(4), MixedNormSpec(2, 2), 1, 0,
+                               pair="spectral")
         with pytest.raises(ValueError, match="tau in"):
-            boundedness_report(np.ones((4, 4)), 0.5, MixedNormSpec(2, 2), 1, 0, pair="endpoint")
+            boundedness_report(np.ones((4, 4)), 0.5, gaussian_window(4), MixedNormSpec(2, 2), 1, 0,
+                               pair="endpoint")
 
 
 class TestWienerExperiment:
     def test_identity_symbol_trivial_inverse(self):
-        rep = wiener_experiment(np.ones((8, 8)), 0.3, 1.0)
+        rep = wiener_experiment(np.ones((8, 8)), 0.3, gaussian_window(8), 1.0)
         assert rep.invertible
         assert np.abs(rep.inverse_symbol - 1.0).max() < 1e-10
         assert np.abs(rep.inverse_symbol_complement - 1.0).max() < 1e-10
@@ -551,7 +558,7 @@ class TestWienerExperiment:
     def test_perturbed_identity(self):
         n = 16
         sigma = np.ones((n, n), dtype=complex) + 0.1 * gaussian_symbol(n, 2.0)
-        rep = wiener_experiment(sigma, 0.5, 1.0)
+        rep = wiener_experiment(sigma, 0.5, gaussian_window(n), 1.0)
         assert rep.invertible
         assert rep.condition < 2.0
         assert np.isfinite(rep.weyl_track_norm)
@@ -561,7 +568,7 @@ class TestWienerExperiment:
         m = np.ones(8, dtype=complex)
         m[0] = 0.0
         sigma = np.tile(m[:, None], (1, 8))
-        rep = wiener_experiment(sigma, 0.5, 1.0)
+        rep = wiener_experiment(sigma, 0.5, gaussian_window(8), 1.0)
         assert not rep.invertible
         assert rep.weyl_track_norm is None
 
@@ -569,26 +576,26 @@ class TestWienerExperiment:
 class TestCompositionSymmetry:
     def test_left_identity(self):
         b = random_symbol(8, 12)
-        rep = composition_symmetry_check(np.ones((8, 8)), b, 0.3)
+        rep = composition_symmetry_check(np.ones((8, 8)), b, 0.3, gaussian_window(8), 0.0)
         expected = convert_symbol(b, 0.7, 0.5)
         assert np.abs(rep.half_symbol - expected).max() < 1e-10
 
     def test_right_identity(self):
         a = random_symbol(8, 13)
-        rep = composition_symmetry_check(a, np.ones((8, 8)), 0.3)
+        rep = composition_symmetry_check(a, np.ones((8, 8)), 0.3, gaussian_window(8), 0.0)
         expected = convert_symbol(a, 0.3, 0.5)
         assert np.abs(rep.half_symbol - expected).max() < 1e-10
 
     def test_defining_property(self):
         a, b = random_symbol(8, 14), random_symbol(8, 15)
-        rep = composition_symmetry_check(a, b, 0.25)
+        rep = composition_symmetry_check(a, b, 0.25, gaussian_window(8), 0.0)
         lhs = op_tau(rep.half_symbol, 0.5)
         rhs = op_tau(a, 0.25) @ op_tau(b, 0.75)
         assert np.abs(lhs - rhs).max() < 1e-10
 
     def test_bimodule_symbols_reproduce_products(self):
         a, b = random_symbol(8, 16), random_symbol(8, 17)
-        rep = composition_symmetry_check(a, b, 0.3, tau0=0.6)
+        rep = composition_symmetry_check(a, b, 0.3, gaussian_window(8), 0.0, tau0=0.6)
         assert np.abs(op_tau(rep.left_module_symbol, 0.3) - op_tau(b, 0.6) @ op_tau(a, 0.3)).max() < 1e-10
         assert np.abs(op_tau(rep.right_module_symbol, 0.3) - op_tau(a, 0.3) @ op_tau(b, 0.6)).max() < 1e-10
 
@@ -599,7 +606,7 @@ class TestCompositionSymmetry:
         n = 16
         phi = gaussian_window(n)
         a = b = delta_symbol(n)
-        rep = composition_symmetry_check(a, b, 0.3, window=phi, s=0.0)
+        rep = composition_symmetry_check(a, b, 0.3, phi, 0.0)
         product = op_tau(a, 0.3) @ op_tau(b, 0.7)
         forced = dequantize(product, 0.3)
         forced_mass = fsjostrand_norm(
@@ -611,7 +618,7 @@ class TestCompositionSymmetry:
 
     def test_requires_interior_tau(self):
         with pytest.raises(ValueError, match="\\(0, 1\\)"):
-            composition_symmetry_check(np.ones((4, 4)), np.ones((4, 4)), 0.0)
+            composition_symmetry_check(np.ones((4, 4)), np.ones((4, 4)), 0.0, gaussian_window(4), 0.0)
 
 
 class TestFio:
@@ -621,24 +628,24 @@ class TestFio:
         f = dft_matrix(n)
         along_j = fio_membership(f, J_MATRIX, phi, 0.0)
         along_i = fio_membership(f, np.eye(2), phi, 0.0)
-        assert along_j.envelope_l1 == pytest.approx(31.96950391837, rel=1e-9)
-        assert along_j.envelope_l1 < along_i.envelope_l1 / 5
+        assert along_j == pytest.approx(31.96950391837, rel=1e-9)
+        assert along_j < along_i / 5
 
     def test_identity_operator_identity_map(self):
         n = 8
         phi = gaussian_window(n)
-        rep = fio_membership(np.eye(n, dtype=complex), np.eye(2), phi, 0.0)
+        mass = fio_membership(np.eye(n, dtype=complex), np.eye(2), phi, 0.0)
         chan = channel_matrix(np.ones((n, n)), 0.5, phi)
         expected = ell1v(envelope(chan, "difference"), V0)
-        assert rep.envelope_l1 == pytest.approx(expected, rel=1e-9)
+        assert mass == pytest.approx(expected, rel=1e-9)
 
     def test_delta_operator_matches_fclass_sum(self):
         n = 16
         phi = gaussian_window(n)
         t = op_tau(delta_symbol(n), 0.5)
-        rep = fio_membership(t, utau_matrix(0.5), phi, 0.0)
+        mass = fio_membership(t, utau_matrix(0.5), phi, 0.0)
         chan = channel_matrix(delta_symbol(n), 0.5, phi)
-        assert rep.envelope_l1 == pytest.approx(ell1v(envelope(chan, "sum"), V0), rel=1e-12)
+        assert mass == pytest.approx(ell1v(envelope(chan, "sum"), V0), rel=1e-12)
 
     def test_composition_argmin(self):
         n = 16

@@ -39,6 +39,11 @@ def _cases() -> dict[str, tuple[str, dict]]:
         "channel",
         {"n": 16, "tau": TAUS, "s": 1.0, "lattice": {"a": 2, "b": 2}},
     )
+    # 8 points, fewer than N: not a frame, so the report carries a warning
+    cases["channel-n16-lattice4x8"] = (
+        "channel",
+        {"n": 16, "tau": TAUS, "s": 1.0, "lattice": {"a": 4, "b": 8}},
+    )
     # generator parameters: a comb window step and gaussian widths, explicit separable values
     cases["sweep-n16-comb-gaussian"] = (
         "sweep",

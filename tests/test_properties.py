@@ -1,0 +1,59 @@
+"""Exact identities of the calculus over grid sizes and taus drawn at random.
+
+The verify suites check each identity at fixed taus; these properties draw
+N in [2, 40] and tau from {j/m : 0 <= j <= m <= 8} and 1/pi, and hold every
+relative residual below SUITE_TOL.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cyclictf.diagnostics import covariance_check
+from cyclictf.quantize import convert_symbol, dequantize, op_tau, tau_wigner
+from cyclictf.verify import SUITE_TOL, covariance_taus, rand_complex
+
+TAUS = sorted({j / m for m in range(1, 9) for j in range(m + 1)} | {1 / np.pi})
+GRID_SIZES = st.integers(min_value=2, max_value=40)
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
+
+
+def _rel(diff, ref) -> float:
+    return float(np.abs(diff).max() / max(np.abs(ref).max(), 1e-30))
+
+
+@PROPERTY_SETTINGS
+@given(GRID_SIZES, st.sampled_from(TAUS), SEEDS)
+def test_quantize_roundtrip(n, tau, seed):
+    sigma = rand_complex(np.random.default_rng(seed), n, n)
+    assert _rel(dequantize(op_tau(sigma, tau), tau) - sigma, sigma) < SUITE_TOL
+
+
+@PROPERTY_SETTINGS
+@given(GRID_SIZES, st.sampled_from(TAUS), st.sampled_from(TAUS), SEEDS)
+def test_convert_consistency(n, tau1, tau2, seed):
+    sigma = rand_complex(np.random.default_rng(seed), n, n)
+    moved = convert_symbol(sigma, tau1, tau2)
+    assert _rel(op_tau(moved, tau2) - op_tau(sigma, tau1), sigma) < SUITE_TOL
+    assert _rel(dequantize(op_tau(sigma, tau1), tau2) - moved, sigma) < SUITE_TOL
+
+
+@PROPERTY_SETTINGS
+@given(GRID_SIZES, st.sampled_from(TAUS), SEEDS)
+def test_duality_with_tau_wigner(n, tau, seed):
+    rng = np.random.default_rng(seed)
+    sigma, f, g = rand_complex(rng, n, n), rand_complex(rng, n), rand_complex(rng, n)
+    diff = np.vdot(g, op_tau(sigma, tau) @ f) - np.vdot(tau_wigner(g, f, tau), sigma)
+    # relative to the sizes of the inputs, so a near-zero pairing cannot inflate it
+    scale = np.linalg.norm(sigma) * np.linalg.norm(f) * np.linalg.norm(g)
+    assert abs(diff) / scale < SUITE_TOL
+
+
+@PROPERTY_SETTINGS
+@given(GRID_SIZES, st.sampled_from(TAUS), SEEDS, st.data())
+def test_symplectic_covariance_on_its_exact_set(n, tau, seed, data):
+    # exact at every tau unless N = 2 (mod 4), where only the endpoints hold
+    if n % 4 == 2:
+        tau = data.draw(st.sampled_from(covariance_taus(n)))
+    assert covariance_check(rand_complex(np.random.default_rng(seed), n, n), tau) < SUITE_TOL

@@ -1,4 +1,5 @@
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -67,3 +68,24 @@ class TestBenchmarkHooks:
         for name, fn in suites.items():
             assert wrapped[name].__wrapped__ is fn, name
             assert cli.VERIFY_SUITES[name] is fn, name
+
+    @pytest.mark.parametrize("lattice, points", [({"a": 1, "b": 1}, 64), ({"a": 2, "b": 2}, 16)])
+    def test_traced_channel_run_counts_entries(self, lattice, points, tmp_path, monkeypatch):
+        # the entries hook binds operator_channel's `operator` and `lattice`
+        # by name, so a renamed parameter would break only a traced run
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        spans = importlib.import_module("spans")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 8, "tau": [0.5], "lattice": lattice}))
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            tracer.start_pass()
+            code = cli.main(["channel", "--config", str(config), "--out", str(tmp_path), "--quiet"])
+            tracer.end_pass()
+        finally:
+            tracer.uninstall()
+        assert code == 0
+        metrics = tracer.metrics()
+        assert metrics["diagnostics.operator_channel.calls"] == 1
+        assert metrics["diagnostics.operator_channel.entries"] == points**2
