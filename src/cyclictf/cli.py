@@ -36,6 +36,11 @@ from .serialize import envelope_csv_lines, format_float, write_json
 from .verify import SUITE_TOL, VERIFY_SUITES, covariance_taus, rand_complex
 
 
+# the largest weight a report may multiply by; the rest of the float range (1e108)
+# is headroom for the weighted sums over the N^2 grid points
+MAX_WEIGHT = 1e200
+
+
 class ConfigError(ValueError):
     pass
 
@@ -71,7 +76,7 @@ def _width(value, name: str, n: int) -> float:
 
 def _step(value, name: str, n: int) -> int:
     step = _number(value, name)
-    if not (step.is_integer() and step >= 1 and n % step**2 == 0):
+    if not (step.is_integer() and 1 <= step <= n and n % step**2 == 0):  # step <= n: step^2 cannot overflow
         raise ConfigError(f"{name} must be a positive integer with step^2 dividing n")
     return int(step)
 
@@ -164,6 +169,10 @@ class ExperimentConfig:
         cfg.s = _number(data.get("s", cfg.s), "weight order s")
         if not 0 <= cfg.s < np.inf:
             raise ConfigError("weight order must be finite and nonnegative")
+        # v_s peaks at (1 + 2 (n/2)^2)^(s/2) on the torus; compared in logs, so the check cannot overflow
+        if cfg.s / 2 * np.log1p(2 * (cfg.n / 2) ** 2) > np.log(MAX_WEIGHT):
+            raise ConfigError(f"weight order s = {cfg.s!r} is too large at n = {cfg.n}: "
+                              f"the largest weight (1 + 2 (n/2)^2)^(s/2) must be at most {MAX_WEIGHT:g}")
         cfg.trials = _integer(data.get("trials", cfg.trials), "trials")
         if cfg.trials < 1:
             raise ConfigError("trials must be at least 1")

@@ -153,7 +153,7 @@ def envelope(channel: ChannelMatrix, mode: str, shift_map: np.ndarray | None = N
         raise ValueError(f"unknown envelope mode {mode!r}")
     n = channel.n
     x, omega = channel.points.T
-    flat = np.zeros((len(x), len(x)), dtype=np.int32)  # bin k1 * N + k2
+    coords = []
     for pi, qi in zip(p, q):
         # one coordinate of P w + Q z, as (w part) + (z part) with one
         # rounding per product, so the bins never depend on a BLAS kernel;
@@ -161,10 +161,24 @@ def envelope(channel: ChannelMatrix, mode: str, shift_map: np.ndarray | None = N
         # binned once and gathered onto the pairs (the same sums, bit for bit)
         uu, iu = np.unique(pi[0] * x + pi[1] * omega, return_inverse=True)
         vv, iv = np.unique(qi[0] * x + qi[1] * omega, return_inverse=True)
-        flat *= n
-        flat += _nearest_bins(np.add.outer(uu, vv), n).take(iu, axis=0).take(iv, axis=1)
+        coords.append((_nearest_bins(np.add.outer(uu, vv), n), iu, iv))
+    (bins1, iu1, iv1), (bins2, iu2, iv2) = coords
+    # scatter n rows (w) at a time through reused buffers, so no P x P
+    # temporary is ever built; the maximum is exact, so blocking keeps the table
+    size = len(x)
+    flat = np.empty((n, size), dtype=np.int32)  # bin k1 * N + k2
+    part = np.empty_like(flat)
+    mags = np.empty((n, size))
     table = np.zeros(n * n)
-    np.maximum.at(table, flat.ravel(), np.abs(channel.entries).ravel())
+    for start in range(0, size, n):
+        rows = slice(start, min(start + n, size))
+        m = rows.stop - start
+        # mode="clip" writes straight into out (the default buffers); every index is in range
+        np.take(bins1[iu1[rows]], iv1, axis=1, out=flat[:m], mode="clip")
+        flat[:m] *= n
+        flat[:m] += np.take(bins2[iu2[rows]], iv2, axis=1, out=part[:m], mode="clip")
+        np.abs(channel.entries[rows], out=mags[:m])
+        np.maximum.at(table, flat[:m].ravel(), mags[:m].ravel())
     return DecayEnvelope(mode=mode, table=table.reshape(n, n), n=n)
 
 
@@ -323,6 +337,16 @@ def boundedness_report(
     return BoundednessReport(max_ratio=max_ratio, norm_bound=norm_bound, sups=sups)
 
 
+def _distinct_symbol_sups(*pairs: tuple[np.ndarray, np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """symbol_sups of each (symbol, window) pair, one pass per pair distinct by value (its bytes)."""
+    keys = [(symbol.tobytes(), window.tobytes()) for symbol, window in pairs]
+    found = {}
+    for key, pair in zip(keys, pairs):
+        if key not in found:
+            found[key] = symbol_sups(*pair)
+    return [found[key] for key in keys]
+
+
 @dataclass(frozen=True)
 class WienerReport:
     invertible: bool
@@ -354,9 +378,11 @@ def wiener_experiment(
     rho = dequantize(inverse, tau)
     b = dequantize(inverse, 1.0 - tau)
     v = polynomial_weight(s)
-    weyl_norm = sjostrand_norm(symbol_sups(rho, tau_wigner(phi, phi, tau)), v)
-    v_b = fclass_weight(v, 1.0 - tau)
-    fclass_norm = fsjostrand_norm(symbol_sups(b, tau_wigner(phi, phi, 1.0 - tau)), v_b)
+    # at tau = 1/2 both tracks hold the same pair: one pass
+    rho_sups, b_sups = _distinct_symbol_sups((rho, tau_wigner(phi, phi, tau)),
+                                             (b, tau_wigner(phi, phi, 1.0 - tau)))
+    weyl_norm = sjostrand_norm(rho_sups, v)
+    fclass_norm = fsjostrand_norm(b_sups, fclass_weight(v, 1.0 - tau))
     return WienerReport(
         invertible=True,
         condition=condition,
@@ -398,16 +424,18 @@ def composition_symmetry_check(
     c = dequantize(op_a @ op_tau(b, 1.0 - tau), 0.5)
     c1 = dequantize(op_tau(b, tau0) @ op_a, tau)
     c2 = dequantize(op_a @ op_tau(b, tau0), tau)
-    big_phi_half = tau_wigner(phi, phi, 0.5)
     big_phi_tau = tau_wigner(phi, phi, tau)
+    # with a = b and tau = tau0 = 1/2, c, c1 and c2 are one pair: one pass
+    c_sups, c1_sups, c2_sups = _distinct_symbol_sups((c, tau_wigner(phi, phi, 0.5)), (c1, big_phi_tau),
+                                                     (c2, big_phi_tau))
     v_b = fclass_weight(v, tau)
     return CompositionReport(
         half_symbol=c,
-        weyl_class_norm=sjostrand_norm(symbol_sups(c, big_phi_half), v),
+        weyl_class_norm=sjostrand_norm(c_sups, v),
         left_module_symbol=c1,
         right_module_symbol=c2,
-        left_module_norm=fsjostrand_norm(symbol_sups(c1, big_phi_tau), v_b),
-        right_module_norm=fsjostrand_norm(symbol_sups(c2, big_phi_tau), v_b),
+        left_module_norm=fsjostrand_norm(c1_sups, v_b),
+        right_module_norm=fsjostrand_norm(c2_sups, v_b),
     )
 
 

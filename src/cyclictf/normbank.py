@@ -11,9 +11,9 @@ outer over x), so that on the grid
 exactly, the Fourier image relation between the two scales.
 
 The symbol-class functionals read the 4-variable STFT of N x N grids
-through its two sup tables (symbol_sups, one stft_grid pass for both):
-sjostrand_norm sums over the frequency offset of the largest-in-position
-STFT magnitude; fsjostrand_norm swaps the two roles.
+through its two sup tables (symbol_sups, one streamed pass for both, which
+never holds the N^4 STFT): sjostrand_norm sums over the frequency offset of
+the largest-in-position STFT magnitude; fsjostrand_norm swaps the two roles.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .phasespace import Weight, polynomial_weight
-from .transforms import stft, stft_grid
+from .transforms import stft, stft_slabs
 
 __all__ = [
     "MixedNormSpec",
@@ -96,13 +96,23 @@ def amalgam_norm(
 
 
 def symbol_sups(sigma: np.ndarray, window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two sup tables of |V_W sigma| from one stft_grid pass.
+    """The two sup tables of |V_W sigma| from one streamed symbol-STFT pass.
 
     The first is sup_z |V_W sigma(z, zeta)| on the (q1, q2) grid of zeta, the
-    second sup_zeta |V_W sigma(z, zeta)| on the (p1, p2) grid of z.
+    second sup_zeta |V_W sigma(z, zeta)| on the (p1, p2) grid of z.  Each
+    (N, N, N) slab of stft_slabs is reduced as it comes (a running maximum for
+    the first table, row p1 of the second), so memory is O(N^3); maxima are
+    exact, so the tables equal those of the full stft_grid bit for bit.
     """
-    mags = np.abs(stft_grid(sigma, window))
-    return mags.max(axis=(0, 1)), mags.max(axis=(2, 3))
+    n = np.shape(sigma)[0]
+    mags = np.empty((n, n, n))
+    sup_pos = np.zeros((n, n))  # |V_W sigma| >= 0, so 0 is the identity of the running max
+    sup_freq = np.empty((n, n))
+    for p1, slab in enumerate(stft_slabs(sigma, window)):
+        np.abs(slab, out=mags)
+        np.maximum(sup_pos, mags.max(axis=0), out=sup_pos)
+        mags.max(axis=(1, 2), out=sup_freq[p1])
+    return sup_pos, sup_freq
 
 
 def sjostrand_norm(sups: tuple[np.ndarray, np.ndarray], v: Weight) -> float:

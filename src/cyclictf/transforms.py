@@ -33,6 +33,7 @@ __all__ = [
     "stft",
     "stft_adjoint",
     "stft_grid",
+    "stft_slabs",
     "tf_shift",
 ]
 
@@ -121,13 +122,14 @@ def stft_adjoint(big_f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.sum(rows * garr[_shift_index(n)], axis=0)
 
 
-def stft_grid(sigma: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """Symbol STFT on Z_N^2: V_W sigma(p, q) = <sigma, Pi(p, q) W>.
+def stft_slabs(sigma: np.ndarray, window: np.ndarray):
+    """The symbol STFT one p1 at a time: yields V_W sigma(p1, ., ., .) for p1 = 0, ..., N - 1.
 
-    Output has shape (N, N, N, N) indexed (p1, p2, q1, q2); the window W is
-    an N x N grid (a Symbol).  Same raw-sum normalization as the 1-D stft.
-    The N column shifts of conj(W) are built once; each p1 then takes one
-    batched fft2 over its N row-shifted products.
+    Each slab has shape (N, N, N) indexed (p2, q1, q2) and is the same buffer,
+    overwritten by the next p1, so a consumer must copy or reduce it before
+    asking for the next one.  The N column shifts of conj(W) are built once;
+    each p1 multiplies them by its row-shifted sigma and takes the fft over
+    q2, then over q1, in place (the two passes of fft2, in its order).
     """
     arr = np.asarray(sigma, dtype=complex)
     n = arr.shape[0]
@@ -135,12 +137,27 @@ def stft_grid(sigma: np.ndarray, window: np.ndarray) -> np.ndarray:
     if not np.any(win):
         raise ValueError("window must be non-zero")
     cols = np.stack([np.conj(np.roll(win, p2, axis=1)) for p2 in range(n)])
-    out = np.empty((n, n, n, n), dtype=complex)
+    slab = np.empty((n, n, n), dtype=complex)
     for p1 in range(n):
         # arr * roll(cols, p1, axis=1), written in two slices without a copy
-        np.multiply(arr[p1:], cols[:, : n - p1], out=out[p1, :, p1:])
-        np.multiply(arr[:p1], cols[:, n - p1 :], out=out[p1, :, :p1])
-        out[p1] = np.fft.fft2(out[p1], axes=(1, 2))
+        np.multiply(arr[p1:], cols[:, : n - p1], out=slab[:, p1:])
+        np.multiply(arr[:p1], cols[:, n - p1 :], out=slab[:, :p1])
+        np.fft.fft(slab, axis=2, out=slab)
+        np.fft.fft(slab, axis=1, out=slab)
+        yield slab
+
+
+def stft_grid(sigma: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """Symbol STFT on Z_N^2: V_W sigma(p, q) = <sigma, Pi(p, q) W>.
+
+    Output has shape (N, N, N, N) indexed (p1, p2, q1, q2); the window W is
+    an N x N grid (a Symbol).  Same raw-sum normalization as the 1-D stft.
+    The slabs of stft_slabs, copied out one p1 at a time.
+    """
+    n = np.shape(sigma)[0]
+    out = np.empty((n, n, n, n), dtype=complex)
+    for p1, slab in enumerate(stft_slabs(sigma, window)):
+        out[p1] = slab
     return out
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import cyclictf
 from cyclictf import generators as gen
-from cyclictf.cli import ConfigError, ExperimentConfig, main, run_sweep
+from cyclictf.cli import MAX_WEIGHT, ConfigError, ExperimentConfig, main, run_sweep, run_wiener
 from cyclictf.serialize import envelope_csv_lines
 from cyclictf.verify import VERIFY_SUITES
 
@@ -22,6 +22,20 @@ def write_config(tmp_path, data, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return path
+
+
+def count_calls(monkeypatch, names):
+    """Live call counts of each name, wherever a cyclictf module binds it."""
+    calls = dict.fromkeys(names, 0)
+    for module in (cyclictf.cli, cyclictf.diagnostics, cyclictf.normbank, cyclictf.transforms):
+        for name in calls:
+            if hasattr(module, name):
+                def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestVerify:
@@ -223,6 +237,9 @@ class TestConfigValidation:
             ({"n": 8, "window": {"name": "gaussian", "width": 1e200}}, "gaussian window width must be positive"),
             ({"n": 8, "symbol": {"name": "gaussian", "width": 1e-200}}, "gaussian symbol width must be positive"),
             ({"n": 8, "symbol": {"name": "gaussian", "width": 1e200}}, "gaussian symbol width must be positive"),
+            # step^2 overflowed: an OverflowError traceback
+            ({"n": 2, "window": {"name": "comb", "step": 1.3407807929942597e154}},
+             "comb window step must be a positive integer"),
         ],
     )
     def test_generator_sections_exit_2(self, tmp_path, capsys, data, message):
@@ -231,6 +248,26 @@ class TestConfigValidation:
             assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
             assert message in capsys.readouterr().err
             assert not (tmp_path / out).exists()
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_weight_order_bound(self, tmp_path, capsys, n):
+        # the largest weight (1 + 2 (n/2)^2)^(s/2) reaches MAX_WEIGHT at s_max;
+        # s = 1000 at n = 8 wrote "ratio": NaN to channel_report.json and inf to sweep.csv
+        s_max = 2 * math.log(MAX_WEIGHT) / math.log1p(2 * (n / 2) ** 2)
+        over = write_config(tmp_path, {"n": n, "s": s_max * (1 + 1e-9)}, "over.json")
+        for command, out in (("sweep", "sweep.csv"), ("channel", "channel_report.json")):
+            assert main([command, "--config", str(over), "--out", str(tmp_path)]) == 2
+            assert "weight order s = " in capsys.readouterr().err
+            assert not (tmp_path / out).exists()
+        under = write_config(tmp_path, {"n": n, "s": s_max * (1 - 1e-9)}, "under.json")
+        for command in ("sweep", "channel"):
+            assert main([command, "--config", str(under), "--out", str(tmp_path), "--quiet"]) == 0
+        sweep = [float(x) for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+                 for x in line.split(",")]
+        report = json.loads((tmp_path / "channel_report.json").read_text())
+        channel = [report[k] for k in ("envelope_l1", "class_norm", "ratio")]
+        assert all(math.isfinite(x) for x in sweep + channel), (sweep, channel)
+        assert report["class_norm"] > 1e150  # the weight is really near its bound
 
     def test_generator_keys_that_are_read_are_accepted(self, tmp_path):
         sections = [{"symbol": {"name": "separable-x", "seed": 3}}, {"symbol": {"name": "gaussian", "width": 3}},
@@ -277,18 +314,10 @@ class TestSweep:
     BASELINE = {"n": 32, "tau": [0.0, 0.25, 0.5, 0.75, 1.0], "s": 1.0, "trials": 20}
 
     def test_one_symbol_stft_and_one_channel_per_tau(self, tmp_path, monkeypatch):
-        calls = {"stft_grid": 0, "operator_channel": 0}
-        for module in (cyclictf.cli, cyclictf.diagnostics, cyclictf.normbank, cyclictf.transforms):
-            for name in calls:
-                if hasattr(module, name):
-                    def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
-                        calls[_name] += 1
-                        return _fn(*args, **kwargs)
-
-                    monkeypatch.setattr(module, name, counted)
+        calls = count_calls(monkeypatch, ["symbol_sups", "operator_channel"])
         cfg = write_config(tmp_path, {**self.BASELINE, "n": 8})
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
-        assert calls == {"stft_grid": 5, "operator_channel": 5}
+        assert calls == {"symbol_sups": 5, "operator_channel": 5}
 
     def test_peak_memory_at_n32(self, tmp_path):
         # the channel (16.8 MB) is freed before the next tau's symbol STFT;
@@ -330,6 +359,27 @@ class TestWienerCommand:
         assert row["invertible"] is False
         assert "weyl_track_norm" not in row
 
+    def test_one_symbol_stft_per_distinct_pair(self, tmp_path, monkeypatch):
+        # 2 per tau and 3 per inner tau, less the repeats at tau = 1/2: one of
+        # the two tracks and two of the three composition symbols
+        calls = count_calls(monkeypatch, ["symbol_sups"])
+        cfg = write_config(tmp_path, {**TestSweep.BASELINE, "n": 8})
+        assert main(["wiener", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+        rows = json.loads((tmp_path / "wiener.json").read_text())["rows"]
+        assert all(row["invertible"] for row in rows)
+        assert calls == {"symbol_sups": 16}
+
+    def test_peak_memory_at_n32(self, tmp_path):
+        # one symbol-STFT slab at a time (2.1 MB); the full N^4 STFT peaked at 25.4 MB
+        cfg = ExperimentConfig.from_dict(TestSweep.BASELINE)
+        tracemalloc.start()
+        try:
+            run_wiener(cfg, tmp_path, quiet=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6, peak
+
     def test_perturbed_identity_row(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -364,19 +414,10 @@ class TestNormsAndChannel:
 
     @pytest.mark.parametrize("lattice", [{"a": 1, "b": 1}, {"a": 2, "b": 2}])
     def test_channel_builds_one_channel_matrix(self, tmp_path, monkeypatch, lattice):
-        from cyclictf import diagnostics
-
-        calls = []
-        original = diagnostics.operator_channel
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(diagnostics, "operator_channel", counted)
+        calls = count_calls(monkeypatch, ["operator_channel"])
         cfg = write_config(tmp_path, {"n": 8, "tau": [0.5], "lattice": lattice})
         assert main(["channel", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
-        assert len(calls) == 1
+        assert calls == {"operator_channel": 1}
 
 
 class TestSerialization:

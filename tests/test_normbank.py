@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclictf.generators import delta_symbol, delta_window, gaussian_symbol, gaussian_window, random_symbol
 from cyclictf.normbank import (
@@ -12,6 +16,7 @@ from cyclictf.normbank import (
     symbol_sups,
 )
 from cyclictf.phasespace import polynomial_weight, table_weight, tensor_weight
+from cyclictf.quantize import tau_wigner
 from cyclictf.transforms import dft, stft_grid
 
 INF = float("inf")
@@ -130,6 +135,35 @@ class TestSymbolClassNorms:
         sup_pos, sup_freq = symbol_sups(sigma, window)
         assert np.array_equal(sup_pos, mags.max(axis=(0, 1)))
         assert np.array_equal(sup_freq, mags.max(axis=(2, 3)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 24), kind=st.sampled_from(["gaussian", "random", "tau-wigner"]),
+           tau=st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_streamed_sups_equal_the_full_stft(self, n, kind, tau, seed):
+        rng = np.random.default_rng(seed)
+        sigma = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if kind == "gaussian":
+            window = gaussian_symbol(n)
+        elif kind == "random":
+            window = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        else:
+            window = tau_wigner(gaussian_window(n), rand_signal(rng, n), tau)
+        mags = np.abs(stft_grid(sigma, window))
+        sup_pos, sup_freq = symbol_sups(sigma, window)
+        assert np.array_equal(sup_pos, mags.max(axis=(0, 1)))
+        assert np.array_equal(sup_freq, mags.max(axis=(2, 3)))
+
+    def test_sups_peak_memory_at_n32(self):
+        # one (N, N, N) slab and its magnitudes (1.7 MB); the full N^4 STFT and its abs took 25.2 MB
+        n = 32
+        sigma, window = random_symbol(n, 0), tau_wigner(gaussian_window(n), gaussian_window(n), 0.5)
+        tracemalloc.start()
+        try:
+            symbol_sups(sigma, window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3e6, peak
 
     def test_sjostrand_brute_force_regression(self):
         # direct quadruple-sum oracle at N=4 froze this value at build time
