@@ -39,6 +39,9 @@ from .verify import SUITE_TOL, VERIFY_SUITES, covariance_taus, rand_complex
 # the largest weight a report may multiply by; the rest of the float range (1e108)
 # is headroom for the weighted sums over the N^2 grid points
 MAX_WEIGHT = 1e200
+# the largest |value| of a separable symbol profile: `wiener` composes the symbol with
+# itself, and its square times MAX_WEIGHT leaves 1e8 of headroom for the sums (N^5 <= 3.4e7)
+MAX_VALUE = 1e50
 
 
 class ConfigError(ValueError):
@@ -85,11 +88,14 @@ def _values(value, name: str, n: int) -> list[float] | None:
     if value is None:
         return None
     try:
-        if isinstance(value, list) and len(value) == n:
-            return [_number(v, name) for v in value]
+        values = [_number(v, name) for v in value] if isinstance(value, list) and len(value) == n else None
     except ConfigError:
-        pass
-    raise ConfigError(f"{name} must be a list of n = {n} numbers")
+        values = None
+    if values is None:
+        raise ConfigError(f"{name} must be a list of n = {n} numbers")
+    if not all(abs(v) <= MAX_VALUE for v in values):  # NaN fails too
+        raise ConfigError(f"{name} must be at most {MAX_VALUE:g} in magnitude")
+    return values
 
 
 # generator parameter -> its check and conversion, the same in every generator that reads it

@@ -42,7 +42,14 @@ from cyclictf.generators import (
 from cyclictf.normbank import MixedNormSpec
 from cyclictf.phasespace import Lattice, polynomial_weight
 from cyclictf.quantize import dequantize, op_tau, tau_wigner, twisted_product
-from cyclictf.transforms import canonical_dual, frame_bounds, gabor_reconstruct, stft_grid
+from cyclictf.transforms import (
+    canonical_dual,
+    frame_bounds,
+    gabor_reconstruct,
+    stft_grid,
+    stft_slabs,
+    tf_shift,
+)
 from cyclictf.verify import VERIFY_SUITES, channel_modulus_cases, channel_modulus_residual
 
 from modulus_oracle import inverse_map_loop, pair_loop
@@ -109,58 +116,91 @@ class TestCriterion2ChannelModulusIdentity:
 
     @pytest.mark.parametrize("n", [4, 8, 9, 15, 16, 21])
     def test_verify_oracle_matches_pair_loop(self, n):
-        # the verify suite's array form against the scalar pair loop above,
-        # on every case the suite runs at this grid; |.| of an array and of
-        # a Python complex may differ in the last bit, hence a few eps
+        # the verify suite's streamed form against the scalar pair loop above,
+        # on every case the suite runs at this grid; the channel blocks are
+        # other matrix products than the loop's full channel, and |.| of an
+        # array and of a Python complex may differ in the last bit
         rng = np.random.default_rng(20 + n)
         for tau, phi, label in channel_modulus_cases(n):
             sigma = rand_symbol(rng, n)
-            entries = channel_matrix(sigma, tau, phi).entries
-            mags = np.abs(stft_grid(sigma, tau_wigner(phi, phi, tau)))
-            residual, pairs = channel_modulus_residual(entries, mags, tau)
+            slabs = stft_slabs(sigma, tau_wigner(phi, phi, tau))
+            residual, pairs = channel_modulus_residual(op_tau(sigma, tau), phi, slabs, tau)
             worst, loop_pairs = pair_loop(n, tau, phi, sigma, False)
             assert pairs == loop_pairs, (tau, label)
-            expected = worst / np.abs(entries).max()
-            assert abs(residual - expected) <= 4 * np.finfo(float).eps, (tau, label)
+            expected = worst / np.abs(channel_matrix(sigma, tau, phi).entries).max()
+            assert abs(residual - expected) <= 1e-14, (tau, label)
+
+    @pytest.mark.parametrize(
+        "n, tau, window",
+        [(10, 0.5, gaussian_window), (8, 0.25, gaussian_window), (12, 0.5, comb_window)],
+    )
+    def test_verify_oracle_matches_pair_loop_off_identity(self, n, tau, window):
+        # where the identity is not exact the residual is of order 1, so
+        # agreement within 1e-14 shows the streamed residual is the pair
+        # loop's, and not just that both are tiny; tau = 1/4 also puts
+        # off-grid pairs in slabs that compare nothing for them
+        phi = window(n)
+        sigma = rand_symbol(np.random.default_rng(5), n)
+        slabs = stft_slabs(sigma, tau_wigner(phi, phi, tau))
+        residual, pairs = channel_modulus_residual(op_tau(sigma, tau), phi, slabs, tau)
+        worst, loop_pairs = pair_loop(n, tau, phi, sigma, False)
+        assert pairs == loop_pairs
+        expected = worst / np.abs(channel_matrix(sigma, tau, phi).entries).max()
+        assert expected > 1e-2
+        assert abs(residual - expected) <= 1e-14
 
     @staticmethod
-    def _half_tau_case(n):
+    def _half_tau_case(n, sigma=None):
+        # the suite's tau = 1/2 case, with |V_Phi sigma| as one array to nudge
+        # and the residual's scale max |entries| of the full channel
         tau, phi, _label = channel_modulus_cases(n)[2]
         assert tau == 0.5
-        sigma = rand_symbol(np.random.default_rng(3), n)
-        entries = channel_matrix(sigma, tau, phi).entries
+        if sigma is None:
+            sigma = rand_symbol(np.random.default_rng(3), n)
         mags = np.abs(stft_grid(sigma, tau_wigner(phi, phi, tau)))
-        return entries, mags, tau
-
-    @staticmethod
-    def _nudged(entries, wi, zi, delta):
-        # move one entry outward by delta * max|entries|, so its modulus
-        # changes by exactly that much relative to the residual's scale
-        out = entries.copy()
-        e = out[wi, zi]
-        out[wi, zi] += delta * np.abs(entries).max() * e / abs(e)
-        return out
+        scale = np.abs(channel_matrix(sigma, tau, phi).entries).max()
+        return op_tau(sigma, tau), phi, mags, tau, scale
 
     def test_verify_oracle_sees_one_exact_pair(self):
         n, delta = 9, 1e-6
-        entries, mags, tau = self._half_tau_case(n)
-        base, _ = channel_modulus_residual(entries, mags, tau)
+        operator, phi, mags, tau, scale = self._half_tau_case(n)
+        base, _ = channel_modulus_residual(operator, phi, mags, tau)
         assert base < self.TOL
-        wi, zi = 0, 2 * n + 2  # w = (0, 0), z = (2, 2): T_tau(w, z) = (1, 1)
-        residual, _ = channel_modulus_residual(self._nudged(entries, wi, zi, delta), mags, tau)
-        assert residual >= delta / 2
+        # w = (0, 0), z = (2, 2): T_tau(w, z) = (1, 1) and J(w - z) = (-2, 2)
+        nudged = mags.copy()
+        nudged[1, 1, n - 2, 2] += delta * scale
+        residual, _ = channel_modulus_residual(operator, phi, nudged, tau)
+        # the pair's mismatch is delta relative to the full channel's max |entry|
+        assert residual == pytest.approx(delta, rel=1e-6)
+
+    def test_verify_oracle_scales_by_the_full_channel(self):
+        # Op = pi(1, 0) with the comb window has its channel on the odd-sum
+        # pairs, which tau = 1/2 never compares; the scale still counts them
+        n, delta = 8, 1e-6
+        shift = np.stack([tf_shift((1, 0), e) for e in np.eye(n)], axis=1)
+        operator, phi, mags, tau, scale = self._half_tau_case(n, dequantize(shift, 0.5))
+        assert np.abs(operator - shift).max() < self.TOL
+        base, _ = channel_modulus_residual(operator, phi, mags, tau)
+        assert base < self.TOL
+        nudged = mags.copy()
+        nudged[1, 1, n - 2, 2] += delta * scale  # the exact pair w = (0, 0), z = (2, 2)
+        residual, _ = channel_modulus_residual(operator, phi, nudged, tau)
+        assert residual == pytest.approx(delta, rel=1e-6)
 
     def test_verify_oracle_skips_odd_sum_pairs(self):
-        # at tau = 1/2 a pair with w + z odd has no grid point T_tau(w, z)
+        # at tau = 1/2 a pair with w + z odd has no grid point T_tau(w, z), so
+        # the STFT points only such pairs would meet are never read
         n = 9
-        entries, mags, tau = self._half_tau_case(n)
-        base, pairs = channel_modulus_residual(entries, mags, tau)
-        pts = np.array([(x, w) for x in range(n) for w in range(n)])
-        odd = ((pts[:, None, :] + pts[None, :, :]) % 2).any(axis=2)
-        mags_of_odd = np.where(odd, np.abs(entries), np.inf)
-        wi, zi = np.unravel_index(mags_of_odd.argmin(), odd.shape)  # far below the max
-        nudged = self._nudged(entries, wi, zi, 1e-6)
-        assert channel_modulus_residual(nudged, mags, tau) == (base, pairs)
+        operator, phi, mags, tau, scale = self._half_tau_case(n)
+        base, pairs = channel_modulus_residual(operator, phi, mags, tau)
+        reached = np.zeros(mags.shape, dtype=bool)
+        for w0, w1, z0, z1 in np.ndindex(n, n, n, n):
+            if (w0 + z0) % 2 == 0 and (w1 + z1) % 2 == 0:
+                reached[(w0 + z0) // 2, (w1 + z1) // 2, (w1 - z1) % n, (z0 - w0) % n] = True
+        assert pairs == reached.sum()  # each exact pair meets its own point
+        nudged = mags.copy()
+        nudged[np.unravel_index(np.argmin(reached), reached.shape)] += 1e-6 * scale
+        assert channel_modulus_residual(operator, phi, nudged, tau) == (base, pairs)
 
 
 class TestCriterion3FrameMachinery:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import cyclictf
 from cyclictf import generators as gen
-from cyclictf.cli import MAX_WEIGHT, ConfigError, ExperimentConfig, main, run_sweep, run_wiener
+from cyclictf.cli import MAX_VALUE, MAX_WEIGHT, ConfigError, ExperimentConfig, main, run_sweep, run_wiener
 from cyclictf.serialize import envelope_csv_lines
 from cyclictf.verify import VERIFY_SUITES
 
@@ -240,6 +240,11 @@ class TestConfigValidation:
             # step^2 overflowed: an OverflowError traceback
             ({"n": 2, "window": {"name": "comb", "step": 1.3407807929942597e154}},
              "comb window step must be a positive integer"),
+            # nan in sweep.csv and a LinAlgError traceback from wiener
+            ({"n": 8, "symbol": {"name": "separable-x", "values": [1e308] * 8}},
+             "separable-x symbol values must be at most 1e+50 in magnitude"),
+            ({"n": 8, "symbol": {"name": "separable-omega", "values": [1.0] * 7 + [float("nan")]}},
+             "separable-omega symbol values must be at most 1e+50 in magnitude"),
         ],
     )
     def test_generator_sections_exit_2(self, tmp_path, capsys, data, message):
@@ -268,6 +273,36 @@ class TestConfigValidation:
         channel = [report[k] for k in ("envelope_l1", "class_norm", "ratio")]
         assert all(math.isfinite(x) for x in sweep + channel), (sweep, channel)
         assert report["class_norm"] > 1e150  # the weight is really near its bound
+
+    @pytest.mark.parametrize("n", [8, 32])
+    @pytest.mark.parametrize("name", ["separable-x", "separable-omega"])
+    def test_separable_values_bound(self, tmp_path, capsys, name, n):
+        # wiener squares the symbol under the largest weight: values of 1e308 wrote
+        # nan to sweep.csv and ended wiener in a LinAlgError traceback; the headroom
+        # for the sums is tightest at n = 32 with s just under its bound
+        s_max = 2 * math.log(MAX_WEIGHT) / math.log1p(2 * (n / 2) ** 2)
+        profile = [1.0, -0.5, 0.75, -1.0, 0.6, -0.8, 0.9, -0.7] * (n // 8)
+        data = {"n": n, "s": s_max * (1 - 1e-9), "tau": [0.0, 0.25, 0.5, 1.0]}
+        over = write_config(tmp_path, data | {"symbol": {"name": name, "values": [
+            MAX_VALUE * (1 + 1e-9) * v for v in profile]}}, "over.json")
+        for command, out in (("sweep", "sweep.csv"), ("wiener", "wiener.json")):
+            assert main([command, "--config", str(over), "--out", str(tmp_path)]) == 2
+            assert f"{name} symbol values must be at most 1e+50 in magnitude" in capsys.readouterr().err
+            assert not (tmp_path / out).exists()
+        under = write_config(tmp_path, data | {"symbol": {"name": name, "values": [
+            MAX_VALUE * (1 - 1e-9) * v for v in profile]}}, "under.json")
+        for command in ("sweep", "wiener", "norms", "channel"):
+            assert main([command, "--config", str(under), "--out", str(tmp_path), "--quiet"]) == 0
+        numbers = [float(x) for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+                   for x in line.split(",")]
+        rows = json.loads((tmp_path / "wiener.json").read_text())["rows"]
+        assert all(row["invertible"] for row in rows)
+        assert sum("composition_weyl_norm" in row for row in rows) == 2  # the two taus inside (0, 1)
+        numbers += [v for row in rows for v in row.values() if isinstance(v, float)]
+        numbers += [r["value"] for r in json.loads((tmp_path / "norms.json").read_text())["reports"]]
+        report = json.loads((tmp_path / "channel_report.json").read_text())
+        numbers += [report[k] for k in ("envelope_l1", "class_norm", "ratio")]
+        assert all(math.isfinite(x) for x in numbers), numbers
 
     def test_generator_keys_that_are_read_are_accepted(self, tmp_path):
         sections = [{"symbol": {"name": "separable-x", "seed": 3}}, {"symbol": {"name": "gaussian", "width": 3}},
@@ -464,7 +499,7 @@ class TestConfigContract:
         assert cfg.trials >= 1 and cfg.seed >= 0
         symbol = gen.make_symbol(n=cfg.n, **cfg.symbol)
         window = gen.make_window(n=cfg.n, **cfg.window)
-        assert symbol.shape == (cfg.n, cfg.n) and np.all(np.isfinite(symbol))
+        assert symbol.shape == (cfg.n, cfg.n) and np.abs(symbol).max() <= MAX_VALUE
         assert window.shape == (cfg.n,) and np.all(np.isfinite(window))
 
     @settings(max_examples=200, deadline=None)

@@ -1,6 +1,8 @@
 import importlib
+import itertools
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,19 +10,29 @@ import pytest
 
 import cyclictf.cli as cli
 from cyclictf import diagnostics, verify
-from cyclictf.verify import SUITE_TOL, VERIFY_SUITES
+from cyclictf.generators import gaussian_window
+from cyclictf.quantize import op_tau, tau_wigner
+from cyclictf.transforms import stft_slabs
+from cyclictf.verify import (
+    SUITE_TOL,
+    VERIFY_SUITES,
+    channel_modulus,
+    channel_modulus_cases,
+    channel_modulus_residual,
+)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-# one function on each suite's side of its identity: (module it is read from, name)
+# functions on each suite's sides of its identity: (module it is read from, name)
 PERTURBED = {
-    "fundamental-identity": (verify, "dft"),
-    "stft-inversion": (verify, "stft_adjoint"),
-    "quantize-duality": (verify, "tau_wigner"),
-    "quantize-roundtrip": (verify, "dequantize"),
-    "convert-consistency": (verify, "convert_symbol"),
-    "symplectic-covariance": (diagnostics, "rotate_symbol_j_inv"),
-    "channel-modulus": (verify, "stft_grid"),
+    "fundamental-identity": [(verify, "dft")],
+    "stft-inversion": [(verify, "stft_adjoint")],
+    "quantize-duality": [(verify, "tau_wigner")],
+    "quantize-roundtrip": [(verify, "dequantize")],
+    "convert-consistency": [(verify, "convert_symbol")],
+    "symplectic-covariance": [(diagnostics, "rotate_symbol_j_inv")],
+    # the STFT side through its window, and the operator side
+    "channel-modulus": [(verify, "tau_wigner"), (verify, "op_tau")],
 }
 
 
@@ -30,10 +42,41 @@ class TestSuites:
         # no suite may pass by comparing a quantity with itself
         suite = VERIFY_SUITES[name]
         assert suite(8, np.random.default_rng(0)) < SUITE_TOL
-        module, attr = PERTURBED[name]
-        exact = getattr(module, attr)
-        monkeypatch.setattr(module, attr, lambda *args, **kwargs: (1 + 1e-6) * exact(*args, **kwargs))
-        assert suite(8, np.random.default_rng(0)) > SUITE_TOL
+        for module, attr in PERTURBED[name]:
+            exact = getattr(module, attr)
+            with monkeypatch.context() as patch:
+                patch.setattr(module, attr, lambda *args, exact=exact, **kwargs: (1 + 1e-6) * exact(*args, **kwargs))
+                assert suite(8, np.random.default_rng(0)) > SUITE_TOL, attr
+
+
+class TestChannelModulusScale:
+    def test_peak_memory_at_the_cap(self):
+        # the full channel matrix and |stft_grid| alone take 24 MB at N = 32;
+        # the suite keeps O(N^3): one STFT slab and its slab's channel blocks
+        tracemalloc.start()
+        try:
+            residual = channel_modulus(32, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert residual < SUITE_TOL
+        assert peak <= 12e6, peak
+
+    def test_every_slab_is_required(self):
+        # a short slab sequence would leave pairs unchecked
+        sigma = np.ones((8, 8))
+        phi = gaussian_window(8)
+        slabs = itertools.islice(stft_slabs(sigma, tau_wigner(phi, phi, 0.0)), 7)
+        with pytest.raises(ValueError):
+            channel_modulus_residual(op_tau(sigma, 0.0), phi, slabs, 0.0)
+
+    @pytest.mark.parametrize("n, window", [(33, "gaussian"), (40, "comb")])
+    def test_identity_above_the_full_grid_cap(self, n, window):
+        # channel_matrix refuses these grids; the streamed suite checks them,
+        # tau = 1/2 included
+        assert n > diagnostics.FULL_CHANNEL_CAP
+        assert [(tau, label) for tau, _phi, label in channel_modulus_cases(n)][-1] == (0.5, window)
+        assert channel_modulus(n, np.random.default_rng(n)) < SUITE_TOL
 
 
 class TestBenchmarkHooks:
