@@ -20,11 +20,8 @@ from .diagnostics import (
     covariance_check,
     ell1v,
     envelope,
-    fclass_diag_report,
     fclass_envelope,
     fclass_weight,
-    fio_best_shift,
-    fio_membership,
     operator_channel,
     spearman_rank,
     wiener_experiment,
@@ -61,7 +58,6 @@ from .quantize import (
     chirp_exponents,
     convert_symbol,
     dequantize,
-    kernel_from_symbol_endpoint,
     op_tau,
     spreading_function,
     symbol_from_spreading,

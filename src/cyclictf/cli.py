@@ -39,8 +39,9 @@ from .verify import SUITE_TOL, VERIFY_SUITES, covariance_taus, rand_complex
 # the largest weight a report may multiply by; the rest of the float range (1e108)
 # is headroom for the weighted sums over the N^2 grid points
 MAX_WEIGHT = 1e200
-# the largest |value| of a separable symbol profile: `wiener` composes the symbol with
-# itself, and its square times MAX_WEIGHT leaves 1e8 of headroom for the sums (N^5 <= 3.4e7)
+# the largest |value| of a separable symbol profile, and 1 / MAX_VALUE the smallest nonzero
+# one: `wiener` squares the symbol and inverts it (entries up to 1 / the smallest |value|),
+# and either times MAX_WEIGHT leaves 1e8 of headroom for the sums (N^5 <= 3.4e7)
 MAX_VALUE = 1e50
 
 
@@ -95,6 +96,8 @@ def _values(value, name: str, n: int) -> list[float] | None:
         raise ConfigError(f"{name} must be a list of n = {n} numbers")
     if not all(abs(v) <= MAX_VALUE for v in values):  # NaN fails too
         raise ConfigError(f"{name} must be at most {MAX_VALUE:g} in magnitude")
+    if any(0 < abs(v) < 1 / MAX_VALUE for v in values):
+        raise ConfigError(f"{name} must be 0 or at least {1 / MAX_VALUE:g} in magnitude")
     return values
 
 

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .normbank import (MixedNormSpec, amalgam_norm, fsjostrand_norm, modulation_norm,
-                       sjostrand_norm, symbol_sups)
+from .normbank import MixedNormSpec, fsjostrand_norm, modulation_norm, sjostrand_norm, symbol_sups
 from .phasespace import (
     J_INV_MATRIX,
     Lattice,
@@ -45,11 +44,8 @@ __all__ = [
     "covariance_check",
     "ell1v",
     "envelope",
-    "fclass_diag_report",
     "fclass_envelope",
     "fclass_weight",
-    "fio_best_shift",
-    "fio_membership",
     "operator_channel",
     "spearman_rank",
     "wiener_experiment",
@@ -217,13 +213,6 @@ class DiagReport:
     warnings: tuple[str, ...] = ()
 
 
-def _diag_report(env: DecayEnvelope, v: Weight, class_norm: float, warnings=()) -> DiagReport:
-    """The l^1_v mass of env against class_norm."""
-    mass = ell1v(env, v)
-    ratio = mass / class_norm if class_norm > 0 else float("inf")
-    return DiagReport(mass, class_norm, ratio, env, warnings)
-
-
 def almost_diag_report(
     sigma: np.ndarray,
     tau: float,
@@ -243,23 +232,9 @@ def almost_diag_report(
     env = envelope(channel_matrix(sigma, tau, phi, lattice), "difference")
     v = polynomial_weight(s)
     class_norm = sjostrand_norm(symbol_sups(sigma, tau_wigner(phi, phi, tau)), v.compose(J_INV_MATRIX))
-    return _diag_report(env, v, class_norm, warnings)
-
-
-def fclass_diag_report(
-    sigma: np.ndarray,
-    tau: float,
-    phi: np.ndarray,
-    s: float,
-) -> DiagReport:
-    """Fourier-class envelope mass against the Fourier-image class norm.
-
-    fclass_envelope with weight v_s, compared to fsjostrand_norm with weight
-    fclass_weight(v_s, tau): v_s o B_tau inside (0, 1), v_s at the endpoints.
-    """
-    v = polynomial_weight(s)
-    class_norm = fsjostrand_norm(symbol_sups(sigma, tau_wigner(phi, phi, tau)), fclass_weight(v, tau))
-    return _diag_report(fclass_envelope(channel_matrix(sigma, tau, phi)), v, class_norm)
+    mass = ell1v(env, v)
+    ratio = mass / class_norm if class_norm > 0 else float("inf")
+    return DiagReport(mass, class_norm, ratio, env, warnings)
 
 
 def covariance_check(sigma: np.ndarray, tau: float) -> float:
@@ -287,16 +262,12 @@ def boundedness_report(
     spec: MixedNormSpec,
     trials: int,
     seed: int,
-    pair: str = "modulation",
 ) -> BoundednessReport:
-    """Empirical operator-norm ratio against the symbol-class norm.
+    """Empirical operator-norm ratio on M^{p,q}_m against the Sjostrand norm.
 
-    `pair` selects source/target norms: "modulation" keeps the same
-    M^{p,q}_m on both sides, "modulation-utau" composes the target weight
-    with U_{1-tau}^{-1} = U_tau, "amalgam" uses W(FL^p, L^q) on both sides,
-    and "endpoint" uses M^{1,inf} at tau = 0 / W(FL^1, L^inf) at tau = 1.
-    The class norm is the Sjostrand norm for the diagonal pairs and its
-    Fourier-image counterpart for the U_tau pair.
+    max_ratio is the largest ||Op_tau(sigma) f|| / ||f|| over random trial
+    signals f, in the modulation norm of `spec` on both sides; norm_bound is
+    sjostrand_norm with the window W_tau(phi, phi) and the weight v_0.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -304,36 +275,14 @@ def boundedness_report(
     n = arr.shape[0]
     operator = op_tau(arr, tau)
     rng = np.random.default_rng(seed)
-
-    if pair == "modulation":
-        source = target = lambda f: modulation_norm(f, phi, spec)
-    elif pair == "modulation-utau":
-        shifted = MixedNormSpec(spec.p, spec.q, spec.m.compose(utau_matrix(tau)))
-        source = lambda f: modulation_norm(f, phi, spec)
-        target = lambda f: modulation_norm(f, phi, shifted)
-    elif pair == "amalgam":
-        source = target = lambda f: amalgam_norm(f, phi, spec.p, spec.q)
-    elif pair == "endpoint":
-        if tau == 0:
-            ep = MixedNormSpec(1.0, float("inf"), spec.m)
-            source = target = lambda f: modulation_norm(f, phi, ep)
-        elif tau == 1:
-            source = target = lambda f: amalgam_norm(f, phi, 1.0, float("inf"))
-        else:
-            raise ValueError("endpoint pair requires tau in {0, 1}")
-    else:
-        raise ValueError(f"unknown norm pair {pair!r}")
-
     max_ratio = 0.0
     for _ in range(trials):
         f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        denom = source(f)
+        denom = modulation_norm(f, phi, spec)
         if denom > 0:
-            max_ratio = max(max_ratio, target(operator @ f) / denom)
-
+            max_ratio = max(max_ratio, modulation_norm(operator @ f, phi, spec) / denom)
     sups = symbol_sups(arr, tau_wigner(phi, phi, tau))
-    class_norm = sjostrand_norm if pair in ("modulation", "amalgam") else fsjostrand_norm
-    norm_bound = class_norm(sups, polynomial_weight(0.0))
+    norm_bound = sjostrand_norm(sups, polynomial_weight(0.0))
     return BoundednessReport(max_ratio=max_ratio, norm_bound=norm_bound, sups=sups)
 
 
@@ -409,23 +358,23 @@ def composition_symmetry_check(
     tau: float,
     phi: np.ndarray,
     s: float,
-    tau0: float = 0.5,
 ) -> CompositionReport:
     """Complementary-quantization composition and the bimodule laws.
 
     c with Op_{1/2}(c) = Op_tau(a) Op_{1-tau}(b) (weighted Sjostrand norm
-    reported), plus c1, c2 with Op_{tau0}(b) Op_tau(a) = Op_tau(c1) and
-    Op_tau(a) Op_{tau0}(b) = Op_tau(c2) (Fourier-image norms reported).
+    reported), plus c1, c2 with Op_{1/2}(b) Op_tau(a) = Op_tau(c1) and
+    Op_tau(a) Op_{1/2}(b) = Op_tau(c2) (Fourier-image norms reported).
     """
     if not 0.0 < tau < 1.0:
         raise ValueError("composition symmetry requires tau in (0, 1)")
     v = polynomial_weight(s)
     op_a = op_tau(np.asarray(a, dtype=complex), tau)
+    op_b = op_tau(b, 0.5)
     c = dequantize(op_a @ op_tau(b, 1.0 - tau), 0.5)
-    c1 = dequantize(op_tau(b, tau0) @ op_a, tau)
-    c2 = dequantize(op_a @ op_tau(b, tau0), tau)
+    c1 = dequantize(op_b @ op_a, tau)
+    c2 = dequantize(op_a @ op_b, tau)
     big_phi_tau = tau_wigner(phi, phi, tau)
-    # with a = b and tau = tau0 = 1/2, c, c1 and c2 are one pair: one pass
+    # with a = b and tau = 1/2, c, c1 and c2 are one pair: one pass
     c_sups, c1_sups, c2_sups = _distinct_symbol_sups((c, tau_wigner(phi, phi, 0.5)), (c1, big_phi_tau),
                                                      (c2, big_phi_tau))
     v_b = fclass_weight(v, tau)
@@ -438,29 +387,3 @@ def composition_symmetry_check(
         right_module_norm=fsjostrand_norm(c2_sups, v_b),
     )
 
-
-def fio_membership(
-    operator: np.ndarray,
-    shift_map: np.ndarray,
-    phi: np.ndarray,
-    s: float,
-) -> float:
-    """l^1_{v_s} mass of the channel envelope along the graph of a shift map."""
-    env = envelope(operator_channel(operator, phi), "shifted", shift_map)
-    return ell1v(env, polynomial_weight(s))
-
-
-def fio_best_shift(
-    operator: np.ndarray,
-    phi: np.ndarray,
-    candidates: list[np.ndarray],
-    s: float = 0.0,
-) -> int:
-    """Index of the candidate shift map minimizing the envelope l^1_{v_s}.
-
-    For T1 in FIO(A1), T2 in FIO(A2) the product's best-fitting shift over a
-    candidate set is expected at A1 A2.
-    """
-    chan = operator_channel(operator, phi)
-    masses = [ell1v(envelope(chan, "shifted", a), polynomial_weight(s)) for a in candidates]
-    return int(np.argmin(masses))

@@ -48,7 +48,7 @@ def delta_window(n: int) -> np.ndarray:
     return out
 
 
-def comb_window(n: int, step: int = 2, normalize: bool = True) -> np.ndarray:
+def comb_window(n: int, step: int = 2) -> np.ndarray:
     """Gaussian comb supported on step*Z and periodic with period N/step.
 
     Its ambiguity function is supported on the sublattice (step Z_N)^2, which
@@ -62,7 +62,7 @@ def comb_window(n: int, step: int = 2, normalize: bool = True) -> np.ndarray:
     for t in range(0, n, step):
         d = min(t % period, period - t % period)
         phi[t] = np.exp(-np.pi * d * d / n)
-    return phi / np.linalg.norm(phi) if normalize else phi
+    return phi / np.linalg.norm(phi)
 
 
 def constant_symbol(n: int) -> np.ndarray:
@@ -75,10 +75,9 @@ def delta_symbol(n: int) -> np.ndarray:
     return out
 
 
-def gaussian_symbol(n: int, width: float = 2.0, normalize: bool = False) -> np.ndarray:
+def gaussian_symbol(n: int, width: float = 2.0) -> np.ndarray:
     g = gaussian_window(n, width=width, normalize=False).real
-    out = np.outer(g, g).astype(complex)
-    return out / np.linalg.norm(out) if normalize else out
+    return np.outer(g, g).astype(complex)
 
 
 def _profile(n: int, seed: int, values) -> np.ndarray:
@@ -101,10 +100,9 @@ def separable_omega_symbol(n: int, seed: int = 0, values=None) -> np.ndarray:
     return np.tile(_profile(n, seed, values)[None, :], (n, 1))
 
 
-def random_symbol(n: int, seed: int = 0, normalize: bool = False) -> np.ndarray:
+def random_symbol(n: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    out = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return out / np.linalg.norm(out) if normalize else out
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
 # name -> (generator, the config keys it reads besides its name)

@@ -31,9 +31,9 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "chirp_exponents",
     "convert_symbol",
     "dequantize",
-    "kernel_from_symbol_endpoint",
     "op_tau",
     "rotate_symbol_j_inv",
     "spreading_function",
@@ -140,22 +140,6 @@ def dequantize(operator: np.ndarray, tau: float) -> np.ndarray:
     diag = arr[_diagonals(arr.shape[0])]  # diag[u, y] = T[y - u, y]
     coeff = np.fft.fft(diag, axis=1).T  # coeff[omega, u] = sum_y diag[u, y] e^{-2 pi i omega y/N}
     return symbol_from_spreading(coeff, tau)
-
-
-def kernel_from_symbol_endpoint(sigma: np.ndarray, tau: float) -> np.ndarray:
-    """Direct integral-form kernel at the endpoints tau in {0, 1}.
-
-    k(x, y) = (1/N) sum_omega sigma((1-tau) x + tau y, omega)
-              e^{2 pi i (x - y) omega / N}; agrees with op_tau on the grid.
-    """
-    arr = _as_symbol(sigma)
-    if tau not in (0, 1, 0.0, 1.0):
-        raise ValueError("direct kernel form requires tau in {0, 1}")
-    n = arr.shape[0]
-    # partial inverse DFT in the frequency slot, evaluated at x - y
-    prof = np.fft.ifft(arr, axis=1)  # prof[a, d] = (1/N) sum_omega sigma(a, omega) e^{2 pi i d omega/N}
-    x, y = np.ogrid[:n, :n]
-    return prof[x if tau == 0 else y, (x - y) % n]
 
 
 def convert_symbol(sigma: np.ndarray, tau1: float, tau2: float) -> np.ndarray:

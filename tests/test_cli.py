@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +246,13 @@ class TestConfigValidation:
              "separable-x symbol values must be at most 1e+50 in magnitude"),
             ({"n": 8, "symbol": {"name": "separable-omega", "values": [1.0] * 7 + [float("nan")]}},
              "separable-omega symbol values must be at most 1e+50 in magnitude"),
+            # the inverse of a tiny symbol is huge: Infinity for both wiener track norms,
+            # and a composition norm of 0.0 (the square underflowed)
+            ({"n": 8, "s": 263, "tau": [0.5], "symbol": {"name": "separable-x", "values": [
+                1e-200, 2e-200, 1e-200, 3e-200, 1e-200, 1e-200, 2e-200, 1e-200]}},
+             "separable-x symbol values must be 0 or at least 1e-50 in magnitude"),
+            ({"n": 8, "symbol": {"name": "separable-omega", "values": [1.0] * 7 + [1e-50 * (1 - 1e-9)]}},
+             "separable-omega symbol values must be 0 or at least 1e-50 in magnitude"),
         ],
     )
     def test_generator_sections_exit_2(self, tmp_path, capsys, data, message):
@@ -303,6 +311,33 @@ class TestConfigValidation:
         report = json.loads((tmp_path / "channel_report.json").read_text())
         numbers += [report[k] for k in ("envelope_l1", "class_norm", "ratio")]
         assert all(math.isfinite(x) for x in numbers), numbers
+
+    def test_tiny_separable_values_bound(self, tmp_path):
+        # the smallest allowed values under the largest weight at n = 8: every norm finite,
+        # with no overflow or underflow on the way
+        values = [1e-50, -2e-50, 3e-50, -1.5e-50, 2.5e-50, -1e-50, 1.25e-50, -3e-50]
+        cfg = write_config(tmp_path, {"n": 8, "s": 263, "tau": [0.0, 0.3, 0.5, 1.0],
+                                      "symbol": {"name": "separable-x", "values": values}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for command in ("wiener", "sweep", "norms", "channel"):
+                assert main([command, "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+        rows = json.loads((tmp_path / "wiener.json").read_text())["rows"]
+        assert all(row["invertible"] for row in rows)
+        assert all(row["composition_weyl_norm"] > 0 for row in rows if 0 < row["tau"] < 1)
+        numbers = [v for row in rows for v in row.values() if isinstance(v, float)]
+        numbers += [float(x) for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+                    for x in line.split(",")]
+        numbers += [r["value"] for r in json.loads((tmp_path / "norms.json").read_text())["reports"]]
+        report = json.loads((tmp_path / "channel_report.json").read_text())
+        numbers += [report[k] for k in ("envelope_l1", "class_norm", "ratio")]
+        assert all(math.isfinite(x) for x in numbers), numbers
+
+    def test_zero_separable_values_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, {"n": 8, "symbol": {"name": "separable-x", "values": [0.0] + [1e-50] * 7}})
+        assert main(["wiener", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+        rows = json.loads((tmp_path / "wiener.json").read_text())["rows"]
+        assert not any(row["invertible"] for row in rows)
 
     def test_generator_keys_that_are_read_are_accepted(self, tmp_path):
         sections = [{"symbol": {"name": "separable-x", "seed": 3}}, {"symbol": {"name": "gaussian", "width": 3}},

@@ -1,8 +1,9 @@
 """Exact identities of the calculus over grid sizes and taus drawn at random.
 
 The verify suites check each identity at fixed taus; these properties draw
-N in [2, 40] and tau from {j/m : 0 <= j <= m <= 8} and 1/pi, and hold every
-relative residual below SUITE_TOL.
+N in [2, 40] and tau from {j/m : 0 <= j <= m <= 8} and 1/pi (the endpoint
+kernel form from {0, 1} only), and hold every relative residual below
+SUITE_TOL.
 """
 
 import numpy as np
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 from cyclictf.diagnostics import covariance_check
 from cyclictf.quantize import convert_symbol, dequantize, op_tau, tau_wigner
 from cyclictf.verify import SUITE_TOL, covariance_taus, rand_complex
+
+from endpoint_oracle import kernel_from_symbol_endpoint
 
 TAUS = sorted({j / m for m in range(1, 9) for j in range(m + 1)} | {1 / np.pi})
 GRID_SIZES = st.integers(min_value=2, max_value=40)
@@ -28,6 +31,14 @@ def _rel(diff, ref) -> float:
 def test_quantize_roundtrip(n, tau, seed):
     sigma = rand_complex(np.random.default_rng(seed), n, n)
     assert _rel(dequantize(op_tau(sigma, tau), tau) - sigma, sigma) < SUITE_TOL
+
+
+@PROPERTY_SETTINGS
+@given(GRID_SIZES, st.sampled_from([0.0, 1.0]), SEEDS)
+def test_endpoint_kernel_matches_integral_form(n, tau, seed):
+    sigma = rand_complex(np.random.default_rng(seed), n, n)
+    kernel = kernel_from_symbol_endpoint(sigma, tau)
+    assert _rel(op_tau(sigma, tau) - kernel, kernel) < SUITE_TOL
 
 
 @PROPERTY_SETTINGS

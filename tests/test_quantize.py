@@ -6,7 +6,6 @@ from cyclictf.quantize import (
     chirp_exponents,
     convert_symbol,
     dequantize,
-    kernel_from_symbol_endpoint,
     op_tau,
     rotate_symbol_j_inv,
     spreading_function,
@@ -15,6 +14,8 @@ from cyclictf.quantize import (
     twisted_product,
 )
 from cyclictf.transforms import dft, dft_matrix
+
+from endpoint_oracle import kernel_from_symbol_endpoint
 
 
 def translation_matrix(n, x):
