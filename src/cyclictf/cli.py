@@ -12,8 +12,8 @@ validated before any computation.  Runs are deterministic for a fixed config
 and seed: randomness comes only from numpy's PCG64 seeded generators, and all
 numeric output is rendered at 12 significant digits.
 
-Exit codes: 0 success (verify: all suites pass), 1 suite failure, 2 invalid
-configuration.
+Exit codes: 0 success (verify: all suites pass), 1 suite failure or an output
+that cannot be written (--out included), 2 invalid configuration.
 """
 
 from __future__ import annotations
@@ -238,8 +238,8 @@ SWEEP_COLUMNS = [
 def _envelope_masses(sigma, tau, phi, v) -> list[float]:
     """l^1_v masses of the difference, sum and Fourier-class envelopes."""
     chan = dg.channel_matrix(sigma, tau, phi)  # freed on return, before the next symbol STFT
-    return [dg.ell1v(env, v) for env in (dg.envelope(chan, "difference"), dg.envelope(chan, "sum"),
-                                         dg.fclass_envelope(chan))]
+    modes = [("difference", None), ("sum", None), dg.fclass_mode(tau)]
+    return [dg.ell1v(env, v) for env in dg.envelopes(chan, modes)]  # one pass over the channel's rows
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
@@ -368,8 +368,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    args.out.mkdir(parents=True, exist_ok=True)
     try:
+        args.out.mkdir(parents=True, exist_ok=True)
         if args.command == "verify":
             return run_verify(cfg, quiet=args.quiet)
         if args.command == "sweep":

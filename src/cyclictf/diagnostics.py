@@ -1,11 +1,13 @@
 """Channel matrices, decay envelopes, and almost-diagonalization diagnostics.
 
 The channel matrix of an operator T against a window phi collects
-<T pi(z) phi, pi(w) phi> over pairs of phase-space points.  Its magnitude
-structure is summarized by decay envelopes: the maximum of |entry| over a
-family of shifted diagonals (difference w - z, sum w + z, or w - A z for a
-linear shift map A), and by their weighted l^1 mass.  The reports compare
-these envelope masses against the symbol-class functionals from normbank;
+<T pi(z) phi, pi(w) phi> over pairs of phase-space points; it is held as
+two N x P factors and its entries are formed N rows at a time.  Its
+magnitude structure is summarized by decay envelopes, reduced from those
+row blocks in O(N^3) memory: the maximum of |entry| over a family of
+shifted diagonals (difference w - z, sum w + z, or w - A z for a linear
+shift map A), and by their weighted l^1 mass.  The reports compare these
+envelope masses against the symbol-class functionals from normbank;
 equivalence constants are window-dependent, so the reports only record
 ratios and the rank association across symbol corpora, never a universal
 band.
@@ -14,6 +16,7 @@ band.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,25 +47,37 @@ __all__ = [
     "covariance_check",
     "ell1v",
     "envelope",
+    "envelopes",
     "fclass_envelope",
+    "fclass_mode",
     "fclass_weight",
     "operator_channel",
     "spearman_rank",
     "wiener_experiment",
 ]
 
-FULL_CHANNEL_CAP = 32  # full-grid fill is O(N^5); lattices beyond this
+FULL_CHANNEL_CAP = 32  # a full-grid pass takes O(N^5) time (O(N^3) memory); lattices beyond this
 CONDITION_LIMIT = 1e10  # invertibility threshold for the Wiener experiment
 
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """Entries <T pi(z) phi, pi(w) phi> with rows indexed by w, columns by z."""
+    """Entries <T pi(z) phi, pi(w) phi> (rows w, columns z), held as two N x P factors."""
 
-    entries: np.ndarray
+    bank: np.ndarray  # columns pi(w) phi
+    image: np.ndarray  # columns T pi(z) phi
     points: np.ndarray  # (P, 2) int rows (x, omega), indexing rows and columns
     n: int
     tau: float | None = None
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows start:stop of the entries bank[:, w]^* image[:, z], as one matrix product."""
+        return self.bank[:, start:stop].conj().T @ self.image
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """All P x P entries: the row blocks that `envelopes` reads, stacked."""
+        return np.concatenate([self.rows(start, start + self.n) for start in range(0, len(self.points), self.n)])
 
 
 def operator_channel(
@@ -81,8 +96,7 @@ def operator_channel(
         raise ValueError(f"full channel matrix too large at N = {n} > {FULL_CHANNEL_CAP}; use a lattice")
     points = lattice.points(n)
     bank = shift_bank(phi, points)
-    entries = bank.conj().T @ (arr @ bank)
-    return ChannelMatrix(entries=entries, points=points, n=n, tau=tau)
+    return ChannelMatrix(bank=bank, image=arr @ bank, points=points, n=n, tau=tau)
 
 
 def channel_matrix(
@@ -121,8 +135,8 @@ def _nearest_bins(c: np.ndarray, n: int) -> np.ndarray:
     return k
 
 
-def envelope(channel: ChannelMatrix, mode: str, shift_map: np.ndarray | None = None) -> DecayEnvelope:
-    """Decay envelope of a channel matrix.
+def envelopes(channel: ChannelMatrix, modes: list[tuple[str, np.ndarray | None]]) -> list[DecayEnvelope]:
+    """Decay envelopes of a channel matrix, one per (mode, shift_map) pair, from one pass.
 
     Every mode bins |entry(w, z)| by the nearest grid point of P w + Q z and
     keeps the maximum per bin; the mode only picks the 2x2 pair (P, Q):
@@ -131,58 +145,69 @@ def envelope(channel: ChannelMatrix, mode: str, shift_map: np.ndarray | None = N
     (diag(1 - tau, tau), diag(tau, 1 - tau)) by the convex pairing of (w, z)
     at tau (the weak endpoint form; requires the channel to carry its tau).
     """
-    eye = np.eye(2)
-    if mode == "difference":
-        p, q = eye, -eye
-    elif mode == "sum":
-        p, q = eye, eye
-    elif mode == "shifted":
-        if np.shape(shift_map) != (2, 2):
-            raise ValueError(f"mode='shifted' needs a 2x2 shift map, not {np.shape(shift_map)}")
-        p, q = eye, -np.asarray(shift_map, dtype=float)
-    elif mode == "ttau":
-        if channel.tau is None:
-            raise ValueError("weak envelope needs the channel's tau")
-        t = channel.tau
-        p, q = np.diag([1 - t, t]), np.diag([t, 1 - t])
-    else:
-        raise ValueError(f"unknown envelope mode {mode!r}")
     n = channel.n
     x, omega = channel.points.T
-    coords = []
-    for pi, qi in zip(p, q):
-        # one coordinate of P w + Q z, as (w part) + (z part) with one
-        # rounding per product, so the bins never depend on a BLAS kernel;
-        # each part takes few distinct values, so the table of their sums is
-        # binned once and gathered onto the pairs (the same sums, bit for bit)
-        uu, iu = np.unique(pi[0] * x + pi[1] * omega, return_inverse=True)
-        vv, iv = np.unique(qi[0] * x + qi[1] * omega, return_inverse=True)
-        coords.append((_nearest_bins(np.add.outer(uu, vv), n), iu, iv))
-    (bins1, iu1, iv1), (bins2, iu2, iv2) = coords
-    # scatter n rows (w) at a time through reused buffers, so no P x P
-    # temporary is ever built; the maximum is exact, so blocking keeps the table
+    eye = np.eye(2)
+    binned = []
+    for mode, shift_map in modes:
+        if mode == "difference":
+            p, q = eye, -eye
+        elif mode == "sum":
+            p, q = eye, eye
+        elif mode == "shifted":
+            if np.shape(shift_map) != (2, 2):
+                raise ValueError(f"mode='shifted' needs a 2x2 shift map, not {np.shape(shift_map)}")
+            p, q = eye, -np.asarray(shift_map, dtype=float)
+        elif mode == "ttau":
+            if channel.tau is None:
+                raise ValueError("weak envelope needs the channel's tau")
+            t = channel.tau
+            p, q = np.diag([1 - t, t]), np.diag([t, 1 - t])
+        else:
+            raise ValueError(f"unknown envelope mode {mode!r}")
+        coords = []
+        for pi, qi in zip(p, q):
+            # one coordinate of P w + Q z, as (w part) + (z part) with one
+            # rounding per product, so the bins never depend on a BLAS kernel;
+            # each part takes few distinct values, so the table of their sums is
+            # binned once and gathered onto the pairs (the same sums, bit for bit)
+            uu, iu = np.unique(pi[0] * x + pi[1] * omega, return_inverse=True)
+            vv, iv = np.unique(qi[0] * x + qi[1] * omega, return_inverse=True)
+            coords.append((_nearest_bins(np.add.outer(uu, vv), n), iu, iv))
+        binned.append(coords)
+    # form n rows (w) at a time, one product and one abs shared by every mode, and
+    # scatter them through reused buffers, so no P x P array is ever built; the
+    # maximum is exact, so blocking keeps the table
     size = len(x)
     flat = np.empty((n, size), dtype=np.int32)  # bin k1 * N + k2
     part = np.empty_like(flat)
     mags = np.empty((n, size))
-    table = np.zeros(n * n)
+    tables = [np.zeros(n * n) for _ in binned]
     for start in range(0, size, n):
-        rows = slice(start, min(start + n, size))
-        m = rows.stop - start
-        # mode="clip" writes straight into out (the default buffers); every index is in range
-        np.take(bins1[iu1[rows]], iv1, axis=1, out=flat[:m], mode="clip")
-        flat[:m] *= n
-        flat[:m] += np.take(bins2[iu2[rows]], iv2, axis=1, out=part[:m], mode="clip")
-        np.abs(channel.entries[rows], out=mags[:m])
-        np.maximum.at(table, flat[:m].ravel(), mags[:m].ravel())
-    return DecayEnvelope(mode=mode, table=table.reshape(n, n), n=n)
+        m = min(n, size - start)
+        np.abs(channel.rows(start, start + m), out=mags[:m])
+        for ((bins1, iu1, iv1), (bins2, iu2, iv2)), table in zip(binned, tables):
+            # mode="clip" writes straight into out (the default buffers); every index is in range
+            np.take(bins1[iu1[start:start + m]], iv1, axis=1, out=flat[:m], mode="clip")
+            flat[:m] *= n
+            flat[:m] += np.take(bins2[iu2[start:start + m]], iv2, axis=1, out=part[:m], mode="clip")
+            np.maximum.at(table, flat[:m].ravel(), mags[:m].ravel())
+    return [DecayEnvelope(mode=mode, table=table.reshape(n, n), n=n) for (mode, _), table in zip(modes, tables)]
+
+
+def envelope(channel: ChannelMatrix, mode: str, shift_map: np.ndarray | None = None) -> DecayEnvelope:
+    """Decay envelope of a channel matrix in one mode (see `envelopes`)."""
+    return envelopes(channel, [(mode, shift_map)])[0]
+
+
+def fclass_mode(tau: float | None) -> tuple[str, np.ndarray | None]:
+    """The (mode, shift_map) of fclass_envelope: U_tau-shifted in (0, 1), the weak "ttau" form at the endpoints."""
+    return ("shifted", utau_matrix(tau)) if tau is not None and 0.0 < tau < 1.0 else ("ttau", None)
 
 
 def fclass_envelope(chan: ChannelMatrix) -> DecayEnvelope:
     """U_tau-shifted envelope at the channel's tau in (0, 1); the weak "ttau" form at the endpoints."""
-    if chan.tau is not None and 0.0 < chan.tau < 1.0:
-        return envelope(chan, "shifted", utau_matrix(chan.tau))
-    return envelope(chan, "ttau")
+    return envelope(chan, *fclass_mode(chan.tau))
 
 
 def fclass_weight(v: Weight, tau: float) -> Weight:

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 import cyclictf
 from cyclictf import generators as gen
-from cyclictf.cli import MAX_VALUE, MAX_WEIGHT, ConfigError, ExperimentConfig, main, run_sweep, run_wiener
+from cyclictf.cli import (MAX_VALUE, MAX_WEIGHT, ConfigError, ExperimentConfig, main, run_channel, run_sweep,
+                          run_wiener)
+from cyclictf.diagnostics import ChannelMatrix
 from cyclictf.serialize import envelope_csv_lines
 from cyclictf.verify import VERIFY_SUITES
 
@@ -401,6 +403,33 @@ class TestSweep:
             tracemalloc.stop()
         assert peak <= 32e6, peak
 
+    def test_one_row_pass_per_tau(self, tmp_path, monkeypatch):
+        # the three envelopes of a tau share one pass over the channel's rows,
+        # N rows at a time, and no CLI path stacks the P x P entries
+        blocks = []
+
+        def counted(chan, start, stop, _rows=ChannelMatrix.rows):
+            blocks.append(stop - start)
+            return _rows(chan, start, stop)
+
+        monkeypatch.setattr(ChannelMatrix, "rows", counted)
+        cfg = write_config(tmp_path, {**self.BASELINE, "n": 8})
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+        assert len(blocks) == 5 * math.ceil(8 * 8 / 8) == 40
+        assert set(blocks) == {8}
+
+    def test_streamed_peak_memory_at_n32(self, tmp_path):
+        # the channel as two N x P factors and one row block at a time (2.3 MB);
+        # with its N^4 entries built once per tau the sweep peaked at 18.4 MB
+        cfg = ExperimentConfig.from_dict(self.BASELINE)
+        tracemalloc.start()
+        try:
+            run_sweep(cfg, tmp_path, quiet=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6, peak
+
 
 class TestWienerCommand:
     def test_trivial_symbol(self, tmp_path):
@@ -488,6 +517,32 @@ class TestNormsAndChannel:
         cfg = write_config(tmp_path, {"n": 8, "tau": [0.5], "lattice": lattice})
         assert main(["channel", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
         assert calls == {"operator_channel": 1}
+
+    def test_full_grid_peak_memory_at_n32(self, tmp_path):
+        # one row block of the channel at a time (2.2 MB); its N^4 entries peaked at 18.4 MB
+        cfg = ExperimentConfig.from_dict({"n": 32, "tau": [0.5]})
+        tracemalloc.start()
+        try:
+            run_channel(cfg, tmp_path, quiet=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6, peak
+
+    @pytest.mark.parametrize("command", ["norms", "verify"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_at_a_file_exits_1(self, tmp_path, capsys, command, under):
+        # an --out that names a file, or a path under one, is not a directory:
+        # one error line and exit 1, as for a failed write, not a traceback
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        cfg = write_config(tmp_path, {"n": 8})
+        out = taken / "sub" if under else taken
+        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert taken.read_text() == "kept\n"
 
 
 class TestSerialization:

@@ -15,6 +15,7 @@ from cyclictf.diagnostics import (
     covariance_check,
     ell1v,
     envelope,
+    envelopes,
     fclass_envelope,
     operator_channel,
     spearman_rank,
@@ -46,6 +47,7 @@ from cyclictf.quantize import (
 )
 from cyclictf.transforms import dft_matrix, stft, tf_shift
 
+from dense_channel import dense_channel
 from modulus_oracle import inverse_map_loop, pair_loop
 
 V0 = polynomial_weight(0.0)
@@ -202,7 +204,7 @@ class TestModulusIdentity:
 
 class TestEnvelope:
     def test_single_entry_difference(self):
-        chan = ChannelMatrix(
+        chan = dense_channel(
             entries=np.array([[0.0, 3.0], [0.0, 0.0]], dtype=complex),
             points=np.array([[1, 2], [4, 5]]),
             n=8,
@@ -243,7 +245,7 @@ class TestEnvelope:
 
     def test_nearest_grid_tie_break(self):
         # w - A z = (0.5, 0): candidates 0 and 1 tie, smaller representative wins
-        chan = ChannelMatrix(
+        chan = dense_channel(
             entries=np.array([[1.0]], dtype=complex), points=np.array([[1, 0]]), n=8
         )
         env = envelope(chan, "shifted", np.diag([0.5, 1.0]))
@@ -281,7 +283,7 @@ def envelope_cases(draw):
     points = lattice.points(n)
     size = (len(points), len(points))
     entries = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    chan = ChannelMatrix(entries=entries, points=points, n=n, tau=tau)
+    chan = dense_channel(entries=entries, points=points, n=n, tau=tau)
     return chan, np.reshape(eighths, (2, 2)) / 8
 
 
@@ -299,11 +301,16 @@ class TestEnvelopeOracle:
             new = envelope(chan, mode, a)
             assert new.mode == mode
             assert np.array_equal(new.table, envelope_oracle(chan, mode, a).table), (mode, a)
+        # every mode at once, from one pass over the channel's rows
+        shared = envelopes(chan, runs)
+        assert [env.mode for env in shared] == [mode for mode, _ in runs]
+        for (mode, a), env in zip(runs, shared):
+            assert np.array_equal(env.table, envelope_oracle(chan, mode, a).table), (mode, a)
 
     def test_wrap_tie_goes_to_bin_zero(self):
         # w - A z = (7 + 2/4, 0) = (N - 1/2, 0): bins N - 1 and 0 tie, and 0
         # is the smaller canonical representative
-        chan = ChannelMatrix(
+        chan = dense_channel(
             entries=np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
             points=np.array([[7, 0], [2, 0]]),
             n=8,
@@ -325,7 +332,7 @@ class TestEnvelopeOracle:
             points = lattice.points(n)  # Lattice(1, 1) is the full grid
             size = (len(points), len(points))
             entries = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-            chan = ChannelMatrix(entries=entries, points=points, n=n, tau=1 / np.pi)
+            chan = dense_channel(entries=entries, points=points, n=n, tau=1 / np.pi)
             for mode, shift in (("shifted", a), ("shifted", -a.T), ("ttau", None)):
                 new = envelope(chan, mode, shift).table
                 assert np.array_equal(new, envelope_oracle(chan, mode, shift).table), (lattice, mode)

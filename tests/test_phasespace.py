@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclictf.diagnostics import ChannelMatrix, channel_matrix, envelope
+from cyclictf.diagnostics import channel_matrix, envelope
 from cyclictf.generators import gaussian_window
 from cyclictf.phasespace import (
     J_INV_MATRIX,
@@ -17,6 +17,8 @@ from cyclictf.phasespace import (
     utau_matrix,
     wrapped_norm,
 )
+
+from dense_channel import dense_channel
 
 
 def scalar_weight(v, z, n):
@@ -50,7 +52,7 @@ def v_at(v, z, n):
 def ttau_bin(w, z, tau, n):
     """Where the ttau envelope bins a channel entry at rows w, columns z."""
     entries = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    chan = ChannelMatrix(entries=entries, points=np.array([w, z]), n=n, tau=tau)
+    chan = dense_channel(entries=entries, points=np.array([w, z]), n=n, tau=tau)
     table = envelope(chan, "ttau").table
     assert table.sum() == 1.0
     return tuple(int(k) for k in np.argwhere(table == 1.0)[0])
