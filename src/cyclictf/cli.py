@@ -43,6 +43,7 @@ MAX_WEIGHT = 1e200
 # one: `wiener` squares the symbol and inverts it (entries up to 1 / the smallest |value|),
 # and either times MAX_WEIGHT leaves 1e8 of headroom for the sums (N^5 <= 3.4e7)
 MAX_VALUE = 1e50
+FULL_CHANNEL_CAP = 32  # the largest n: a full-grid channel pass takes O(N^5) time (the library takes any N)
 
 
 class ConfigError(ValueError):
@@ -158,8 +159,8 @@ class ExperimentConfig:
         cfg.n = _integer(data.get("n", cfg.n), "grid size n")
         if cfg.n < 2:
             raise ConfigError("grid size must be at least 2")
-        if cfg.n > dg.FULL_CHANNEL_CAP:
-            raise ConfigError(f"grid size n = {cfg.n} is too large: n must be at most {dg.FULL_CHANNEL_CAP}")
+        if cfg.n > FULL_CHANNEL_CAP:
+            raise ConfigError(f"grid size n = {cfg.n} is too large: n must be at most {FULL_CHANNEL_CAP}")
         tau = data.get("tau", cfg.tau)
         cfg.tau = [_number(t, "tau") for t in (tau if isinstance(tau, list) else [tau])]
         if not cfg.tau:
@@ -248,7 +249,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
     lines = [",".join(SWEEP_COLUMNS)]
     for tau in cfg.tau:
         # one symbol STFT per tau: both class norms read the sups of the bound
-        rep = dg.boundedness_report(sigma, tau, phi, MixedNormSpec(2.0, 2.0), cfg.trials, cfg.seed)
+        rep = dg.boundedness_report(sigma, tau, phi, cfg.trials, cfg.seed)
         sj, fsj = sjostrand_norm(rep.sups, v), fsjostrand_norm(rep.sups, v)
         row = [tau, *_envelope_masses(sigma, tau, phi, v), sj, fsj, rep.max_ratio]
         lines.append(",".join(format_float(x) for x in row))

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .normbank import MixedNormSpec, fsjostrand_norm, modulation_norm, sjostrand_norm, symbol_sups
+from .normbank import fsjostrand_norm, sjostrand_norm, symbol_sups
 from .phasespace import (
     J_INV_MATRIX,
     Lattice,
@@ -38,7 +38,6 @@ __all__ = [
     "CompositionReport",
     "DecayEnvelope",
     "DiagReport",
-    "FULL_CHANNEL_CAP",
     "WienerReport",
     "almost_diag_report",
     "boundedness_report",
@@ -56,7 +55,6 @@ __all__ = [
     "wiener_experiment",
 ]
 
-FULL_CHANNEL_CAP = 32  # a full-grid pass takes O(N^5) time (O(N^3) memory); lattices beyond this
 CONDITION_LIMIT = 1e10  # invertibility threshold for the Wiener experiment
 
 
@@ -92,8 +90,6 @@ def operator_channel(
     phi = np.asarray(phi, dtype=complex)
     if not np.any(phi):
         raise ValueError("window must be non-zero")
-    if lattice == Lattice(1, 1) and n > FULL_CHANNEL_CAP:
-        raise ValueError(f"full channel matrix too large at N = {n} > {FULL_CHANNEL_CAP}; use a lattice")
     points = lattice.points(n)
     bank = shift_bank(phi, points)
     return ChannelMatrix(bank=bank, image=arr @ bank, points=points, n=n, tau=tau)
@@ -105,7 +101,7 @@ def channel_matrix(
     phi: np.ndarray,
     lattice: Lattice = Lattice(1, 1),
 ) -> ChannelMatrix:
-    """Channel matrix of Op_tau(sigma); full grid by default (capped at N=32)."""
+    """Channel matrix of Op_tau(sigma); full grid by default (O(N^5) time in an envelope pass)."""
     return operator_channel(op_tau(sigma, tau), phi, lattice, tau=tau)
 
 
@@ -267,9 +263,10 @@ def covariance_check(sigma: np.ndarray, tau: float) -> float:
     arr = np.asarray(sigma, dtype=complex)
     n = arr.shape[0]
     f = dft_matrix(n)
-    lhs = f @ op_tau(arr, tau) @ f.conj().T
+    operator = op_tau(arr, tau)
+    lhs = f @ operator @ f.conj().T
     rhs = op_tau(rotate_symbol_j_inv(arr), 1.0 - tau)
-    denom = np.linalg.norm(op_tau(arr, tau))
+    denom = np.linalg.norm(operator)
     return float(np.linalg.norm(lhs - rhs) / denom) if denom > 0 else 0.0
 
 
@@ -284,15 +281,14 @@ def boundedness_report(
     sigma: np.ndarray,
     tau: float,
     phi: np.ndarray,
-    spec: MixedNormSpec,
     trials: int,
     seed: int,
 ) -> BoundednessReport:
-    """Empirical operator-norm ratio on M^{p,q}_m against the Sjostrand norm.
+    """Empirical operator-norm ratio on M^{2,2} against the Sjostrand norm.
 
     max_ratio is the largest ||Op_tau(sigma) f|| / ||f|| over random trial
-    signals f, in the modulation norm of `spec` on both sides; norm_bound is
-    sjostrand_norm with the window W_tau(phi, phi) and the weight v_0.
+    signals f, the M^{2,2} ratio for any window (V_phi* V_phi = N ||phi||^2
+    Id); norm_bound is sjostrand_norm with W_tau(phi, phi) and the weight v_0.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -303,9 +299,9 @@ def boundedness_report(
     max_ratio = 0.0
     for _ in range(trials):
         f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        denom = modulation_norm(f, phi, spec)
+        denom = np.linalg.norm(f)
         if denom > 0:
-            max_ratio = max(max_ratio, modulation_norm(operator @ f, phi, spec) / denom)
+            max_ratio = max(max_ratio, float(np.linalg.norm(operator @ f) / denom))
     sups = symbol_sups(arr, tau_wigner(phi, phi, tau))
     norm_bound = sjostrand_norm(sups, polynomial_weight(0.0))
     return BoundednessReport(max_ratio=max_ratio, norm_bound=norm_bound, sups=sups)

@@ -8,12 +8,9 @@ grids or taus, that exact set is one function of n (`covariance_taus`,
 `channel_modulus_cases`), read by the suite, the CLI and the tests alike.
 
 Every suite holds O(N^3) memory at most: `channel-modulus` streams the symbol
-STFT one `stft_slabs` slab at a time and builds the channel matrix block by
-block against it, so it runs above the full-grid channel cap as well.  It
-builds those blocks itself and does not call `diagnostics.channel_matrix`, so
-`cyclictf verify` does not check the channel code behind `cyclictf channel`;
-the scalar pair loops of the acceptance tests, which read `channel_matrix`,
-tie the two together.
+STFT one `stft_slabs` slab at a time and forms the blocks of
+`diagnostics.channel_matrix` (the channel behind `sweep` and `channel`)
+against it, so it runs at every N, above the config's grid cap as well.
 """
 
 from __future__ import annotations
@@ -22,9 +19,8 @@ import numpy as np
 
 from . import diagnostics as dg
 from .generators import comb_window, gaussian_window
-from .phasespace import Lattice
 from .quantize import convert_symbol, dequantize, op_tau, tau_wigner
-from .transforms import dft, shift_bank, stft, stft_adjoint, stft_slabs
+from .transforms import dft, stft, stft_adjoint, stft_slabs
 
 SUITE_TOL = 1e-10
 VERIFY_TRIALS = 20
@@ -114,30 +110,30 @@ def channel_modulus_cases(n: int):
     return cases
 
 
-def channel_modulus_residual(operator: np.ndarray, phi: np.ndarray, slabs, tau: float):
+def channel_modulus_residual(channel: dg.ChannelMatrix, slabs):
     """Worst mismatch of |<Op pi(z) phi, pi(w) phi>| = |V_Phi sigma(T_tau(w, z), J(w - z))|.
 
-    operator is the N x N matrix Op, and slabs yields the (N, N, N) slabs
-    V_Phi sigma(p1, ., ., .) (or their moduli) for p1 = 0, ..., N - 1 in
-    order: `stft_slabs(sigma, Phi)`, or a 4-D array, which iterates by p1.
-    Only the pairs whose T_tau(w, z) = ((1 - tau) w0 + tau z0, tau w1 +
-    (1 - tau) z1) lies on the grid are compared.  Returns the worst
-    difference relative to the largest |entry| of the full channel matrix,
-    and the number of pairs compared.
+    channel is the full-grid `ChannelMatrix` of Op against phi, carrying its
+    tau, and slabs yields the (N, N, N) slabs V_Phi sigma(p1, ., ., .) (or
+    their moduli) for p1 = 0, ..., N - 1 in order: `stft_slabs(sigma, Phi)`,
+    or a 4-D array, which iterates by p1.  Only the pairs whose T_tau(w, z) =
+    ((1 - tau) w0 + tau z0, tau w1 + (1 - tau) z1) lies on the grid are
+    compared.  Returns the worst difference relative to the largest |entry|
+    of the full channel matrix, and the number of pairs compared.
 
     The first coordinate of T_tau depends on (w0, z0) only and the second on
     (w1, z1) only.  So each pair (w0, z0), on the grid or not, belongs to
     the slab p1 = rint((1 - tau) w0 + tau z0) mod N, and there its N x N
     channel block over (w1, z1) is the product of the row block w0 of
-    (pi(w)phi)* and the column block z0 of Op pi(z)phi: one batched matmul
-    per slab.  Every entry is computed once, and nothing larger than O(N^3)
-    is held, so N is not bound by the full-grid channel cap.
+    channel.bank* and the column block z0 of channel.image: one batched
+    matmul per slab.  Every entry is computed once, and nothing larger than
+    O(N^3) is held.
     """
-    arr = np.asarray(operator, dtype=complex)
-    n = arr.shape[0]
-    bank = shift_bank(phi, Lattice(1, 1).points(n))  # columns pi(x, omega) phi, row-major (x, omega)
-    rows = bank.conj().T.reshape(n, n, n)  # (w0, w1, t)
-    cols = (arr @ bank).reshape(n, n, n).transpose(1, 0, 2).copy()  # (z0, t, z1)
+    if channel.tau is None or len(channel.points) != channel.n**2:
+        raise ValueError("channel-modulus needs a full-grid channel matrix with its tau")
+    n, tau = channel.n, channel.tau
+    rows = channel.bank.conj().T.reshape(n, n, n)  # (w0, w1, t); the full grid is row-major (x, omega)
+    cols = channel.image.reshape(n, n, n).transpose(1, 0, 2)  # (z0, t, z1), a view: cols[z0] copies
     x = np.arange(n)
     p1 = (1 - tau) * x[:, None] + tau * x[None, :]  # (w0, z0)
     p2 = tau * x[:, None] + (1 - tau) * x[None, :]  # (w1, z1)
@@ -162,7 +158,7 @@ def channel_modulus(n, rng):
     def residual(tau, phi):
         sigma = rand_complex(rng, n, n)
         slabs = stft_slabs(sigma, tau_wigner(phi, phi, tau))
-        return channel_modulus_residual(op_tau(sigma, tau), phi, slabs, tau)[0]
+        return channel_modulus_residual(dg.channel_matrix(sigma, tau, phi), slabs)[0]
 
     return max(residual(tau, phi) for tau, phi, _label in channel_modulus_cases(n))
 

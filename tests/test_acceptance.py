@@ -39,7 +39,6 @@ from cyclictf.generators import (
     gaussian_window,
     graded_corpus,
 )
-from cyclictf.normbank import MixedNormSpec
 from cyclictf.phasespace import Lattice, polynomial_weight
 from cyclictf.quantize import dequantize, op_tau, tau_wigner, twisted_product
 from cyclictf.transforms import (
@@ -124,10 +123,11 @@ class TestCriterion2ChannelModulusIdentity:
         for tau, phi, label in channel_modulus_cases(n):
             sigma = rand_symbol(rng, n)
             slabs = stft_slabs(sigma, tau_wigner(phi, phi, tau))
-            residual, pairs = channel_modulus_residual(op_tau(sigma, tau), phi, slabs, tau)
+            channel = channel_matrix(sigma, tau, phi)
+            residual, pairs = channel_modulus_residual(channel, slabs)
             worst, loop_pairs = pair_loop(n, tau, phi, sigma, False)
             assert pairs == loop_pairs, (tau, label)
-            expected = worst / np.abs(channel_matrix(sigma, tau, phi).entries).max()
+            expected = worst / np.abs(channel.entries).max()
             assert abs(residual - expected) <= 1e-14, (tau, label)
 
     @pytest.mark.parametrize(
@@ -142,10 +142,11 @@ class TestCriterion2ChannelModulusIdentity:
         phi = window(n)
         sigma = rand_symbol(np.random.default_rng(5), n)
         slabs = stft_slabs(sigma, tau_wigner(phi, phi, tau))
-        residual, pairs = channel_modulus_residual(op_tau(sigma, tau), phi, slabs, tau)
+        channel = channel_matrix(sigma, tau, phi)
+        residual, pairs = channel_modulus_residual(channel, slabs)
         worst, loop_pairs = pair_loop(n, tau, phi, sigma, False)
         assert pairs == loop_pairs
-        expected = worst / np.abs(channel_matrix(sigma, tau, phi).entries).max()
+        expected = worst / np.abs(channel.entries).max()
         assert expected > 1e-2
         assert abs(residual - expected) <= 1e-14
 
@@ -158,18 +159,18 @@ class TestCriterion2ChannelModulusIdentity:
         if sigma is None:
             sigma = rand_symbol(np.random.default_rng(3), n)
         mags = np.abs(stft_grid(sigma, tau_wigner(phi, phi, tau)))
-        scale = np.abs(channel_matrix(sigma, tau, phi).entries).max()
-        return op_tau(sigma, tau), phi, mags, tau, scale
+        channel = channel_matrix(sigma, tau, phi)
+        return channel, mags, np.abs(channel.entries).max()
 
     def test_verify_oracle_sees_one_exact_pair(self):
         n, delta = 9, 1e-6
-        operator, phi, mags, tau, scale = self._half_tau_case(n)
-        base, _ = channel_modulus_residual(operator, phi, mags, tau)
+        channel, mags, scale = self._half_tau_case(n)
+        base, _ = channel_modulus_residual(channel, mags)
         assert base < self.TOL
         # w = (0, 0), z = (2, 2): T_tau(w, z) = (1, 1) and J(w - z) = (-2, 2)
         nudged = mags.copy()
         nudged[1, 1, n - 2, 2] += delta * scale
-        residual, _ = channel_modulus_residual(operator, phi, nudged, tau)
+        residual, _ = channel_modulus_residual(channel, nudged)
         # the pair's mismatch is delta relative to the full channel's max |entry|
         assert residual == pytest.approx(delta, rel=1e-6)
 
@@ -178,21 +179,22 @@ class TestCriterion2ChannelModulusIdentity:
         # pairs, which tau = 1/2 never compares; the scale still counts them
         n, delta = 8, 1e-6
         shift = np.stack([tf_shift((1, 0), e) for e in np.eye(n)], axis=1)
-        operator, phi, mags, tau, scale = self._half_tau_case(n, dequantize(shift, 0.5))
-        assert np.abs(operator - shift).max() < self.TOL
-        base, _ = channel_modulus_residual(operator, phi, mags, tau)
+        sigma = dequantize(shift, 0.5)
+        assert np.abs(op_tau(sigma, 0.5) - shift).max() < self.TOL
+        channel, mags, scale = self._half_tau_case(n, sigma)
+        base, _ = channel_modulus_residual(channel, mags)
         assert base < self.TOL
         nudged = mags.copy()
         nudged[1, 1, n - 2, 2] += delta * scale  # the exact pair w = (0, 0), z = (2, 2)
-        residual, _ = channel_modulus_residual(operator, phi, nudged, tau)
+        residual, _ = channel_modulus_residual(channel, nudged)
         assert residual == pytest.approx(delta, rel=1e-6)
 
     def test_verify_oracle_skips_odd_sum_pairs(self):
         # at tau = 1/2 a pair with w + z odd has no grid point T_tau(w, z), so
         # the STFT points only such pairs would meet are never read
         n = 9
-        operator, phi, mags, tau, scale = self._half_tau_case(n)
-        base, pairs = channel_modulus_residual(operator, phi, mags, tau)
+        channel, mags, scale = self._half_tau_case(n)
+        base, pairs = channel_modulus_residual(channel, mags)
         reached = np.zeros(mags.shape, dtype=bool)
         for w0, w1, z0, z1 in np.ndindex(n, n, n, n):
             if (w0 + z0) % 2 == 0 and (w1 + z1) % 2 == 0:
@@ -200,7 +202,7 @@ class TestCriterion2ChannelModulusIdentity:
         assert pairs == reached.sum()  # each exact pair meets its own point
         nudged = mags.copy()
         nudged[np.unravel_index(np.argmin(reached), reached.shape)] += 1e-6 * scale
-        assert channel_modulus_residual(operator, phi, nudged, tau) == (base, pairs)
+        assert channel_modulus_residual(channel, nudged) == (base, pairs)
 
 
 class TestCriterion3FrameMachinery:
@@ -310,8 +312,7 @@ class TestCriterion6Boundedness:
     def test_ratio_bound_and_association(self):
         n = 16
         corpus = graded_corpus(n, 10, 2024)
-        spec = MixedNormSpec(2.0, 2.0)
-        reports = [boundedness_report(s, 0.5, gaussian_window(n), spec, 20, 7) for s in corpus]
+        reports = [boundedness_report(s, 0.5, gaussian_window(n), 20, 7) for s in corpus]
         ratios = [r.max_ratio for r in reports]
         bounds = [r.norm_bound for r in reports]
         corpus_constant = 0.032  # recorded once from the build-time run

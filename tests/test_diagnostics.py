@@ -29,7 +29,7 @@ from cyclictf.generators import (
     graded_corpus,
     random_symbol,
 )
-from cyclictf.normbank import MixedNormSpec, fsjostrand_norm, symbol_sups
+from cyclictf.normbank import fsjostrand_norm, symbol_sups
 from cyclictf.phasespace import (
     J_MATRIX,
     Lattice,
@@ -142,15 +142,6 @@ class TestChannelMatrix:
         assert np.array_equal(full.points, Lattice(1, 1).points(n))
         rows = sub.points @ [n, 1]  # full-grid index x N + omega
         assert np.allclose(sub.entries, full.entries[np.ix_(rows, rows)], rtol=0, atol=1e-12)
-
-    def test_full_grid_cap(self):
-        with pytest.raises(ValueError, match="too large"):
-            channel_matrix(np.ones((34, 34)), 0.5, gaussian_window(34))
-
-    def test_explicit_full_grid_is_capped(self):
-        # Lattice(1, 1) is the full grid, so the cap applies to it as written
-        with pytest.raises(ValueError, match="too large"):
-            channel_matrix(np.ones((34, 34)), 0.5, gaussian_window(34), Lattice(1, 1))
 
     def test_zero_window_rejected(self):
         with pytest.raises(ValueError, match="non-zero"):
@@ -500,20 +491,20 @@ class TestBoundedness:
     def test_identity_symbol_ratio_one(self):
         ones = np.ones((8, 8))
         for tau in (0.0, 0.3, 0.5, 1.0):
-            rep = boundedness_report(ones, tau, gaussian_window(8), MixedNormSpec(2.0, 2.0), 10, 0)
+            rep = boundedness_report(ones, tau, gaussian_window(8), 10, 0)
             assert rep.max_ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_unimodular_multiplier_unitary(self):
         rng = np.random.default_rng(11)
         m = np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
         sigma = np.tile(m[:, None], (1, 8))
-        rep = boundedness_report(sigma, 0.3, gaussian_window(8), MixedNormSpec(2.0, 2.0), 10, 1)
+        rep = boundedness_report(sigma, 0.3, gaussian_window(8), 10, 1)
         assert rep.max_ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_corpus_association(self):
         corpus = graded_corpus(16, 10, 2024)
         reports = [
-            boundedness_report(s, 0.5, gaussian_window(16), MixedNormSpec(2.0, 2.0), 10, 7) for s in corpus
+            boundedness_report(s, 0.5, gaussian_window(16), 10, 7) for s in corpus
         ]
         rho = spearman_rank(
             [r.max_ratio for r in reports], [r.norm_bound for r in reports]
@@ -523,7 +514,7 @@ class TestBoundedness:
 
     def test_trials_validated(self):
         with pytest.raises(ValueError, match="trials"):
-            boundedness_report(np.ones((4, 4)), 0.5, gaussian_window(4), MixedNormSpec(2, 2), 0, 0)
+            boundedness_report(np.ones((4, 4)), 0.5, gaussian_window(4), 0, 0)
 
 
 class TestWienerExperiment:

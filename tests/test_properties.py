@@ -10,7 +10,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclictf.diagnostics import covariance_check
+from cyclictf.diagnostics import boundedness_report, covariance_check
+from cyclictf.normbank import MixedNormSpec, modulation_norm
 from cyclictf.quantize import convert_symbol, dequantize, op_tau, tau_wigner
 from cyclictf.verify import SUITE_TOL, covariance_taus, rand_complex
 
@@ -68,3 +69,21 @@ def test_symplectic_covariance_on_its_exact_set(n, tau, seed, data):
     if n % 4 == 2:
         tau = data.draw(st.sampled_from(covariance_taus(n)))
     assert covariance_check(rand_complex(np.random.default_rng(seed), n, n), tau) < SUITE_TOL
+
+
+@PROPERTY_SETTINGS
+@given(GRID_SIZES, st.sampled_from(TAUS), SEEDS)
+def test_boundedness_ratio_is_the_m22_ratio(n, tau, seed):
+    # ||A f|| / ||f|| is the M^{2,2} ratio, since V_phi* V_phi = N ||phi||^2 Id;
+    # the modulation-norm quotient over the same seeded trials is the oracle
+    rng = np.random.default_rng(seed)
+    sigma, phi = rand_complex(rng, n, n), rand_complex(rng, n)
+    trials, m22 = 5, MixedNormSpec(2.0, 2.0)
+    rep = boundedness_report(sigma, tau, phi, trials, seed)
+    operator = op_tau(sigma, tau)
+    draws = np.random.default_rng(seed)
+    signals = [draws.standard_normal(n) + 1j * draws.standard_normal(n) for _ in range(trials)]
+    oracle = max(modulation_norm(operator @ f, phi, m22) / modulation_norm(f, phi, m22) for f in signals)
+    assert abs(rep.max_ratio - oracle) <= 1e-12 * oracle
+    # the first link of the boundedness chain: no trial exceeds the operator norm
+    assert rep.max_ratio <= np.linalg.norm(operator, 2) * (1 + 1e-12)

@@ -11,6 +11,7 @@ import pytest
 import cyclictf.cli as cli
 from cyclictf import diagnostics, verify
 from cyclictf.generators import gaussian_window
+from cyclictf.phasespace import Lattice
 from cyclictf.quantize import op_tau, tau_wigner
 from cyclictf.transforms import stft_slabs
 from cyclictf.verify import (
@@ -31,8 +32,8 @@ PERTURBED = {
     "quantize-roundtrip": [(verify, "dequantize")],
     "convert-consistency": [(verify, "convert_symbol")],
     "symplectic-covariance": [(diagnostics, "rotate_symbol_j_inv")],
-    # the STFT side through its window, and the operator side
-    "channel-modulus": [(verify, "tau_wigner"), (verify, "op_tau")],
+    # the STFT side through its window, and the production channel's operator and bank
+    "channel-modulus": [(verify, "tau_wigner"), (diagnostics, "op_tau"), (diagnostics, "shift_bank")],
 }
 
 
@@ -68,13 +69,23 @@ class TestChannelModulusScale:
         phi = gaussian_window(8)
         slabs = itertools.islice(stft_slabs(sigma, tau_wigner(phi, phi, 0.0)), 7)
         with pytest.raises(ValueError):
-            channel_modulus_residual(op_tau(sigma, 0.0), phi, slabs, 0.0)
+            channel_modulus_residual(diagnostics.channel_matrix(sigma, 0.0, phi), slabs)
+
+    @pytest.mark.parametrize("channel_of", [
+        lambda sigma, phi: diagnostics.channel_matrix(sigma, 0.0, phi, Lattice(2, 2)),
+        lambda sigma, phi: diagnostics.operator_channel(op_tau(sigma, 0.0), phi),
+    ], ids=["lattice", "no-tau"])
+    def test_needs_a_full_grid_channel_with_its_tau(self, channel_of):
+        sigma, phi = np.ones((8, 8)), gaussian_window(8)
+        slabs = stft_slabs(sigma, tau_wigner(phi, phi, 0.0))
+        with pytest.raises(ValueError, match="full-grid channel matrix with its tau"):
+            channel_modulus_residual(channel_of(sigma, phi), slabs)
 
     @pytest.mark.parametrize("n, window", [(33, "gaussian"), (40, "comb")])
     def test_identity_above_the_full_grid_cap(self, n, window):
-        # channel_matrix refuses these grids; the streamed suite checks them,
-        # tau = 1/2 included
-        assert n > diagnostics.FULL_CHANNEL_CAP
+        # the config refuses these grids, the library does not; the suite
+        # checks them through the production channel, tau = 1/2 included
+        assert n > cli.FULL_CHANNEL_CAP
         assert [(tau, label) for tau, _phi, label in channel_modulus_cases(n)][-1] == (0.5, window)
         assert channel_modulus(n, np.random.default_rng(n)) < SUITE_TOL
 
@@ -132,3 +143,25 @@ class TestBenchmarkHooks:
         metrics = tracer.metrics()
         assert metrics["diagnostics.operator_channel.calls"] == 1
         assert metrics["diagnostics.operator_channel.entries"] == points**2
+
+    def test_traced_run_of_every_subcommand(self, tmp_path, monkeypatch):
+        # every bound-argument hook (operator, lattice, sigma, mode) binds its
+        # parameter on some path of the five subcommands
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        spans = importlib.import_module("spans")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 8, "tau": [0.0, 0.5, 1.0], "lattice": {"a": 2, "b": 2}}))
+        commands = ["verify", "sweep", "wiener", "norms", "channel"]
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            tracer.start_pass()
+            codes = [cli.main([command, "--config", str(config), "--out", str(tmp_path / command), "--quiet"])
+                     for command in commands]
+            tracer.end_pass()
+        finally:
+            tracer.uninstall()
+        assert codes == [0] * len(commands)
+        metrics = tracer.metrics()
+        assert metrics["diagnostics.operator_channel.entries"] > 0
+        assert metrics["diagnostics.boundedness_report.calls"] == 3
