@@ -370,9 +370,12 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        args.out.mkdir(parents=True, exist_ok=True)
-        if args.command == "verify":
+        if args.command == "verify":  # writes no file: --out is checked as mkdir would, not made
+            existing = next(path for path in (args.out, *args.out.parents) if path.exists())
+            if not existing.is_dir():
+                raise NotADirectoryError(f"--out {args.out}: {existing} is not a directory")
             return run_verify(cfg, quiet=args.quiet)
+        args.out.mkdir(parents=True, exist_ok=True)
         if args.command == "sweep":
             return run_sweep(cfg, args.out, quiet=args.quiet)
         if args.command == "wiener":

@@ -2,15 +2,18 @@
 
 The channel matrix of an operator T against a window phi collects
 <T pi(z) phi, pi(w) phi> over pairs of phase-space points; it is held as
-two N x P factors and its entries are formed N rows at a time.  Its
+two N x P factors and its entries are formed N rows at a time, a whole
+number of x-rows when the points are a row-major product X x Omega.  Its
 magnitude structure is summarized by decay envelopes, reduced from those
 row blocks in O(N^3) memory: the maximum of |entry| over a family of
 shifted diagonals (difference w - z, sum w + z, or w - A z for a linear
-shift map A), and by their weighted l^1 mass.  The reports compare these
-envelope masses against the symbol-class functionals from normbank;
-equivalence constants are window-dependent, so the reports only record
-ratios and the rank association across symbol corpora, never a universal
-band.
+shift map A), and by their weighted l^1 mass.  A diagonal pairing bins the
+x-rows and the omega pairs apart, so each block reduces by one gather and
+one segmented maximum per mode; any other pairing scatters every pair.
+The reports compare these envelope masses against the symbol-class
+functionals from normbank; equivalence constants are window-dependent, so
+the reports only record ratios and the rank association across symbol
+corpora, never a universal band.
 """
 
 from __future__ import annotations
@@ -131,6 +134,35 @@ def _nearest_bins(c: np.ndarray, n: int) -> np.ndarray:
     return k
 
 
+def _pairing(mode: str, shift_map: np.ndarray | None, tau: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """The 2x2 pair (P, Q) by which a mode bins the pair (w, z) at P w + Q z."""
+    eye = np.eye(2)
+    if mode == "difference":
+        return eye, -eye
+    if mode == "sum":
+        return eye, eye
+    if mode == "shifted":
+        if np.shape(shift_map) != (2, 2):
+            raise ValueError(f"mode='shifted' needs a 2x2 shift map, not {np.shape(shift_map)}")
+        return eye, -np.asarray(shift_map, dtype=float)
+    if mode == "ttau":
+        if tau is None:
+            raise ValueError("weak envelope needs the channel's tau")
+        return np.diag([1 - tau, tau]), np.diag([tau, 1 - tau])
+    raise ValueError(f"unknown envelope mode {mode!r}")
+
+
+def _row_width(points: np.ndarray, n: int) -> int | None:
+    """Points per x-row if the points are a row-major product X x Omega and N-row blocks hold whole x-rows."""
+    x, omega = points.T
+    size = len(x)
+    width = int(np.argmax(x != x[0])) or size  # the first point whose x differs
+    if size % width or n % width:
+        return None
+    x_rows = np.array_equal(x, np.repeat(x[::width], width))
+    return width if x_rows and np.array_equal(omega, np.tile(omega[:width], size // width)) else None
+
+
 def envelopes(channel: ChannelMatrix, modes: list[tuple[str, np.ndarray | None]]) -> list[DecayEnvelope]:
     """Decay envelopes of a channel matrix, one per (mode, shift_map) pair, from one pass.
 
@@ -143,24 +175,15 @@ def envelopes(channel: ChannelMatrix, modes: list[tuple[str, np.ndarray | None]]
     """
     n = channel.n
     x, omega = channel.points.T
-    eye = np.eye(2)
-    binned = []
+    size = len(x)
+    width = _row_width(channel.points, n)
+    product = width is not None
+    width = width or 1  # no product: every point is an x-row of its own, and the block layout is row-major
+    nx = size // width
+    rows_max = min(n, size) // width  # x-rows per block
+    plans = []
     for mode, shift_map in modes:
-        if mode == "difference":
-            p, q = eye, -eye
-        elif mode == "sum":
-            p, q = eye, eye
-        elif mode == "shifted":
-            if np.shape(shift_map) != (2, 2):
-                raise ValueError(f"mode='shifted' needs a 2x2 shift map, not {np.shape(shift_map)}")
-            p, q = eye, -np.asarray(shift_map, dtype=float)
-        elif mode == "ttau":
-            if channel.tau is None:
-                raise ValueError("weak envelope needs the channel's tau")
-            t = channel.tau
-            p, q = np.diag([1 - t, t]), np.diag([t, 1 - t])
-        else:
-            raise ValueError(f"unknown envelope mode {mode!r}")
+        p, q = _pairing(mode, shift_map, channel.tau)
         coords = []
         for pi, qi in zip(p, q):
             # one coordinate of P w + Q z, as (w part) + (z part) with one
@@ -170,24 +193,61 @@ def envelopes(channel: ChannelMatrix, modes: list[tuple[str, np.ndarray | None]]
             uu, iu = np.unique(pi[0] * x + pi[1] * omega, return_inverse=True)
             vv, iv = np.unique(qi[0] * x + qi[1] * omega, return_inverse=True)
             coords.append((_nearest_bins(np.add.outer(uu, vv), n), iu, iv))
-        binned.append(coords)
-    # form n rows (w) at a time, one product and one abs shared by every mode, and
-    # scatter them through reused buffers, so no P x P array is ever built; the
-    # maximum is exact, so blocking keeps the table
-    size = len(x)
-    flat = np.empty((n, size), dtype=np.int32)  # bin k1 * N + k2
-    part = np.empty_like(flat)
-    mags = np.empty((n, size))
-    tables = [np.zeros(n * n) for _ in binned]
+        (bins1, iu1, iv1), (bins2, iu2, iv2) = coords
+        reduce = None
+        if product and not (p[0, 1] or p[1, 0] or q[0, 1] or q[1, 0]):
+            # a diagonal pairing on a product: the first bin depends on (w_x, z_x)
+            # only, the second on (w_omega, z_omega) only.  Column k of `segments`
+            # lists the omega pairs of second bin k, padded to one length by
+            # repeating its first pair (a maximum counts a repeat once)
+            first = bins1[iu1[::width]][:, iv1[::width]] * n  # (x-row of w, x-row of z) -> k1 * N
+            second = bins2[iu2[:width]][:, iv2[:width]].ravel()
+            order = np.argsort(second, kind="stable")
+            keys = second[order]
+            starts = np.flatnonzero(np.diff(keys, prepend=-1))
+            lengths = np.diff(starts, append=len(order))
+            segments = order[starts + np.minimum(np.arange(lengths.max())[:, None], lengths - 1)]
+            # padding at most doubles the pairs unless points repeat; past 2 N^3
+            # gathered entries the mode scatters, to keep the O(N^3) memory bound
+            if segments.size * rows_max * nx <= 2 * n**3:
+                reduce = (first, segments, keys[starts])
+        plans.append((coords, reduce))
+    # form n rows (w) at a time, a whole number of x-rows, with one product and
+    # one abs shared by every mode, through reused buffers, so no P x P array is
+    # ever built; the maximum is exact, so blocking keeps the table
+    gathers = [reduce[1].size for _, reduce in plans if reduce is not None]
+    scattered = any(reduce is None for _, reduce in plans)
+    mags = np.empty(rows_max * width * size)
+    gathered = np.empty(max(gathers) * rows_max * nx) if gathers else None
+    flat = np.empty((n, size), dtype=np.int32) if scattered else None  # bin k1 * N + k2
+    part = np.empty_like(flat) if scattered else None
+    tables = [np.zeros(n * n) for _ in plans]
     for start in range(0, size, n):
         m = min(n, size - start)
-        np.abs(channel.rows(start, start + m), out=mags[:m])
-        for ((bins1, iu1, iv1), (bins2, iu2, iv2)), table in zip(binned, tables):
-            # mode="clip" writes straight into out (the default buffers); every index is in range
-            np.take(bins1[iu1[start:start + m]], iv1, axis=1, out=flat[:m], mode="clip")
-            flat[:m] *= n
-            flat[:m] += np.take(bins2[iu2[start:start + m]], iv2, axis=1, out=part[:m], mode="clip")
-            np.maximum.at(table, flat[:m].ravel(), mags[:m].ravel())
+        rows, row0 = m // width, start // width
+        # rows (omega of w, omega of z), columns (x-row of w, x-row of z);
+        # `natural` is the same memory as rows w, columns z
+        block = mags[:m * size].reshape(width * width, rows * nx)
+        natural = block.reshape(width, width, rows, nx).transpose(2, 0, 3, 1)
+        np.abs(channel.rows(start, start + m).reshape(natural.shape), out=natural)
+        for (coords, reduce), table in zip(plans, tables):
+            if reduce is not None:
+                # one gather of the omega pairs into their segments, one maximum
+                # over each segment, and a scatter of the (second bins) x
+                # (x-row pairs) maxima
+                first, segments, keys = reduce
+                into = gathered[:segments.size * rows * nx].reshape(*segments.shape, rows * nx)
+                # mode="clip" writes straight into out (the default buffers); every index is in range
+                np.take(block, segments, axis=0, out=into, mode="clip")
+                peaks = into.max(axis=0)
+                # flat (1-D) index and values take ufunc.at's fast path
+                np.maximum.at(table, (keys[:, None] + first[row0:row0 + rows].reshape(1, -1)).ravel(), peaks.ravel())
+            else:
+                (bins1, iu1, iv1), (bins2, iu2, iv2) = coords
+                np.take(bins1[iu1[start:start + m]], iv1, axis=1, out=flat[:m], mode="clip")
+                flat[:m] *= n
+                flat[:m] += np.take(bins2[iu2[start:start + m]], iv2, axis=1, out=part[:m], mode="clip")
+                np.maximum.at(table, flat[:m].ravel(), natural.ravel())  # a copy unless width is 1
     return [DecayEnvelope(mode=mode, table=table.reshape(n, n), n=n) for (mode, _), table in zip(modes, tables)]
 
 
@@ -248,6 +308,12 @@ def almost_diag_report(
     side: sjostrand_norm with the window W_tau(phi, phi) and the weight
     v_s o J^{-1}.  The equivalence theorem behind this predicts a
     window-dependent band for the ratio; the report just records it.
+
+    On the full grid at tau in {0, 1} the band closes: the pairs (w, z) with
+    w - z = k meet |V_Phi sigma(., J k)| once at every position (Phi =
+    W_tau(phi, phi)), so the difference envelope is sup_pos o J, the two
+    masses agree (v_s is J-invariant) and the ratio is 1 up to rounding
+    (the "ratio": 1.0 of the tau = 0 channel goldens).
     """
     warnings = () if frame_bounds(phi, lattice).is_frame else ("window/lattice pair is not a frame",)
     env = envelope(channel_matrix(sigma, tau, phi, lattice), "difference")

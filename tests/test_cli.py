@@ -59,6 +59,12 @@ class TestVerify:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_out_is_not_created(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"n": 8, "suites": "quantize-roundtrip"})
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "a" / "b"), "--quiet"]) == 0
+        assert not (tmp_path / "a").exists()
+        capsys.readouterr()
+
     def test_suite_subset(self):
         cfg = ExperimentConfig()
         cfg.suites = ["quantize-roundtrip"]

@@ -21,6 +21,7 @@ from cyclictf.diagnostics import (
     spearman_rank,
     wiener_experiment,
 )
+from cyclictf.diagnostics import _row_width
 from cyclictf.generators import (
     comb_window,
     delta_symbol,
@@ -278,6 +279,12 @@ def envelope_cases(draw):
     return chan, np.reshape(eighths, (2, 2)) / 8
 
 
+def assert_shared_pass_matches_oracle(chan, runs):
+    """One `envelopes` pass over every (mode, shift_map) run, each table bit for bit the oracle's."""
+    for (mode, a), env in zip(runs, envelopes(chan, runs)):
+        assert np.array_equal(env.table, envelope_oracle(chan, mode, a).table), (mode, a)
+
+
 class TestEnvelopeOracle:
     """The one (P, Q) bin rule gives bit for bit the old per-mode envelope."""
 
@@ -285,7 +292,8 @@ class TestEnvelopeOracle:
     @given(case=envelope_cases())
     def test_every_mode_equals_old_envelope(self, case):
         chan, eighths = case
-        maps = [J_MATRIX, eighths] + ([utau_matrix(chan.tau)] if 0 < chan.tau < 1 else [])
+        # the diagonal part of eighths reduces with exact ties; J and eighths scatter
+        maps = [J_MATRIX, eighths, np.diag(np.diag(eighths))] + ([utau_matrix(chan.tau)] if 0 < chan.tau < 1 else [])
         runs = [("difference", None), ("sum", None), ("ttau", None)]
         runs += [("shifted", a) for a in maps]
         for mode, a in runs:
@@ -324,9 +332,51 @@ class TestEnvelopeOracle:
             size = (len(points), len(points))
             entries = rng.standard_normal(size) + 1j * rng.standard_normal(size)
             chan = dense_channel(entries=entries, points=points, n=n, tau=1 / np.pi)
-            for mode, shift in (("shifted", a), ("shifted", -a.T), ("ttau", None)):
+            diagonal = np.diag([1 / 3, 5 / 3])
+            for mode, shift in (("shifted", a), ("shifted", -a.T), ("shifted", diagonal), ("shifted", -diagonal),
+                                ("ttau", None)):
                 new = envelope(chan, mode, shift).table
                 assert np.array_equal(new, envelope_oracle(chan, mode, shift).table), (lattice, mode)
+
+    @pytest.mark.parametrize("lattice", [Lattice(1, 1), Lattice(2, 4), Lattice(4, 2)])
+    def test_reduce_and_scatter_in_one_pass(self, lattice):
+        # diagonal pairings reduce per x-row block, J scatters, from the same blocks
+        n, tau = 16, 1 / 3
+        chan = channel_matrix(random_symbol(n, 3), tau, gaussian_window(n), lattice)
+        assert _row_width(chan.points, n) == n // lattice.b
+        runs = [("difference", None), ("shifted", J_MATRIX), ("ttau", None), ("shifted", utau_matrix(tau)),
+                ("sum", None), ("shifted", -J_MATRIX)]
+        assert_shared_pass_matches_oracle(chan, runs)
+
+    @pytest.mark.parametrize("order", ["column-major", "shuffled"])
+    def test_points_out_of_row_major_order(self, order):
+        # no x-row blocks to reduce: every mode scatters, and still matches
+        n, lattice = 12, Lattice(2, 3)
+        points = lattice.points(n)
+        if order == "column-major":
+            points = points[np.lexsort((points[:, 0], points[:, 1]))]
+        else:
+            points = points[np.random.default_rng(4).permutation(len(points))]
+        assert _row_width(points, n) is None
+        rng = np.random.default_rng(5)
+        size = (len(points), len(points))
+        chan = dense_channel(rng.standard_normal(size) + 1j * rng.standard_normal(size), points, n, tau=0.25)
+        runs = [("difference", None), ("sum", None), ("ttau", None), ("shifted", utau_matrix(0.25)),
+                ("shifted", J_MATRIX)]
+        assert_shared_pass_matches_oracle(chan, runs)
+
+    def test_repeated_points_outgrow_the_padding(self):
+        # omega 0 five times: bin 0 of w - z holds 25 + 3 of the 64 omega pairs, so
+        # padding every bin to its length would gather 3 N^3 entries; it scatters
+        n = 8
+        omega = np.array([0, 0, 0, 0, 0, 1, 2, 3])
+        points = np.stack([np.repeat(np.arange(n), n), np.tile(omega, n)], axis=1)
+        assert _row_width(points, n) == n
+        rng = np.random.default_rng(6)
+        size = (len(points), len(points))
+        chan = dense_channel(rng.standard_normal(size) + 1j * rng.standard_normal(size), points, n, tau=0.5)
+        runs = [("difference", None), ("sum", None), ("ttau", None)]
+        assert_shared_pass_matches_oracle(chan, runs)
 
     def test_peak_memory_at_n32(self):
         # the old difference mode peaked at 25.2 MB, shifted/ttau at 85.0 MB;

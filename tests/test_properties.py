@@ -10,8 +10,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclictf.diagnostics import boundedness_report, covariance_check
-from cyclictf.normbank import MixedNormSpec, modulation_norm
+from cyclictf.diagnostics import almost_diag_report, boundedness_report, channel_matrix, covariance_check, envelope
+from cyclictf.normbank import MixedNormSpec, modulation_norm, symbol_sups
+from cyclictf.phasespace import Lattice
 from cyclictf.quantize import convert_symbol, dequantize, op_tau, tau_wigner
 from cyclictf.verify import SUITE_TOL, covariance_taus, rand_complex
 
@@ -87,3 +88,20 @@ def test_boundedness_ratio_is_the_m22_ratio(n, tau, seed):
     assert abs(rep.max_ratio - oracle) <= 1e-12 * oracle
     # the first link of the boundedness chain: no trial exceeds the operator norm
     assert rep.max_ratio <= np.linalg.norm(operator, 2) * (1 + 1e-12)
+
+
+@settings(max_examples=30, deadline=None)  # four channels and four N^4 symbol passes per example
+@given(GRID_SIZES, st.sampled_from([0.0, 1.0]), SEEDS)
+def test_endpoint_envelopes_are_the_symbol_sups(n, tau, seed):
+    # at tau in {0, 1} the channel's modulus is |V_Phi sigma| at a point that
+    # each (w, z) fixes exactly: the difference envelope reads sup_pos at J k,
+    # the weak ttau envelope reads sup_freq, and the report's ratio is 1
+    rng = np.random.default_rng(seed)
+    sigma, phi = rand_complex(rng, n, n), rand_complex(rng, n)
+    sup_pos, sup_freq = symbol_sups(sigma, tau_wigner(phi, phi, tau))
+    chan = channel_matrix(sigma, tau, phi)
+    k1, k2 = np.indices((n, n))
+    assert _rel(envelope(chan, "difference").table - sup_pos[k2, -k1 % n], sup_pos) < SUITE_TOL
+    assert _rel(envelope(chan, "ttau").table - sup_freq, sup_freq) < SUITE_TOL
+    for s in (0.0, 1.0, 2.0):
+        assert abs(almost_diag_report(sigma, tau, phi, Lattice(1, 1), s).ratio - 1) < SUITE_TOL
