@@ -1,9 +1,9 @@
 """Time-frequency calculus on the cyclic group Z_N.
 
 Quantization of N x N symbols into operators for every tau in [0, 1], STFT
-and Gabor frame machinery, discrete modulation / amalgam norms, and channel-
-matrix decay diagnostics, with the package's identities pinned down to exact
-finite computations.
+and Gabor frame machinery, discrete modulation and symbol-class norms with
+one weight family on Z_N^2, and channel-matrix decay diagnostics, with the
+package's identities pinned down to exact finite computations.
 """
 
 from .diagnostics import (
@@ -20,7 +20,6 @@ from .diagnostics import (
     covariance_check,
     ell1v,
     envelope,
-    fclass_envelope,
     fclass_weight,
     operator_channel,
     spearman_rank,
@@ -39,7 +38,6 @@ from .generators import (
 )
 from .normbank import (
     MixedNormSpec,
-    amalgam_norm,
     fsjostrand_norm,
     mixed_norm,
     modulation_norm,
@@ -50,9 +48,6 @@ from .phasespace import (
     Lattice,
     Weight,
     polynomial_weight,
-    table_weight,
-    tensor_weight,
-    wrapped_norm,
 )
 from .quantize import (
     chirp_exponents,
@@ -72,7 +67,6 @@ from .transforms import (
     frame_bounds,
     frame_operator,
     gabor_reconstruct,
-    idft,
     shift_bank,
     stft,
     stft_adjoint,

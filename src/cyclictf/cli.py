@@ -236,9 +236,9 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _envelope_masses(sigma, tau, phi, v) -> list[float]:
-    """l^1_v masses of the difference, sum and Fourier-class envelopes."""
-    chan = dg.channel_matrix(sigma, tau, phi)  # freed on return, before the next symbol STFT
+def _envelope_masses(operator, tau, phi, v) -> list[float]:
+    """l^1_v masses of the difference, sum and Fourier-class envelopes of Op_tau(sigma)'s channel."""
+    chan = dg.operator_channel(operator, phi, tau=tau)  # freed on return, before the next symbol STFT
     modes = [("difference", None), ("sum", None), dg.fclass_mode(tau)]
     return [dg.ell1v(env, v) for env in dg.envelopes(chan, modes)]  # one pass over the channel's rows
 
@@ -248,10 +248,11 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
     v = polynomial_weight(cfg.s)
     lines = [",".join(SWEEP_COLUMNS)]
     for tau in cfg.tau:
-        # one symbol STFT per tau: both class norms read the sups of the bound
+        # one symbol STFT and one op_tau per tau: both class norms read the sups
+        # of the bound, and the channel its operator
         rep = dg.boundedness_report(sigma, tau, phi, cfg.trials, cfg.seed)
         sj, fsj = sjostrand_norm(rep.sups, v), fsjostrand_norm(rep.sups, v)
-        row = [tau, *_envelope_masses(sigma, tau, phi, v), sj, fsj, rep.max_ratio]
+        row = [tau, *_envelope_masses(rep.operator, tau, phi, v), sj, fsj, rep.max_ratio]
         lines.append(",".join(format_float(x) for x in row))
     out = out_dir / "sweep.csv"
     out.write_text("\n".join(lines) + "\n")

@@ -50,7 +50,6 @@ __all__ = [
     "ell1v",
     "envelope",
     "envelopes",
-    "fclass_envelope",
     "fclass_mode",
     "fclass_weight",
     "operator_channel",
@@ -257,17 +256,16 @@ def envelope(channel: ChannelMatrix, mode: str, shift_map: np.ndarray | None = N
 
 
 def fclass_mode(tau: float | None) -> tuple[str, np.ndarray | None]:
-    """The (mode, shift_map) of fclass_envelope: U_tau-shifted in (0, 1), the weak "ttau" form at the endpoints."""
+    """The (mode, shift_map) of the Fourier-class envelope at tau, for `envelope` or `envelopes`.
+
+    U_tau-shifted in (0, 1); the weak "ttau" form at the endpoints (and when
+    tau is None), where U_tau is singular.  Its mass pairs with fclass_weight.
+    """
     return ("shifted", utau_matrix(tau)) if tau is not None and 0.0 < tau < 1.0 else ("ttau", None)
 
 
-def fclass_envelope(chan: ChannelMatrix) -> DecayEnvelope:
-    """U_tau-shifted envelope at the channel's tau in (0, 1); the weak "ttau" form at the endpoints."""
-    return envelope(chan, *fclass_mode(chan.tau))
-
-
 def fclass_weight(v: Weight, tau: float) -> Weight:
-    """The weight paired with fclass_envelope: v o B_tau inside (0, 1), v at the endpoints."""
+    """The weight paired with the fclass_mode envelope: v o B_tau inside (0, 1), v at the endpoints."""
     return v.compose(btau_matrix(tau)) if 0.0 < tau < 1.0 else v
 
 
@@ -309,10 +307,11 @@ def almost_diag_report(
     v_s o J^{-1}.  The equivalence theorem behind this predicts a
     window-dependent band for the ratio; the report just records it.
 
-    On the full grid at tau in {0, 1} the band closes: the pairs (w, z) with
-    w - z = k meet |V_Phi sigma(., J k)| once at every position (Phi =
-    W_tau(phi, phi)), so the difference envelope is sup_pos o J, the two
-    masses agree (v_s is J-invariant) and the ratio is 1 up to rounding
+    On the full grid the band closes on the identity's exact set: tau in
+    {0, 1}, or N odd and (1 - tau)(N + 1) an integer.  There the pairs
+    (w, z) with w - z = k meet |V_Phi sigma(., J k)| once at every position
+    (Phi = W_tau(phi, phi)), so the difference envelope is sup_pos o J, the
+    two masses agree (v_s is J-invariant) and the ratio is 1 up to rounding
     (the "ratio": 1.0 of the tau = 0 channel goldens).
     """
     warnings = () if frame_bounds(phi, lattice).is_frame else ("window/lattice pair is not a frame",)
@@ -340,6 +339,7 @@ def covariance_check(sigma: np.ndarray, tau: float) -> float:
 class BoundednessReport:
     max_ratio: float
     norm_bound: float
+    operator: np.ndarray  # Op_tau(sigma), the matrix max_ratio was measured on
     sups: tuple[np.ndarray, np.ndarray]  # the symbol_sups that norm_bound was read from
 
 
@@ -370,7 +370,7 @@ def boundedness_report(
             max_ratio = max(max_ratio, float(np.linalg.norm(operator @ f) / denom))
     sups = symbol_sups(arr, tau_wigner(phi, phi, tau))
     norm_bound = sjostrand_norm(sups, polynomial_weight(0.0))
-    return BoundednessReport(max_ratio=max_ratio, norm_bound=norm_bound, sups=sups)
+    return BoundednessReport(max_ratio=max_ratio, norm_bound=norm_bound, operator=operator, sups=sups)
 
 
 def _distinct_symbol_sups(*pairs: tuple[np.ndarray, np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -1,33 +1,28 @@
-"""Discrete modulation-space and Wiener-amalgam norms.
+"""Discrete modulation-space and symbol-class norms.
 
 Integrals become plain sums with unit grid spacing; infinity exponents are
 handled as maxima.  The modulation norm keeps the continuous variable order:
 inner exponent p over the time variable x, outer exponent q over the
-frequency variable omega.  Amalgam norms swap the roles (inner over omega,
-outer over x), so that on the grid
-
-    || f ||_{M^{p,q}_{u (x) w}, window g}  ==  || Ff ||_{W(FL^p_u, L^q_w), window Fg}
-
-exactly, the Fourier image relation between the two scales.
+frequency variable omega.
 
 The symbol-class functionals read the 4-variable STFT of N x N grids
 through its two sup tables (symbol_sups, one streamed pass for both, which
 never holds the N^4 STFT): sjostrand_norm sums over the frequency offset of
 the largest-in-position STFT magnitude; fsjostrand_norm swaps the two roles.
+Both weight their sums by a phasespace.Weight.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .phasespace import Weight, polynomial_weight
+from .phasespace import Weight
 from .transforms import stft, stft_slabs
 
 __all__ = [
     "MixedNormSpec",
-    "amalgam_norm",
     "fsjostrand_norm",
     "mixed_norm",
     "modulation_norm",
@@ -38,11 +33,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MixedNormSpec:
-    """Exponent pair (p, q) in [1, inf] and a weight on Z_N^2."""
+    """Exponent pair (p, q) in [1, inf]."""
 
     p: float
     q: float
-    m: Weight = field(default_factory=lambda: polynomial_weight(0.0))
 
     def __post_init__(self) -> None:
         for e in (self.p, self.q):
@@ -57,42 +51,18 @@ def _lp(values: np.ndarray, p: float, axis: int) -> np.ndarray:
 
 
 def mixed_norm(grid: np.ndarray, spec: MixedNormSpec) -> float:
-    """Weighted L^{p,q} norm of an N x N grid indexed (x, omega).
+    """L^{p,q} norm of an N x N grid indexed (x, omega).
 
-    Inner l^p over x with the weight, outer l^q over omega.
+    Inner l^p over x, outer l^q over omega.
     """
     arr = np.abs(np.asarray(grid, dtype=complex))
-    weighted = arr * spec.m.on_grid(arr.shape[0])
-    inner = _lp(weighted, spec.p, axis=0)  # collapse x, one value per omega
+    inner = _lp(arr, spec.p, axis=0)  # collapse x, one value per omega
     return float(_lp(inner, spec.q, axis=0))
 
 
 def modulation_norm(f: np.ndarray, g: np.ndarray, spec: MixedNormSpec) -> float:
-    """|| V_g f ||_{L^{p,q}_m}; window-dependent, equivalent across windows."""
+    """|| V_g f ||_{L^{p,q}}; window-dependent, equivalent across windows."""
     return mixed_norm(stft(f, g), spec)
-
-
-def amalgam_norm(
-    f: np.ndarray,
-    g: np.ndarray,
-    p: float,
-    q: float,
-    u: Weight | None = None,
-    w: Weight | None = None,
-) -> float:
-    """Wiener amalgam norm W(FL^p_u, L^q_w): inner over omega, outer over x.
-
-    u and w are one-dimensional weights (on the frequency and time variable
-    respectively); both default to 1.
-    """
-    if not (p >= 1.0 and q >= 1.0):
-        raise ValueError("exponents must satisfy p, q >= 1")
-    coeff = np.abs(stft(f, g))
-    n = coeff.shape[0]
-    uvals = np.ones(n) if u is None else u.on_grid(n)
-    wvals = np.ones(n) if w is None else w.on_grid(n)
-    inner = _lp(coeff * uvals[None, :], p, axis=1)  # collapse omega, per x
-    return float(_lp(inner * wvals, q, axis=0))
 
 
 def symbol_sups(sigma: np.ndarray, window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

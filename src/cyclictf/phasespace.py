@@ -28,10 +28,7 @@ __all__ = [
     "Weight",
     "btau_matrix",
     "polynomial_weight",
-    "table_weight",
-    "tensor_weight",
     "utau_matrix",
-    "wrapped_norm",
 ]
 
 
@@ -39,15 +36,6 @@ def _wrapped(t: np.ndarray, n: int) -> np.ndarray:
     """Distance from each t to the nearest multiple of N."""
     r = np.mod(t, n)
     return np.minimum(r, n - r)
-
-
-def wrapped_norm(z, n: int) -> float:
-    """Euclidean norm of a phase-space point with wrapped coordinates.
-
-    Periodic substitute for |z|: sqrt(d(x)^2 + d(omega)^2) with
-    d(t) = min(t mod N, N - t mod N).  Vanishes exactly on N Z^2.
-    """
-    return float(np.hypot(*_wrapped(np.asarray(z, dtype=float), n)))
 
 
 def _check_open_tau(tau: float) -> None:
@@ -96,75 +84,49 @@ class Lattice:
         return (n // self.a) * (n // self.b)
 
 
-@dataclass(frozen=True, eq=False)  # array fields, so compared by identity
+@dataclass(frozen=True, eq=False)  # an array field, so compared by identity
 class Weight:
-    """Positive weight on the real torus (R mod N)^dim.
+    """The one weight family on phase space: v_s o premap at real points z.
 
-    Either the polynomial family v_s(z) = (1 + |z|_wrap^2)^{s/2}, or a table
-    of positive values on grid points.  An optional linear `premap` (dim x dim
-    matrix, applied before wrapping) composes the weight with maps such as
-    J^{-1}, B_tau or U_tau.
+    v_s(z) = (1 + |z|_wrap^2)^{s/2}, where |z|_wrap is the Euclidean norm of
+    z with each coordinate wrapped to its distance min(t mod N, N - t mod N)
+    from N Z, so v_s lives on the torus (R mod N)^2.  The optional linear
+    `premap` A (a 2x2 matrix, applied before wrapping) composes it with maps
+    such as J^{-1}, B_tau or U_tau.
 
-    Polynomial weights satisfy v_s(0) = 1, evenness under wrapped negation,
-    and submultiplicativity up to the torus constant:
-    v_s(w + z) <= 2^{s/2} v_s(w) v_s(z).
+    v_s(0) = 1, v_s is even under wrapped negation, and every member of the
+    class is submultiplicative up to the torus constant:
+    v_s(A(w + z)) <= 2^{s/2} v_s(Aw) v_s(Az), since A(w + z) = Aw + Az and
+    1 + |a + b|_wrap^2 <= 2 (1 + |a|_wrap^2)(1 + |b|_wrap^2).
     """
 
-    s: float | None = None
-    table: np.ndarray | None = None  # shape (N,) * dim; use table_weight()
-    dim: int = 2
-    premap: np.ndarray | None = None  # dim x dim matrix
+    s: float
+    premap: np.ndarray | None = None  # 2x2 matrix
+    dim = 2  # not a field: every weight lives on Z_N^2; perfbench/spans.py reads it to count on_grid points
 
     def __post_init__(self) -> None:
-        if (self.s is None) == (self.table is None):
-            raise ValueError("exactly one of s / table must be given")
-        if self.s is not None and self.s < 0:
+        if self.s < 0:
             raise ValueError("polynomial order must be nonnegative")
 
     def __call__(self, z, n: int) -> np.ndarray:
-        """Values at the torus points z, shape (dim, ...) -> z.shape[1:].
-
-        Table weights accept grid points only (up to 1e-9 after the premap).
-        """
+        """Values at the torus points z, shape (2, ...) -> z.shape[1:]."""
         pt = np.asarray(z, dtype=float)
         if self.premap is not None:
             pt = np.tensordot(self.premap, pt, axes=1)
-        if self.s is not None:
-            return (1.0 + np.sum(_wrapped(pt, n) ** 2, axis=0)) ** (self.s / 2.0)
-        r = np.mod(pt, n)
-        k = np.rint(r)
-        if np.any(np.abs(r - k) > 1e-9):
-            raise ValueError("table weight requires grid point")
-        return self.table[tuple(k.astype(np.int64) % n)]
+        return (1.0 + np.sum(_wrapped(pt, n) ** 2, axis=0)) ** (self.s / 2.0)
 
     def compose(self, matrix: np.ndarray) -> "Weight":
         """Weight z -> self(matrix z); premaps chain by matrix product."""
         m = np.asarray(matrix, dtype=float)
         if self.premap is not None:
             m = self.premap @ m
-        return Weight(s=self.s, table=self.table, dim=self.dim, premap=m)
+        return Weight(s=self.s, premap=m)
 
     def on_grid(self, n: int) -> np.ndarray:
-        """Values at all grid points; shape (n,) for dim=1, (n, n) for dim=2."""
-        return self(np.indices((n,) * self.dim), n)
+        """Values at all N x N grid points."""
+        return self(np.indices((n, n)), n)
 
 
-def polynomial_weight(s: float, dim: int = 2) -> Weight:
+def polynomial_weight(s: float) -> Weight:
     """The polynomial family v_s; v_0 is identically 1."""
-    return Weight(s=float(s), dim=dim)
-
-
-def table_weight(values: np.ndarray) -> Weight:
-    arr = np.array(values, dtype=float)
-    if np.any(arr <= 0):
-        raise ValueError("weight table must be positive")
-    if arr.ndim not in (1, 2):
-        raise ValueError("weight table must be 1-D or 2-D")
-    return Weight(table=arr, dim=arr.ndim)
-
-
-def tensor_weight(u: Weight, w: Weight, n: int) -> Weight:
-    """Tensor weight m(x, omega) = u(x) w(omega) from two 1-D weights."""
-    if u.dim != 1 or w.dim != 1:
-        raise ValueError("tensor_weight needs 1-D factors")
-    return table_weight(np.outer(u.on_grid(n), w.on_grid(n)))
+    return Weight(s=float(s))

@@ -28,7 +28,6 @@ __all__ = [
     "frame_bounds",
     "frame_operator",
     "gabor_reconstruct",
-    "idft",
     "shift_bank",
     "stft",
     "stft_adjoint",
@@ -51,12 +50,6 @@ def dft(f: np.ndarray) -> np.ndarray:
     """Unitary DFT; dft applied four times is the identity."""
     arr = _as_signal(f)
     return np.fft.fft(arr) / np.sqrt(arr.shape[0])
-
-
-def idft(f: np.ndarray) -> np.ndarray:
-    """Exact inverse of dft."""
-    arr = _as_signal(f)
-    return np.fft.ifft(arr) * np.sqrt(arr.shape[0])
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -136,7 +129,9 @@ def stft_slabs(sigma: np.ndarray, window: np.ndarray):
     win = np.asarray(window, dtype=complex)
     if not np.any(win):
         raise ValueError("window must be non-zero")
-    cols = np.stack([np.conj(np.roll(win, p2, axis=1)) for p2 in range(n)])
+    # cols[p2, r, y2] = conj(W)[r, (y2 - p2) mod N] = roll(conj(W), p2, axis=1)[r, y2],
+    # one gather into a contiguous (p2, r, y2) array
+    cols = np.conj(win)[np.arange(n)[:, None], _shift_index(n)[:, None, :]]
     slab = np.empty((n, n, n), dtype=complex)
     for p1 in range(n):
         # arr * roll(cols, p1, axis=1), written in two slices without a copy

@@ -1,4 +1,4 @@
-"""Scalar pair loops for the channel modulus identity.
+"""Scalar pair loops for the channel modulus identity, and its exact set.
 
 |<Op_tau(sigma) pi(z) phi, pi(w) phi>| = |V_Phi sigma(T_tau(w, z), J(w - z))|
 with Phi = tau_wigner(phi, phi, tau), checked one pair at a time in plain
@@ -12,6 +12,19 @@ import numpy as np
 from cyclictf.diagnostics import channel_matrix
 from cyclictf.quantize import tau_wigner
 from cyclictf.transforms import stft_grid
+
+
+def phase_exact(n, j, m):
+    """Whether tau = j/m (reduced, 0 <= j <= m) is in the exact set of the
+    almost-diagonalization identity at N.
+
+    There the difference envelope of the full-grid channel is sup_pos o J:
+    the pairs with w - z = k meet |V_Phi sigma(., J k)| at every position.
+    That holds iff tau in {0, 1}, or N is odd and (1 - tau)(N + 1) is an
+    integer, i.e. m divides (m - j)(N + 1).  Decided in integers: float
+    tests misclassify N = 5, tau = 5/6 and N = 17, tau = 1/3.
+    """
+    return m == 1 or (n % 2 == 1 and (m - j) * (n + 1) % m == 0)
 
 
 def _channel_and_mags(n, tau, phi, sigma):

@@ -392,10 +392,10 @@ class TestSweep:
     BASELINE = {"n": 32, "tau": [0.0, 0.25, 0.5, 0.75, 1.0], "s": 1.0, "trials": 20}
 
     def test_one_symbol_stft_and_one_channel_per_tau(self, tmp_path, monkeypatch):
-        calls = count_calls(monkeypatch, ["symbol_sups", "operator_channel"])
+        calls = count_calls(monkeypatch, ["symbol_sups", "operator_channel", "op_tau"])
         cfg = write_config(tmp_path, {**self.BASELINE, "n": 8})
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
-        assert calls == {"symbol_sups": 5, "operator_channel": 5}
+        assert calls == {"symbol_sups": 5, "operator_channel": 5, "op_tau": 5}
 
     def test_peak_memory_at_n32(self, tmp_path):
         # the channel (16.8 MB) is freed before the next tau's symbol STFT;

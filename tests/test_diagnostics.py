@@ -16,7 +16,7 @@ from cyclictf.diagnostics import (
     ell1v,
     envelope,
     envelopes,
-    fclass_envelope,
+    fclass_mode,
     operator_channel,
     spearman_rank,
     wiener_experiment,
@@ -466,7 +466,7 @@ class TestFclassDiagReport:
     def test_delta_concentrates_on_sum_diagonal(self):
         chan = channel_matrix(delta_symbol(16), 0.5, gaussian_window(16))
         diff_mass = ell1v(envelope(chan, "difference"), V0)
-        assert ell1v(fclass_envelope(chan), V0) < diff_mass  # sum-aligned mass is the smaller one
+        assert ell1v(envelope(chan, *fclass_mode(chan.tau)), V0) < diff_mass  # sum-aligned mass is the smaller one
 
     def test_delta_channel_shape(self):
         # the point-mass channel is peaked in the sum index and flat in the
@@ -489,7 +489,8 @@ class TestFclassDiagReport:
         assert ratios[0] > 1.0
 
     def test_endpoint_requires_weak_form(self):
-        env = fclass_envelope(channel_matrix(delta_symbol(8), 0.0, gaussian_window(8)))
+        chan = channel_matrix(delta_symbol(8), 0.0, gaussian_window(8))
+        env = envelope(chan, *fclass_mode(chan.tau))
         assert env.mode == "ttau"
         assert np.isfinite(ell1v(env, V0))
 

@@ -12,10 +12,7 @@ from cyclictf.phasespace import (
     Weight,
     btau_matrix,
     polynomial_weight,
-    table_weight,
-    tensor_weight,
     utau_matrix,
-    wrapped_norm,
 )
 
 from dense_channel import dense_channel
@@ -26,17 +23,9 @@ def scalar_weight(v, z, n):
     pt = [float(c) for c in z]
     if v.premap is not None:
         m = np.asarray(v.premap, dtype=float)
-        pt = [sum(float(m[i, j]) * pt[j] for j in range(v.dim)) for i in range(v.dim)]
-    if v.s is not None:
-        r2 = sum(min(c % n, n - c % n) ** 2 for c in pt)
-        return (1.0 + r2) ** (v.s / 2.0)
-    idx = []
-    for c in pt:
-        k = round(c % n)
-        if abs(c % n - k) > 1e-9:
-            raise ValueError("table weight requires grid point")
-        idx.append(k % n)
-    return float(v.table[tuple(idx)])
+        pt = [sum(float(m[i, j]) * pt[j] for j in range(2)) for i in range(2)]
+    r2 = sum(min(c % n, n - c % n) ** 2 for c in pt)
+    return (1.0 + r2) ** (v.s / 2.0)
 
 
 def grid_image(matrix, z, n):
@@ -56,6 +45,11 @@ def ttau_bin(w, z, tau, n):
     table = envelope(chan, "ttau").table
     assert table.sum() == 1.0
     return tuple(int(k) for k in np.argwhere(table == 1.0)[0])
+
+
+def wrapped_norm(z, n):
+    """|z|_wrap read off the weight, since v_2(z) = 1 + |z|_wrap^2."""
+    return float(np.sqrt(v_at(polynomial_weight(2.0), z, n) - 1.0))
 
 
 class TestWrappedNorm:
@@ -104,27 +98,6 @@ class TestWeights:
                 shifted = np.roll(np.roll(vals, -wx, axis=0), -ww, axis=1)
                 assert np.all(shifted <= bound * vals[wx, ww] * vals + 1e-12)
 
-    def test_table_weight_requires_grid_point(self):
-        v = table_weight(np.ones((4, 4)))
-        assert v_at(v, (1, 3), 4) == 1.0
-        with pytest.raises(ValueError, match="grid point"):
-            v_at(v, (0.5, 0), 4)
-        with pytest.raises(ValueError, match="grid point"):
-            v(np.array([[0.0, 1.0], [2.0, 2.5]]), 4)  # one bad point fails the batch
-
-    def test_table_weight_must_be_positive(self):
-        with pytest.raises(ValueError):
-            table_weight(np.zeros((4, 4)))
-
-    def test_tensor_weight(self):
-        u = polynomial_weight(1.0, dim=1)
-        w = polynomial_weight(2.0, dim=1)
-        m = tensor_weight(u, w, 8)
-        expected = np.outer(u.on_grid(8), w.on_grid(8))
-        assert np.array_equal(m.on_grid(8), expected)
-        for x, om in [(0, 0), (3, 5), (7, 1)]:
-            assert v_at(m, (x, om), 8) == pytest.approx(v_at(u, (x,), 8) * v_at(w, (om,), 8))
-
     def test_compose_premap(self):
         v = polynomial_weight(1.0)
         b = np.diag([2.0, 0.5])
@@ -134,23 +107,16 @@ class TestWeights:
         assert np.array_equal(chained.premap, b @ J_INV_MATRIX)
 
     def test_weight_construction_errors(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            Weight()
-        with pytest.raises(ValueError, match="exactly one"):
-            Weight(s=1.0, table=np.ones((1, 1)))
         with pytest.raises(ValueError, match="nonnegative"):
             polynomial_weight(-1.0)
-        with pytest.raises(ValueError, match="1-D or 2-D"):
-            table_weight(np.ones((2, 2, 2)))
-        with pytest.raises(ValueError, match="1-D factors"):
-            tensor_weight(polynomial_weight(1.0), polynomial_weight(0.0, dim=1), 8)
+        with pytest.raises(ValueError, match="nonnegative"):
+            Weight(s=-0.5)
 
     def test_call_keeps_point_shape(self):
         v = polynomial_weight(1.0)
         z = np.zeros((2, 3, 4, 5))
         assert v(z, 8).shape == (3, 4, 5)
         assert np.ndim(v((1.0, 2.0), 8)) == 0
-        assert polynomial_weight(1.0, dim=1).on_grid(8).shape == (8,)
 
 
 PREMAPS = {
@@ -183,28 +149,6 @@ class TestWeightAgainstScalarOracle:
         expected = [scalar_weight(v, pts[:, k], n) for k in range(pts.shape[1])]
         assert np.allclose(v(pts, n), expected, rtol=1e-12, atol=0)
 
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(2, 40), data=st.data())
-    def test_one_hot_table(self, n, data):
-        hot = (data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)))
-        values = np.ones((n, n))
-        values[hot] = 2.0
-        v = table_weight(values)
-        assert np.array_equal(v.on_grid(n), values)
-        shifted = np.array(hot)[:, None] + n * np.array([[-1, 0, 3], [2, 0, -1]])
-        assert np.array_equal(v(shifted, n), [2.0, 2.0, 2.0])
-        rotated = v.compose(J_INV_MATRIX)  # (x, w) -> values[-w, x]
-        expected = np.array(
-            [[scalar_weight(rotated, (x, w), n) for w in range(n)] for x in range(n)]
-        )
-        assert np.array_equal(rotated.on_grid(n), expected)
-        assert rotated.on_grid(n)[hot[1], (-hot[0]) % n] == 2.0
-        frac = data.draw(st.floats(0.01, 0.99))
-        with pytest.raises(ValueError, match="grid point"):
-            v(np.array([hot[0] + frac, hot[1]]), n)
-        with pytest.raises(ValueError, match="grid point"):
-            scalar_weight(v, (hot[0] + frac, hot[1]), n)
-
 
 class TestSymplecticMaps:
     def test_j_example(self):
@@ -220,10 +164,7 @@ class TestSymplecticMaps:
         z = np.indices((16, 16))
         assert np.array_equal(grid_image(J_INV_MATRIX, grid_image(J_MATRIX, z, 16), 16), z)
 
-    def test_j_preserves_wrapped_norm(self):
-        for z in [(1, 5), (9, 14), (8, 3)]:
-            jz = grid_image(J_MATRIX, z, 16)
-            assert wrapped_norm(jz, 16) == pytest.approx(wrapped_norm(z, 16))
+    def test_j_preserves_the_weight(self):
         v = polynomial_weight(1.0)
         assert np.allclose(v.compose(J_MATRIX).on_grid(16), v.on_grid(16), rtol=1e-14, atol=0)
 

@@ -2,12 +2,13 @@
 
 The verify suites check each identity at fixed taus; these properties draw
 N in [2, 40] and tau from {j/m : 0 <= j <= m <= 8} and 1/pi (the endpoint
-kernel form from {0, 1} only), and hold every relative residual below
+kernel form from {0, 1} only, the almost-diagonalization identity from its
+exact set at N, phase_exact), and hold every relative residual below
 SUITE_TOL.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclictf.diagnostics import almost_diag_report, boundedness_report, channel_matrix, covariance_check, envelope
@@ -17,8 +18,10 @@ from cyclictf.quantize import convert_symbol, dequantize, op_tau, tau_wigner
 from cyclictf.verify import SUITE_TOL, covariance_taus, rand_complex
 
 from endpoint_oracle import kernel_from_symbol_endpoint
+from modulus_oracle import phase_exact
 
 TAUS = sorted({j / m for m in range(1, 9) for j in range(m + 1)} | {1 / np.pi})
+FRACTIONS = [(j, m) for m in range(1, 9) for j in range(m + 1) if np.gcd(j, m) == 1]  # reduced j/m
 GRID_SIZES = st.integers(min_value=2, max_value=40)
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
@@ -90,18 +93,48 @@ def test_boundedness_ratio_is_the_m22_ratio(n, tau, seed):
     assert rep.max_ratio <= np.linalg.norm(operator, 2) * (1 + 1e-12)
 
 
+def _cases(sizes, on_set):
+    """(n, (j, m)) with n drawn from sizes and tau = j/m on (or off) phase_exact(n, .)."""
+    return sizes.flatmap(lambda n: st.tuples(st.just(n), st.sampled_from(
+        [(j, m) for j, m in FRACTIONS if phase_exact(n, j, m) == on_set])))
+
+
+def _difference_residual(chan, sup_pos):
+    """Relative residual of the channel's difference envelope against sup_pos o J."""
+    k1, k2 = np.indices(sup_pos.shape)
+    return _rel(envelope(chan, "difference").table - sup_pos[k2, -k1 % chan.n], sup_pos)
+
+
 @settings(max_examples=30, deadline=None)  # four channels and four N^4 symbol passes per example
-@given(GRID_SIZES, st.sampled_from([0.0, 1.0]), SEEDS)
-def test_endpoint_envelopes_are_the_symbol_sups(n, tau, seed):
-    # at tau in {0, 1} the channel's modulus is |V_Phi sigma| at a point that
-    # each (w, z) fixes exactly: the difference envelope reads sup_pos at J k,
-    # the weak ttau envelope reads sup_freq, and the report's ratio is 1
+@given(_cases(GRID_SIZES, True), SEEDS)
+@example((5, (5, 6)), 0)
+@example((17, (1, 3)), 0)
+def test_exact_set_envelopes_are_the_symbol_sups(case, seed):
+    # on the exact set the channel's modulus is |V_Phi sigma| at a point that
+    # each (w, z) fixes exactly, and every difference k meets every position:
+    # the difference envelope reads sup_pos at J k and the report's ratio is
+    # 1; at tau in {0, 1} the weak ttau envelope reads sup_freq
+    n, (j, m) = case
+    tau = j / m
     rng = np.random.default_rng(seed)
     sigma, phi = rand_complex(rng, n, n), rand_complex(rng, n)
     sup_pos, sup_freq = symbol_sups(sigma, tau_wigner(phi, phi, tau))
     chan = channel_matrix(sigma, tau, phi)
-    k1, k2 = np.indices((n, n))
-    assert _rel(envelope(chan, "difference").table - sup_pos[k2, -k1 % n], sup_pos) < SUITE_TOL
-    assert _rel(envelope(chan, "ttau").table - sup_freq, sup_freq) < SUITE_TOL
+    assert _difference_residual(chan, sup_pos) < SUITE_TOL
+    if m == 1:
+        assert _rel(envelope(chan, "ttau").table - sup_freq, sup_freq) < SUITE_TOL
     for s in (0.0, 1.0, 2.0):
         assert abs(almost_diag_report(sigma, tau, phi, Lattice(1, 1), s).ratio - 1) < SUITE_TOL
+
+
+@settings(max_examples=30, deadline=None)
+@given(_cases(st.integers(min_value=3, max_value=40), False), SEEDS)
+def test_difference_envelope_is_not_the_symbol_sups_off_the_exact_set(case, seed):
+    # so the exact-set test cannot pass vacuously; N = 2 stays out, where the
+    # residual came as low as 8.4e-3
+    n, (j, m) = case
+    tau = j / m
+    rng = np.random.default_rng(seed)
+    sigma, phi = rand_complex(rng, n, n), rand_complex(rng, n)
+    sup_pos = symbol_sups(sigma, tau_wigner(phi, phi, tau))[0]
+    assert _difference_residual(channel_matrix(sigma, tau, phi), sup_pos) >= 1e-2
