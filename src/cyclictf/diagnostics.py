@@ -1,15 +1,15 @@
 """Channel matrices, decay envelopes, and almost-diagonalization diagnostics.
 
 The channel matrix of an operator T against a window phi collects
-<T pi(z) phi, pi(w) phi> over pairs of phase-space points; it is held as
+<T pi(z) phi, pi(w) phi> over pairs of points of a lattice; it is held as
 two N x P factors and its entries are formed N rows at a time, a whole
-number of x-rows when the points are a row-major product X x Omega.  Its
-magnitude structure is summarized by decay envelopes, reduced from those
-row blocks in O(N^3) memory: the maximum of |entry| over a family of
-shifted diagonals (difference w - z, sum w + z, or w - A z for a linear
-shift map A), and by their weighted l^1 mass.  A diagonal pairing bins the
-x-rows and the omega pairs apart, so each block reduces by one gather and
-one segmented maximum per mode; any other pairing scatters every pair.
+number of the lattice's x-rows.  Its magnitude structure is summarized by
+decay envelopes, reduced from those row blocks in O(N^3) memory: the
+maximum of |entry| over a family of shifted diagonals (difference w - z,
+sum w + z, or w - A z for a diagonal shift map A), and by their weighted
+l^1 mass.  Every pairing is diagonal, so it bins the x-rows and the omega
+pairs apart, and each block reduces by one gather and one segmented
+maximum per mode.
 The reports compare these envelope masses against the symbol-class
 functionals from normbank; equivalence constants are window-dependent, so
 the reports only record ratios and the rank association across symbol
@@ -66,7 +66,7 @@ class ChannelMatrix:
 
     bank: np.ndarray  # columns pi(w) phi
     image: np.ndarray  # columns T pi(z) phi
-    points: np.ndarray  # (P, 2) int rows (x, omega), indexing rows and columns
+    lattice: Lattice  # rows and columns are lattice.points(n), row-major in (x, omega)
     n: int
     tau: float | None = None
 
@@ -77,7 +77,7 @@ class ChannelMatrix:
     @cached_property
     def entries(self) -> np.ndarray:
         """All P x P entries: the row blocks that `envelopes` reads, stacked."""
-        return np.concatenate([self.rows(start, start + self.n) for start in range(0, len(self.points), self.n)])
+        return np.concatenate([self.rows(start, start + self.n) for start in range(0, self.image.shape[1], self.n)])
 
 
 def operator_channel(
@@ -92,9 +92,10 @@ def operator_channel(
     phi = np.asarray(phi, dtype=complex)
     if not np.any(phi):
         raise ValueError("window must be non-zero")
-    points = lattice.points(n)
-    bank = shift_bank(phi, points)
-    return ChannelMatrix(bank=bank, image=arr @ bank, points=points, n=n, tau=tau)
+    if tau is not None and not 0.0 <= tau <= 1.0:
+        raise ValueError(f"the channel's tau must be in [0, 1], not {tau}")
+    bank = shift_bank(phi, lattice.points(n))
+    return ChannelMatrix(bank=bank, image=arr @ bank, lattice=lattice, n=n, tau=tau)
 
 
 def channel_matrix(
@@ -134,92 +135,64 @@ def _nearest_bins(c: np.ndarray, n: int) -> np.ndarray:
 
 
 def _pairing(mode: str, shift_map: np.ndarray | None, tau: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """The 2x2 pair (P, Q) by which a mode bins the pair (w, z) at P w + Q z."""
-    eye = np.eye(2)
+    """The diagonals (p, q) by which a mode bins the pair (w, z) at p w + q z, one coordinate at a time."""
+    one = np.ones(2)
     if mode == "difference":
-        return eye, -eye
+        return one, -one
     if mode == "sum":
-        return eye, eye
+        return one, one
     if mode == "shifted":
         if np.shape(shift_map) != (2, 2):
             raise ValueError(f"mode='shifted' needs a 2x2 shift map, not {np.shape(shift_map)}")
-        return eye, -np.asarray(shift_map, dtype=float)
+        a = np.asarray(shift_map, dtype=float)
+        if a[0, 1] or a[1, 0] or not np.isfinite(a).all():
+            raise ValueError(f"mode='shifted' needs a finite diagonal shift map, not {a.tolist()}")
+        return one, -np.diag(a)
     if mode == "ttau":
-        if tau is None:
-            raise ValueError("weak envelope needs the channel's tau")
-        return np.diag([1 - tau, tau]), np.diag([tau, 1 - tau])
+        if tau is None or not 0.0 <= tau <= 1.0:
+            raise ValueError(f"weak envelope needs the channel's tau, in [0, 1], not {tau}")
+        return np.array([1 - tau, tau]), np.array([tau, 1 - tau])
     raise ValueError(f"unknown envelope mode {mode!r}")
-
-
-def _row_width(points: np.ndarray, n: int) -> int | None:
-    """Points per x-row if the points are a row-major product X x Omega and N-row blocks hold whole x-rows."""
-    x, omega = points.T
-    size = len(x)
-    width = int(np.argmax(x != x[0])) or size  # the first point whose x differs
-    if size % width or n % width:
-        return None
-    x_rows = np.array_equal(x, np.repeat(x[::width], width))
-    return width if x_rows and np.array_equal(omega, np.tile(omega[:width], size // width)) else None
 
 
 def envelopes(channel: ChannelMatrix, modes: list[tuple[str, np.ndarray | None]]) -> list[DecayEnvelope]:
     """Decay envelopes of a channel matrix, one per (mode, shift_map) pair, from one pass.
 
-    Every mode bins |entry(w, z)| by the nearest grid point of P w + Q z and
-    keeps the maximum per bin; the mode only picks the 2x2 pair (P, Q):
-    "difference" (I, -I) bins by w - z, "sum" (I, I) by w + z, "shifted"
-    (I, -A) by w - A z for the given 2x2 map A, and "ttau"
-    (diag(1 - tau, tau), diag(tau, 1 - tau)) by the convex pairing of (w, z)
-    at tau (the weak endpoint form; requires the channel to carry its tau).
+    Every mode bins |entry(w, z)| by the nearest grid point of p w + q z
+    (coordinate by coordinate) and keeps the maximum per bin; the mode only
+    picks the diagonal pair (p, q): "difference" (1, -1) bins by w - z,
+    "sum" (1, 1) by w + z, "shifted" (1, -A) by w - A z for the given
+    diagonal 2x2 map A, and "ttau" ((1 - tau, tau), (tau, 1 - tau)) by the
+    convex pairing of (w, z) at tau (the weak endpoint form; requires the
+    channel to carry its tau).
     """
-    n = channel.n
-    x, omega = channel.points.T
-    size = len(x)
-    width = _row_width(channel.points, n)
-    product = width is not None
-    width = width or 1  # no product: every point is an x-row of its own, and the block layout is row-major
-    nx = size // width
+    n, lattice = channel.n, channel.lattice
+    nx, width = n // lattice.a, n // lattice.b  # x-rows, and points per x-row
+    size = nx * width
     rows_max = min(n, size) // width  # x-rows per block
+    xs, omegas = np.arange(0, n, lattice.a), np.arange(0, n, lattice.b)
     plans = []
     for mode, shift_map in modes:
+        # the first bin depends on (w_x, z_x) only, the second on (w_omega,
+        # z_omega) only; each is p w + q z with one rounding per product, so
+        # the bins never depend on a BLAS kernel
         p, q = _pairing(mode, shift_map, channel.tau)
-        coords = []
-        for pi, qi in zip(p, q):
-            # one coordinate of P w + Q z, as (w part) + (z part) with one
-            # rounding per product, so the bins never depend on a BLAS kernel;
-            # each part takes few distinct values, so the table of their sums is
-            # binned once and gathered onto the pairs (the same sums, bit for bit)
-            uu, iu = np.unique(pi[0] * x + pi[1] * omega, return_inverse=True)
-            vv, iv = np.unique(qi[0] * x + qi[1] * omega, return_inverse=True)
-            coords.append((_nearest_bins(np.add.outer(uu, vv), n), iu, iv))
-        (bins1, iu1, iv1), (bins2, iu2, iv2) = coords
-        reduce = None
-        if product and not (p[0, 1] or p[1, 0] or q[0, 1] or q[1, 0]):
-            # a diagonal pairing on a product: the first bin depends on (w_x, z_x)
-            # only, the second on (w_omega, z_omega) only.  Column k of `segments`
-            # lists the omega pairs of second bin k, padded to one length by
-            # repeating its first pair (a maximum counts a repeat once)
-            first = bins1[iu1[::width]][:, iv1[::width]] * n  # (x-row of w, x-row of z) -> k1 * N
-            second = bins2[iu2[:width]][:, iv2[:width]].ravel()
-            order = np.argsort(second, kind="stable")
-            keys = second[order]
-            starts = np.flatnonzero(np.diff(keys, prepend=-1))
-            lengths = np.diff(starts, append=len(order))
-            segments = order[starts + np.minimum(np.arange(lengths.max())[:, None], lengths - 1)]
-            # padding at most doubles the pairs unless points repeat; past 2 N^3
-            # gathered entries the mode scatters, to keep the O(N^3) memory bound
-            if segments.size * rows_max * nx <= 2 * n**3:
-                reduce = (first, segments, keys[starts])
-        plans.append((coords, reduce))
+        first = _nearest_bins(np.add.outer(p[0] * xs, q[0] * xs), n)
+        second = _nearest_bins(np.add.outer(p[1] * omegas, q[1] * omegas), n).ravel()
+        # column k of `segments` lists the omega pairs of second bin k, padded
+        # to one length by repeating its first pair (a maximum counts a repeat
+        # once); on a lattice that keeps the gather within 2 N^3 entries
+        order = np.argsort(second, kind="stable")
+        keys = second[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        lengths = np.diff(starts, append=len(order))
+        segments = order[starts + np.minimum(np.arange(lengths.max())[:, None], lengths - 1)]
+        plans.append((first * n, segments, keys[starts]))  # first: (x-row of w, x-row of z) -> k1 * N
     # form n rows (w) at a time, a whole number of x-rows, with one product and
     # one abs shared by every mode, through reused buffers, so no P x P array is
     # ever built; the maximum is exact, so blocking keeps the table
-    gathers = [reduce[1].size for _, reduce in plans if reduce is not None]
-    scattered = any(reduce is None for _, reduce in plans)
     mags = np.empty(rows_max * width * size)
-    gathered = np.empty(max(gathers) * rows_max * nx) if gathers else None
-    flat = np.empty((n, size), dtype=np.int32) if scattered else None  # bin k1 * N + k2
-    part = np.empty_like(flat) if scattered else None
+    gathered = np.empty(max((segments.size for _, segments, _ in plans), default=0) * rows_max * nx)
     tables = [np.zeros(n * n) for _ in plans]
     for start in range(0, size, n):
         m = min(n, size - start)
@@ -229,24 +202,16 @@ def envelopes(channel: ChannelMatrix, modes: list[tuple[str, np.ndarray | None]]
         block = mags[:m * size].reshape(width * width, rows * nx)
         natural = block.reshape(width, width, rows, nx).transpose(2, 0, 3, 1)
         np.abs(channel.rows(start, start + m).reshape(natural.shape), out=natural)
-        for (coords, reduce), table in zip(plans, tables):
-            if reduce is not None:
-                # one gather of the omega pairs into their segments, one maximum
-                # over each segment, and a scatter of the (second bins) x
-                # (x-row pairs) maxima
-                first, segments, keys = reduce
-                into = gathered[:segments.size * rows * nx].reshape(*segments.shape, rows * nx)
-                # mode="clip" writes straight into out (the default buffers); every index is in range
-                np.take(block, segments, axis=0, out=into, mode="clip")
-                peaks = into.max(axis=0)
-                # flat (1-D) index and values take ufunc.at's fast path
-                np.maximum.at(table, (keys[:, None] + first[row0:row0 + rows].reshape(1, -1)).ravel(), peaks.ravel())
-            else:
-                (bins1, iu1, iv1), (bins2, iu2, iv2) = coords
-                np.take(bins1[iu1[start:start + m]], iv1, axis=1, out=flat[:m], mode="clip")
-                flat[:m] *= n
-                flat[:m] += np.take(bins2[iu2[start:start + m]], iv2, axis=1, out=part[:m], mode="clip")
-                np.maximum.at(table, flat[:m].ravel(), natural.ravel())  # a copy unless width is 1
+        for (first, segments, keys), table in zip(plans, tables):
+            # one gather of the omega pairs into their segments, one maximum
+            # over each segment, and a scatter of the (second bins) x
+            # (x-row pairs) maxima
+            into = gathered[:segments.size * rows * nx].reshape(*segments.shape, rows * nx)
+            # mode="clip" writes straight into out (the default buffers); every index is in range
+            np.take(block, segments, axis=0, out=into, mode="clip")
+            peaks = into.max(axis=0)
+            # flat (1-D) index and values take ufunc.at's fast path
+            np.maximum.at(table, (keys[:, None] + first[row0:row0 + rows].reshape(1, -1)).ravel(), peaks.ravel())
     return [DecayEnvelope(mode=mode, table=table.reshape(n, n), n=n) for (mode, _), table in zip(modes, tables)]
 
 

@@ -7,11 +7,11 @@ become finite exact computations.
 
 Conventions:
   * A set of phase-space points is one (P, 2) int64 array of rows
-    (x, omega), canonical representatives in [0, N).
+    (x, omega), canonical representatives in [0, N); a Lattice enumerates
+    its points row-major, and a channel matrix carries its Lattice.
   * J(z1, z2) = (z2, -z1), the 90-degree phase-space rotation.  J, B_tau and
-    U_tau are 2x2 matrices; envelope() pairs (w, z) by 2x2 matrices too, and
-    bins diagonal ones (U_tau and the convex pairings) one coordinate at a
-    time.
+    U_tau are 2x2 matrices; envelope() pairs (w, z) by diagonal ones only
+    (U_tau and the convex pairings) and bins them one coordinate at a time.
   * Distances wrap: dist(t) = min(t mod N, N - t mod N).
 """
 

@@ -8,9 +8,9 @@ grids or taus, that exact set is one function of n (`covariance_taus`,
 `channel_modulus_cases`), read by the suite, the CLI and the tests alike.
 
 Every suite holds O(N^3) memory at most: `channel-modulus` streams the symbol
-STFT one `stft_slabs` slab at a time and forms the blocks of
-`diagnostics.channel_matrix` (the channel behind `sweep` and `channel`)
-against it, so it runs at every N, above the config's grid cap as well.
+STFT one `stft_slabs` slab at a time and forms the blocks of the full-grid
+`diagnostics.channel_matrix` (the channel behind `sweep` and `channel`, on
+`Lattice(1, 1)`) against it, so it runs at every N, above the grid cap too.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 
 from . import diagnostics as dg
 from .generators import comb_window, gaussian_window
+from .phasespace import Lattice
 from .quantize import convert_symbol, dequantize, op_tau, tau_wigner
 from .transforms import dft, stft, stft_adjoint, stft_slabs
 
@@ -113,8 +114,8 @@ def channel_modulus_cases(n: int):
 def channel_modulus_residual(channel: dg.ChannelMatrix, slabs):
     """Worst mismatch of |<Op pi(z) phi, pi(w) phi>| = |V_Phi sigma(T_tau(w, z), J(w - z))|.
 
-    channel is the full-grid `ChannelMatrix` of Op against phi, carrying its
-    tau, and slabs yields the (N, N, N) slabs V_Phi sigma(p1, ., ., .) (or
+    channel is the `ChannelMatrix` of Op against phi on Lattice(1, 1), carrying
+    its tau, and slabs yields the (N, N, N) slabs V_Phi sigma(p1, ., ., .) (or
     their moduli) for p1 = 0, ..., N - 1 in order: `stft_slabs(sigma, Phi)`,
     or a 4-D array, which iterates by p1.  Only the pairs whose T_tau(w, z) =
     ((1 - tau) w0 + tau z0, tau w1 + (1 - tau) z1) lies on the grid are
@@ -129,7 +130,7 @@ def channel_modulus_residual(channel: dg.ChannelMatrix, slabs):
     matmul per slab.  Every entry is computed once, and nothing larger than
     O(N^3) is held.
     """
-    if channel.tau is None or len(channel.points) != channel.n**2:
+    if channel.tau is None or channel.lattice != Lattice(1, 1):
         raise ValueError("channel-modulus needs a full-grid channel matrix with its tau")
     n, tau = channel.n, channel.tau
     rows = channel.bank.conj().T.reshape(n, n, n)  # (w0, w1, t); the full grid is row-major (x, omega)

@@ -10,7 +10,7 @@ import numpy as np
 from cyclictf.diagnostics import ChannelMatrix
 
 
-def dense_channel(entries, points, n, tau=None) -> ChannelMatrix:
-    """The channel whose P x P entries are `entries`, on the (P, 2) `points`."""
+def dense_channel(entries, lattice, n, tau=None) -> ChannelMatrix:
+    """The channel whose P x P entries are `entries`, on the points of `lattice` in Z_N^2."""
     entries = np.asarray(entries, dtype=complex)
-    return ChannelMatrix(bank=np.eye(len(entries), dtype=complex), image=entries, points=points, n=n, tau=tau)
+    return ChannelMatrix(bank=np.eye(len(entries), dtype=complex), image=entries, lattice=lattice, n=n, tau=tau)

@@ -36,7 +36,7 @@ def pair_loop(n, tau, phi, sigma, require_even=False):
     """Every pair (w, z) whose T_tau(w, z) is on the grid (and w + z even if asked)."""
     chan, mags = _channel_and_mags(n, tau, phi, sigma)
     worst, pairs = 0.0, 0
-    points = chan.points.tolist()
+    points = chan.lattice.points(n).tolist()
     for wi, w in enumerate(points):
         for zi, z in enumerate(points):
             if require_even and ((w[0] + z[0]) % 2 or (w[1] + z[1]) % 2):
@@ -54,7 +54,7 @@ def pair_loop(n, tau, phi, sigma, require_even=False):
 def inverse_map_loop(n, tau, phi, sigma):
     """The identity read backwards: every STFT point (x, y) whose paired w, z are on the grid."""
     chan, mags = _channel_and_mags(n, tau, phi, sigma)
-    index = {tuple(p): i for i, p in enumerate(chan.points.tolist())}
+    index = {tuple(p): i for i, p in enumerate(chan.lattice.points(n).tolist())}
     worst, pairs = 0.0, 0
     for x1 in range(n):
         for x2 in range(n):

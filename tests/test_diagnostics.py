@@ -21,7 +21,6 @@ from cyclictf.diagnostics import (
     spearman_rank,
     wiener_experiment,
 )
-from cyclictf.diagnostics import _row_width
 from cyclictf.generators import (
     comb_window,
     delta_symbol,
@@ -81,7 +80,7 @@ def envelope_oracle(channel: ChannelMatrix, mode: str, shift_map: np.ndarray | N
     weak endpoint form; requires the channel to carry its tau).
     """
     n = channel.n
-    pts = np.asarray(channel.points, dtype=float)
+    pts = np.asarray(channel.lattice.points(n), dtype=float)
     wx = pts[:, 0][:, None]
     ww = pts[:, 1][:, None]
     zx = pts[:, 0][None, :]
@@ -117,7 +116,8 @@ class TestChannelMatrix:
         phi = gaussian_window(n)
         chan = channel_matrix(np.ones((n, n)), 0.5, phi)
         amb = np.abs(stft(phi, phi))
-        k = (chan.points[:, None, :] - chan.points[None, :, :]) % n  # w - z
+        pts = chan.lattice.points(n)
+        k = (pts[:, None, :] - pts[None, :, :]) % n  # w - z
         assert np.allclose(np.abs(chan.entries), amb[k[..., 0], k[..., 1]], rtol=0, atol=1e-10)
 
     def test_entries_match_direct_recomputation(self):
@@ -127,9 +127,10 @@ class TestChannelMatrix:
         t = op_tau(sigma, 0.3)
         chan = channel_matrix(sigma, 0.3, phi)
         rng = np.random.default_rng(1)
+        pts = chan.lattice.points(n)
         for _ in range(20):
-            wi, zi = rng.integers(0, len(chan.points), size=2)
-            w, z = chan.points[wi], chan.points[zi]
+            wi, zi = rng.integers(0, len(pts), size=2)
+            w, z = pts[wi], pts[zi]
             direct = np.vdot(tf_shift(w, phi), t @ tf_shift(z, phi))
             assert chan.entries[wi, zi] == pytest.approx(direct, abs=1e-12)
 
@@ -140,8 +141,8 @@ class TestChannelMatrix:
         full = channel_matrix(sigma, 0.5, phi)
         lat = Lattice(2, 4)
         sub = channel_matrix(sigma, 0.5, phi, lat)
-        assert np.array_equal(full.points, Lattice(1, 1).points(n))
-        rows = sub.points @ [n, 1]  # full-grid index x N + omega
+        assert full.lattice == Lattice(1, 1)
+        rows = lat.points(n) @ [n, 1]  # full-grid index x N + omega
         assert np.allclose(sub.entries, full.entries[np.ix_(rows, rows)], rtol=0, atol=1e-12)
 
     def test_zero_window_rejected(self):
@@ -196,11 +197,9 @@ class TestModulusIdentity:
 
 class TestEnvelope:
     def test_single_entry_difference(self):
-        chan = dense_channel(
-            entries=np.array([[0.0, 3.0], [0.0, 0.0]], dtype=complex),
-            points=np.array([[1, 2], [4, 5]]),
-            n=8,
-        )
+        entries = np.zeros((64, 64), dtype=complex)
+        entries[1 * 8 + 2, 4 * 8 + 5] = 3.0  # w = (1, 2), z = (4, 5), full-grid index x N + omega
+        chan = dense_channel(entries=entries, lattice=Lattice(1, 1), n=8)
         env = envelope(chan, "difference")
         expected = np.zeros((8, 8))
         expected[(1 - 4) % 8, (2 - 5) % 8] = 3.0
@@ -232,14 +231,15 @@ class TestEnvelope:
         n = 8
         chan = channel_matrix(random_symbol(n, 5), 0.3, gaussian_window(n))
         h = envelope(chan, "difference").table
-        k = (chan.points[:, None, :] - chan.points[None, :, :]) % n  # w - z
+        pts = chan.lattice.points(n)
+        k = (pts[:, None, :] - pts[None, :, :]) % n  # w - z
         assert np.all(h[k[..., 0], k[..., 1]] >= np.abs(chan.entries) - 1e-12)
 
     def test_nearest_grid_tie_break(self):
         # w - A z = (0.5, 0): candidates 0 and 1 tie, smaller representative wins
-        chan = dense_channel(
-            entries=np.array([[1.0]], dtype=complex), points=np.array([[1, 0]]), n=8
-        )
+        entries = np.zeros((64, 64), dtype=complex)
+        entries[1 * 8, 1 * 8] = 1.0  # w = z = (1, 0)
+        chan = dense_channel(entries=entries, lattice=Lattice(1, 1), n=8)
         env = envelope(chan, "shifted", np.diag([0.5, 1.0]))
         assert env.table[0, 0] == 1.0
         assert env.table.sum() == 1.0
@@ -258,25 +258,34 @@ class TestEnvelope:
         with pytest.raises(ValueError, match="tau"):
             envelope(chan, "ttau")
 
+    @pytest.mark.parametrize("tau", [np.nan, -0.25, 1.5, np.inf])
+    def test_channel_tau_outside_unit_interval_refused(self, tau):
+        # a NaN tau would reach the ttau bins as the int32 minimum
+        with pytest.raises(ValueError, match=r"tau must be in \[0, 1\]"):
+            operator_channel(np.eye(4, dtype=complex), gaussian_window(4), tau=tau)
+        # a channel built from its factors reaches the same refusal in ttau
+        chan = dense_channel(entries=np.eye(16), lattice=Lattice(1, 1), n=4, tau=tau)
+        with pytest.raises(ValueError, match=r"tau, in \[0, 1\]"):
+            envelope(chan, "ttau")
+
 
 ORACLE_TAUS = sorted({j / m for m in range(1, 9) for j in range(m + 1)} | {1 / np.pi})
 
 
 @st.composite
 def envelope_cases(draw):
-    """A random channel on the full grid or a lattice, its tau and a 2x2 map."""
+    """A random channel on the full grid or a lattice, its tau and two diagonal 2x2 maps."""
     n = draw(st.integers(2, 24))
     divisors = [d for d in range(1, n + 1) if n % d == 0]
     lattice = Lattice(draw(st.sampled_from(divisors)), draw(st.sampled_from(divisors)))
     tau = draw(st.sampled_from(ORACLE_TAUS))
     # entries are multiples of 1/8, so w - A z hits exact ties
-    eighths = draw(st.lists(st.integers(-16, 16), min_size=4, max_size=4))
+    eighths = draw(st.lists(st.integers(-16, 16), min_size=2, max_size=2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    points = lattice.points(n)
-    size = (len(points), len(points))
+    size = (lattice.count(n), lattice.count(n))
     entries = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    chan = dense_channel(entries=entries, points=points, n=n, tau=tau)
-    return chan, np.reshape(eighths, (2, 2)) / 8
+    chan = dense_channel(entries=entries, lattice=lattice, n=n, tau=tau)
+    return chan, [np.diag(eighths) / 8, np.diag(3 * rng.standard_normal(2))]
 
 
 def assert_shared_pass_matches_oracle(chan, runs):
@@ -286,14 +295,13 @@ def assert_shared_pass_matches_oracle(chan, runs):
 
 
 class TestEnvelopeOracle:
-    """The one (P, Q) bin rule gives bit for bit the old per-mode envelope."""
+    """The one (p, q) bin rule gives bit for bit the old per-mode envelope."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=envelope_cases())
     def test_every_mode_equals_old_envelope(self, case):
-        chan, eighths = case
-        # the diagonal part of eighths reduces with exact ties; J and eighths scatter
-        maps = [J_MATRIX, eighths, np.diag(np.diag(eighths))] + ([utau_matrix(chan.tau)] if 0 < chan.tau < 1 else [])
+        chan, maps = case
+        maps = maps + ([utau_matrix(chan.tau)] if 0 < chan.tau < 1 else [])
         runs = [("difference", None), ("sum", None), ("ttau", None)]
         runs += [("shifted", a) for a in maps]
         for mode, a in runs:
@@ -309,11 +317,9 @@ class TestEnvelopeOracle:
     def test_wrap_tie_goes_to_bin_zero(self):
         # w - A z = (7 + 2/4, 0) = (N - 1/2, 0): bins N - 1 and 0 tie, and 0
         # is the smaller canonical representative
-        chan = dense_channel(
-            entries=np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
-            points=np.array([[7, 0], [2, 0]]),
-            n=8,
-        )
+        entries = np.zeros((64, 64), dtype=complex)
+        entries[7 * 8, 2 * 8] = 1.0  # w = (7, 0), z = (2, 0)
+        chan = dense_channel(entries=entries, lattice=Lattice(1, 1), n=8)
         a = np.diag([-0.25, 1.0])
         table = envelope(chan, "shifted", a).table
         assert table[0, 0] == 1.0
@@ -322,61 +328,40 @@ class TestEnvelopeOracle:
 
     @pytest.mark.parametrize("n", [12, 15, 16])
     def test_dense_shift_map_on_every_lattice(self, n):
-        # every entry nonzero and non-dyadic, so each coordinate of w - A z
-        # mixes both coordinates of z and no bin sum is exact in binary
+        # a dense map mixes both coordinates of z, so no envelope takes it; the
+        # non-dyadic diagonal maps leave no bin sum exact in binary
         a = np.array([[1 / 3, 1 / np.pi], [-2 / np.pi, 5 / 3]])
         rng = np.random.default_rng(n)
         divisors = [d for d in range(1, n + 1) if n % d == 0]
         for lattice in (Lattice(da, db) for da in divisors for db in divisors):
-            points = lattice.points(n)  # Lattice(1, 1) is the full grid
-            size = (len(points), len(points))
+            size = (lattice.count(n), lattice.count(n))
             entries = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-            chan = dense_channel(entries=entries, points=points, n=n, tau=1 / np.pi)
+            chan = dense_channel(entries=entries, lattice=lattice, n=n, tau=1 / np.pi)
+            for dense in (a, -a.T):
+                with pytest.raises(ValueError, match="diagonal shift map"):
+                    envelope(chan, "shifted", dense)
             diagonal = np.diag([1 / 3, 5 / 3])
-            for mode, shift in (("shifted", a), ("shifted", -a.T), ("shifted", diagonal), ("shifted", -diagonal),
-                                ("ttau", None)):
+            for mode, shift in (("shifted", diagonal), ("shifted", -diagonal), ("ttau", None)):
                 new = envelope(chan, mode, shift).table
                 assert np.array_equal(new, envelope_oracle(chan, mode, shift).table), (lattice, mode)
 
     @pytest.mark.parametrize("lattice", [Lattice(1, 1), Lattice(2, 4), Lattice(4, 2)])
     def test_reduce_and_scatter_in_one_pass(self, lattice):
-        # diagonal pairings reduce per x-row block, J scatters, from the same blocks
+        # every diagonal mode reduces its x-row blocks and scatters the maxima,
+        # from the same blocks; J and -J are not diagonal, and are refused
         n, tau = 16, 1 / 3
         chan = channel_matrix(random_symbol(n, 3), tau, gaussian_window(n), lattice)
-        assert _row_width(chan.points, n) == n // lattice.b
-        runs = [("difference", None), ("shifted", J_MATRIX), ("ttau", None), ("shifted", utau_matrix(tau)),
-                ("sum", None), ("shifted", -J_MATRIX)]
+        runs = [("difference", None), ("ttau", None), ("shifted", utau_matrix(tau)), ("sum", None)]
         assert_shared_pass_matches_oracle(chan, runs)
+        for j in (J_MATRIX, -J_MATRIX):
+            with pytest.raises(ValueError, match="diagonal shift map"):
+                envelopes(chan, runs + [("shifted", j)])
 
-    @pytest.mark.parametrize("order", ["column-major", "shuffled"])
-    def test_points_out_of_row_major_order(self, order):
-        # no x-row blocks to reduce: every mode scatters, and still matches
-        n, lattice = 12, Lattice(2, 3)
-        points = lattice.points(n)
-        if order == "column-major":
-            points = points[np.lexsort((points[:, 0], points[:, 1]))]
-        else:
-            points = points[np.random.default_rng(4).permutation(len(points))]
-        assert _row_width(points, n) is None
-        rng = np.random.default_rng(5)
-        size = (len(points), len(points))
-        chan = dense_channel(rng.standard_normal(size) + 1j * rng.standard_normal(size), points, n, tau=0.25)
-        runs = [("difference", None), ("sum", None), ("ttau", None), ("shifted", utau_matrix(0.25)),
-                ("shifted", J_MATRIX)]
-        assert_shared_pass_matches_oracle(chan, runs)
-
-    def test_repeated_points_outgrow_the_padding(self):
-        # omega 0 five times: bin 0 of w - z holds 25 + 3 of the 64 omega pairs, so
-        # padding every bin to its length would gather 3 N^3 entries; it scatters
-        n = 8
-        omega = np.array([0, 0, 0, 0, 0, 1, 2, 3])
-        points = np.stack([np.repeat(np.arange(n), n), np.tile(omega, n)], axis=1)
-        assert _row_width(points, n) == n
-        rng = np.random.default_rng(6)
-        size = (len(points), len(points))
-        chan = dense_channel(rng.standard_normal(size) + 1j * rng.standard_normal(size), points, n, tau=0.5)
-        runs = [("difference", None), ("sum", None), ("ttau", None)]
-        assert_shared_pass_matches_oracle(chan, runs)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_shift_map_refused(self, bad):
+        chan = channel_matrix(random_symbol(8, 1), 0.5, gaussian_window(8))
+        with pytest.raises(ValueError, match="finite diagonal shift map"):
+            envelope(chan, "shifted", np.diag([bad, 1.0]))
 
     def test_peak_memory_at_n32(self):
         # the old difference mode peaked at 25.2 MB, shifted/ttau at 85.0 MB;

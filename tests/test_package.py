@@ -66,3 +66,13 @@ def test_every_public_callable_has_a_reader():
             if name not in readers:
                 unread.append(f"{module}.{name}")
     assert unread == []
+
+
+def test_tests_import_no_private_names():
+    # the tests pin behaviour through the public names, not the path a
+    # function takes inside a module
+    private = [f"{path.name}: {node.module}.{alias.name}" for path in sorted((ROOT / "tests").glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[0] == "cyclictf" for alias in node.names
+               if alias.name.startswith("_")]
+    assert private == []

@@ -40,8 +40,9 @@ def v_at(v, z, n):
 
 def ttau_bin(w, z, tau, n):
     """Where the ttau envelope bins a channel entry at rows w, columns z."""
-    entries = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    chan = dense_channel(entries=entries, points=np.array([w, z]), n=n, tau=tau)
+    entries = np.zeros((n * n, n * n), dtype=complex)
+    entries[w[0] * n + w[1], z[0] * n + z[1]] = 1.0  # full-grid index x N + omega
+    chan = dense_channel(entries=entries, lattice=Lattice(1, 1), n=n, tau=tau)
     table = envelope(chan, "ttau").table
     assert table.sum() == 1.0
     return tuple(int(k) for k in np.argwhere(table == 1.0)[0])

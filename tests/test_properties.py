@@ -8,7 +8,7 @@ SUITE_TOL.
 """
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cyclictf.diagnostics import almost_diag_report, boundedness_report, channel_matrix, covariance_check, envelope
@@ -138,3 +138,22 @@ def test_difference_envelope_is_not_the_symbol_sups_off_the_exact_set(case, seed
     sigma, phi = rand_complex(rng, n, n), rand_complex(rng, n)
     sup_pos = symbol_sups(sigma, tau_wigner(phi, phi, tau))[0]
     assert _difference_residual(channel_matrix(sigma, tau, phi), sup_pos) >= 1e-2
+
+
+@settings(max_examples=30, deadline=None)
+@given(_cases(st.integers(min_value=1, max_value=19).map(lambda k: 2 * k + 1), True), SEEDS)
+def test_integer_utau_envelope_is_the_frequency_sups(case, seed):
+    # on the exact set at odd N, t = tau (N + 1) mod N is an integer, and the
+    # integer twin A = diag(-t (1 - t)^-1, -(1 - t) t^-1) mod N of U_tau pairs
+    # each (w, z) with w - A z = k at the point of |V_Phi sigma| that carries
+    # frequency ((1 - t) k1, t k2): the shifted envelope reads sup_freq there
+    n, (j, m) = case
+    t = j * (n + 1) // m % n
+    assume(np.gcd(t, n) == 1 and np.gcd(1 - t, n) == 1)
+    a = np.diag([-t * pow(1 - t, -1, n) % n, -(1 - t) * pow(t, -1, n) % n])
+    rng = np.random.default_rng(seed)
+    sigma, phi = rand_complex(rng, n, n), rand_complex(rng, n)
+    sup_freq = symbol_sups(sigma, tau_wigner(phi, phi, j / m))[1]
+    k1, k2 = np.indices((n, n))
+    table = envelope(channel_matrix(sigma, j / m, phi), "shifted", a).table
+    assert _rel(table - sup_freq[(1 - t) * k1 % n, t * k2 % n], sup_freq) < SUITE_TOL
