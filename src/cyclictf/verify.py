@@ -8,9 +8,10 @@ grids or taus, that exact set is one function of n (`covariance_taus`,
 `channel_modulus_cases`), read by the suite, the CLI and the tests alike.
 
 Every suite holds O(N^3) memory at most: `channel-modulus` streams the symbol
-STFT one `stft_slabs` slab at a time and forms the blocks of the full-grid
-`diagnostics.channel_matrix` (the channel behind `sweep` and `channel`, on
-`Lattice(1, 1)`) against it, so it runs at every N, above the grid cap too.
+STFT one `stft_slabs` slab at a time and forms the slab's blocks of the
+full-grid `diagnostics.channel_matrix` (the channel behind `sweep` and
+`channel`) in products over runs of x-rows, so it runs at every N, above the
+grid cap too.
 """
 
 from __future__ import annotations
@@ -123,35 +124,45 @@ def channel_modulus_residual(channel: dg.ChannelMatrix, slabs):
     of the full channel matrix, and the number of pairs compared.
 
     The first coordinate of T_tau depends on (w0, z0) only and the second on
-    (w1, z1) only.  So each pair (w0, z0), on the grid or not, belongs to
-    the slab p1 = rint((1 - tau) w0 + tau z0) mod N, and there its N x N
-    channel block over (w1, z1) is the product of the row block w0 of
-    channel.bank* and the column block z0 of channel.image: one batched
-    matmul per slab.  Every entry is computed once, and nothing larger than
-    O(N^3) is held.
+    (w1, z1) only.  So each pair (w0, z0), on the grid or not, belongs to the
+    slab p1 = rint((1 - tau) w0 + tau z0) mod N, where its N x N block over
+    (w1, z1) is the row block w0 of channel.bank* times the column block z0
+    of channel.image.  p1 is monotone in z0, so the z0 of one w0 in a slab
+    are one run, whose blocks are one product over a slice of image (for
+    tau > 1/2 the w0 of one z0, bank and image swapped).  Every entry is
+    computed once, and no product or comparison has more than N^3 entries.
     """
     if channel.tau is None or channel.lattice != Lattice(1, 1):
         raise ValueError("channel-modulus needs a full-grid channel matrix with its tau")
     n, tau = channel.n, channel.tau
-    rows = channel.bank.conj().T.reshape(n, n, n)  # (w0, w1, t); the full grid is row-major (x, omega)
-    cols = channel.image.reshape(n, n, n).transpose(1, 0, 2)  # (z0, t, z1), a view: cols[z0] copies
     x = np.arange(n)
     p1 = (1 - tau) * x[:, None] + tau * x[None, :]  # (w0, z0)
     p2 = tau * x[:, None] + (1 - tau) * x[None, :]  # (w1, z1)
     on1 = np.abs(p1 - np.rint(p1)) <= 1e-9
     on2 = np.abs(p2 - np.rint(p2)) <= 1e-9
     slab_of = np.rint(p1).astype(np.int64) % n
-    # flat index into a slab of (rint(p2), w1 - z1, z0 - w0) without its (w0, z0) part
-    at2 = ((np.rint(p2).astype(np.int64) % n) * n + (x[:, None] - x[None, :]) % n) * n
+    # a slab's |V| read as rows (p2, q1) = (rint(p2), w1 - z1) and columns q2 = z0 - w0
+    at2 = (np.rint(p2).astype(np.int64) % n) * n + (x[:, None] - x[None, :]) % n
+    q2 = (x[None, :] - x[:, None]) % n
+    left, right = channel.bank.conj(), channel.image  # a run's blocks are (w1, z0, z1)
+    if tau > 0.5:  # runs along w0 at a fixed z0, blocks (z1, w0, w1)
+        left, right = channel.image.conj(), channel.bank
+        slab_of, on1, on2, at2, q2 = slab_of.T, on1.T, on2.T, at2.T, q2.T
+    runs = [[] for _ in range(n)]  # slab -> (a, lo, hi) with slab_of[a, lo:hi] == slab
+    for a, row in enumerate(slab_of):
+        starts = np.flatnonzero(np.diff(row, prepend=-1)).tolist()
+        for lo, hi in zip(starts, [*starts[1:], n]):
+            runs[row[lo]].append((a, lo, hi))
     worst = scale = 0.0
     for k, slab in zip(range(n), slabs, strict=True):
-        w0, z0 = np.nonzero(slab_of == k)  # never empty: (k, k) is on the grid
-        lhs = np.abs(np.matmul(rows[w0], cols[z0]))  # (pair, w1, z1)
-        scale = max(scale, lhs.max())
-        on = on1[w0, z0]
-        rhs = np.abs(slab.ravel()[at2 + ((z0[on] - w0[on]) % n)[:, None, None]])
-        np.subtract(lhs[on], rhs, out=rhs)
-        worst = max(worst, np.abs(rhs, out=rhs)[:, on2].max())
+        picked = []
+        for a, lo, hi in runs[k]:
+            block = np.abs(left[:, a * n:(a + 1) * n].T @ right[:, lo * n:hi * n]).reshape(n, hi - lo, n)
+            scale = max(scale, block.max())
+            picked.append(block[:, on1[a, lo:hi]])
+        diff = np.concatenate(picked, axis=1)  # (w1, pair, z1), or its swap; row-major pairs, as the runs
+        diff -= np.abs(slab).reshape(n * n, n)[:, q2[(slab_of == k) & on1]][at2].transpose(0, 2, 1)
+        worst = max(worst, np.abs(diff, out=diff).transpose(0, 2, 1)[on2].max())
     return worst / scale, int(on1.sum()) * int(on2.sum())
 
 

@@ -132,13 +132,15 @@ class TestCriterion2ChannelModulusIdentity:
 
     @pytest.mark.parametrize(
         "n, tau, window",
-        [(10, 0.5, gaussian_window), (8, 0.25, gaussian_window), (12, 0.5, comb_window)],
+        [(10, 0.5, gaussian_window), (8, 0.25, gaussian_window), (12, 0.5, comb_window),
+         (8, 0.75, gaussian_window), (9, 1 / 3, gaussian_window)],
     )
     def test_verify_oracle_matches_pair_loop_off_identity(self, n, tau, window):
         # where the identity is not exact the residual is of order 1, so
         # agreement within 1e-14 shows the streamed residual is the pair
         # loop's, and not just that both are tiny; tau = 1/4 also puts
-        # off-grid pairs in slabs that compare nothing for them
+        # off-grid pairs in slabs that compare nothing for them, and
+        # tau = 3/4 and 1/3 take runs of several pairs along w0 and along z0
         phi = window(n)
         sigma = rand_symbol(np.random.default_rng(5), n)
         slabs = stft_slabs(sigma, tau_wigner(phi, phi, tau))
@@ -151,11 +153,10 @@ class TestCriterion2ChannelModulusIdentity:
         assert abs(residual - expected) <= 1e-14
 
     @staticmethod
-    def _half_tau_case(n, sigma=None):
-        # the suite's tau = 1/2 case, with |V_Phi sigma| as one array to nudge
+    def _suite_case(n, tau=0.5, sigma=None):
+        # the suite's case at tau, with |V_Phi sigma| as one array to nudge
         # and the residual's scale max |entries| of the full channel
-        tau, phi, _label = channel_modulus_cases(n)[2]
-        assert tau == 0.5
+        (phi,) = [phi for case_tau, phi, _label in channel_modulus_cases(n) if case_tau == tau]
         if sigma is None:
             sigma = rand_symbol(np.random.default_rng(3), n)
         mags = np.abs(stft_grid(sigma, tau_wigner(phi, phi, tau)))
@@ -164,7 +165,7 @@ class TestCriterion2ChannelModulusIdentity:
 
     def test_verify_oracle_sees_one_exact_pair(self):
         n, delta = 9, 1e-6
-        channel, mags, scale = self._half_tau_case(n)
+        channel, mags, scale = self._suite_case(n)
         base, _ = channel_modulus_residual(channel, mags)
         assert base < self.TOL
         # w = (0, 0), z = (2, 2): T_tau(w, z) = (1, 1) and J(w - z) = (-2, 2)
@@ -174,6 +175,18 @@ class TestCriterion2ChannelModulusIdentity:
         # the pair's mismatch is delta relative to the full channel's max |entry|
         assert residual == pytest.approx(delta, rel=1e-6)
 
+    def test_verify_oracle_sees_one_exact_pair_at_tau_one(self):
+        # tau = 1 puts every w0 of one z0 in the slab p1 = z0, as one run
+        n, delta = 9, 1e-6
+        channel, mags, scale = self._suite_case(n, 1.0)
+        base, _ = channel_modulus_residual(channel, mags)
+        assert base < self.TOL
+        # w = (0, 0), z = (2, 2): T_tau(w, z) = (2, 0) and J(w - z) = (-2, 2)
+        nudged = mags.copy()
+        nudged[2, 0, n - 2, 2] += delta * scale
+        residual, _ = channel_modulus_residual(channel, nudged)
+        assert residual == pytest.approx(delta, rel=1e-6)
+
     def test_verify_oracle_scales_by_the_full_channel(self):
         # Op = pi(1, 0) with the comb window has its channel on the odd-sum
         # pairs, which tau = 1/2 never compares; the scale still counts them
@@ -181,7 +194,7 @@ class TestCriterion2ChannelModulusIdentity:
         shift = np.stack([tf_shift((1, 0), e) for e in np.eye(n)], axis=1)
         sigma = dequantize(shift, 0.5)
         assert np.abs(op_tau(sigma, 0.5) - shift).max() < self.TOL
-        channel, mags, scale = self._half_tau_case(n, sigma)
+        channel, mags, scale = self._suite_case(n, sigma=sigma)
         base, _ = channel_modulus_residual(channel, mags)
         assert base < self.TOL
         nudged = mags.copy()
@@ -193,7 +206,7 @@ class TestCriterion2ChannelModulusIdentity:
         # at tau = 1/2 a pair with w + z odd has no grid point T_tau(w, z), so
         # the STFT points only such pairs would meet are never read
         n = 9
-        channel, mags, scale = self._half_tau_case(n)
+        channel, mags, scale = self._suite_case(n)
         base, pairs = channel_modulus_residual(channel, mags)
         reached = np.zeros(mags.shape, dtype=bool)
         for w0, w1, z0, z1 in np.ndindex(n, n, n, n):

@@ -51,17 +51,28 @@ class TestSuites:
 
 
 class TestChannelModulusScale:
-    def test_peak_memory_at_the_cap(self):
-        # the full channel matrix and |stft_grid| alone take 24 MB at N = 32;
-        # the suite keeps O(N^3): one STFT slab and its slab's channel blocks
+    @staticmethod
+    def _traced_peak(n):
         tracemalloc.start()
         try:
-            residual = channel_modulus(32, np.random.default_rng(0))
+            residual = channel_modulus(n, np.random.default_rng(0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert residual < SUITE_TOL
-        assert peak <= 12e6, peak
+        return peak
+
+    def test_peak_memory_at_the_cap(self):
+        # the full channel matrix and |stft_grid| alone take 24 MB at N = 32;
+        # the suite keeps O(N^3): one STFT slab, the channel's two factors and
+        # products of at most N x N^2 entries over runs of x-rows
+        peak = self._traced_peak(32)
+        assert peak <= 7.5e6, peak
+
+    def test_peak_memory_above_the_cap(self):
+        # the same O(N^3) at N = 48, where the full channel matrix alone takes 85 MB
+        peak = self._traced_peak(48)
+        assert peak <= 18e6, peak
 
     def test_every_slab_is_required(self):
         # a short slab sequence would leave pairs unchecked
