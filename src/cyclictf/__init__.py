@@ -10,7 +10,6 @@ from .diagnostics import (
     BoundednessReport,
     ChannelMatrix,
     CompositionReport,
-    DecayEnvelope,
     DiagReport,
     WienerReport,
     almost_diag_report,
@@ -18,7 +17,6 @@ from .diagnostics import (
     channel_matrix,
     composition_symmetry_check,
     covariance_check,
-    ell1v,
     envelope,
     fclass_weight,
     operator_channel,
@@ -37,7 +35,7 @@ from .generators import (
     random_symbol,
 )
 from .normbank import (
-    MixedNormSpec,
+    ell1v,
     fsjostrand_norm,
     mixed_norm,
     modulation_norm,

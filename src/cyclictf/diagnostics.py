@@ -19,11 +19,11 @@ corpora, never a universal band.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .normbank import fsjostrand_norm, sjostrand_norm, symbol_sups
+from .generators import rand_complex
+from .normbank import ell1v, fsjostrand_norm, sjostrand_norm, symbol_sups
 from .phasespace import (
     J_INV_MATRIX,
     Lattice,
@@ -39,7 +39,6 @@ __all__ = [
     "BoundednessReport",
     "ChannelMatrix",
     "CompositionReport",
-    "DecayEnvelope",
     "DiagReport",
     "WienerReport",
     "almost_diag_report",
@@ -47,7 +46,6 @@ __all__ = [
     "channel_matrix",
     "composition_symmetry_check",
     "covariance_check",
-    "ell1v",
     "envelope",
     "envelopes",
     "fclass_mode",
@@ -73,11 +71,6 @@ class ChannelMatrix:
     def rows(self, start: int, stop: int) -> np.ndarray:
         """Rows start:stop of the entries bank[:, w]^* image[:, z], as one matrix product."""
         return self.bank[:, start:stop].conj().T @ self.image
-
-    @cached_property
-    def entries(self) -> np.ndarray:
-        """All P x P entries: the row blocks that `envelopes` reads, stacked."""
-        return np.concatenate([self.rows(start, start + self.n) for start in range(0, self.image.shape[1], self.n)])
 
 
 def operator_channel(
@@ -106,15 +99,6 @@ def channel_matrix(
 ) -> ChannelMatrix:
     """Channel matrix of Op_tau(sigma); full grid by default (O(N^5) time in an envelope pass)."""
     return operator_channel(op_tau(sigma, tau), phi, lattice, tau=tau)
-
-
-@dataclass(frozen=True)
-class DecayEnvelope:
-    """Max-over-shifted-diagonals table h(k) >= 0, indexed by k in Z_N^2."""
-
-    mode: str
-    table: np.ndarray
-    n: int
 
 
 def _nearest_bins(c: np.ndarray, n: int) -> np.ndarray:
@@ -155,16 +139,17 @@ def _pairing(mode: str, shift_map: np.ndarray | None, tau: float | None) -> tupl
     raise ValueError(f"unknown envelope mode {mode!r}")
 
 
-def envelopes(channel: ChannelMatrix, modes: list[tuple[str, np.ndarray | None]]) -> list[DecayEnvelope]:
+def envelopes(channel: ChannelMatrix, modes: list[tuple[str, np.ndarray | None]]) -> list[np.ndarray]:
     """Decay envelopes of a channel matrix, one per (mode, shift_map) pair, from one pass.
 
-    Every mode bins |entry(w, z)| by the nearest grid point of p w + q z
-    (coordinate by coordinate) and keeps the maximum per bin; the mode only
-    picks the diagonal pair (p, q): "difference" (1, -1) bins by w - z,
-    "sum" (1, 1) by w + z, "shifted" (1, -A) by w - A z for the given
-    diagonal 2x2 map A, and "ttau" ((1 - tau, tau), (tau, 1 - tau)) by the
-    convex pairing of (w, z) at tau (the weak endpoint form; requires the
-    channel to carry its tau).
+    Each envelope is the N x N table h(k) >= 0, k in Z_N^2.  Every mode
+    bins |entry(w, z)| by the nearest grid point of p w + q z (coordinate
+    by coordinate) and keeps the maximum per bin; the mode only picks the
+    diagonal pair (p, q): "difference" (1, -1) bins by w - z, "sum" (1, 1)
+    by w + z, "shifted" (1, -A) by w - A z for the given diagonal 2x2 map
+    A, and "ttau" ((1 - tau, tau), (tau, 1 - tau)) by the convex pairing of
+    (w, z) at tau (the weak endpoint form; requires the channel to carry
+    its tau).
     """
     n, lattice = channel.n, channel.lattice
     nx, width = n // lattice.a, n // lattice.b  # x-rows, and points per x-row
@@ -212,31 +197,26 @@ def envelopes(channel: ChannelMatrix, modes: list[tuple[str, np.ndarray | None]]
             peaks = into.max(axis=0)
             # flat (1-D) index and values take ufunc.at's fast path
             np.maximum.at(table, (keys[:, None] + first[row0:row0 + rows].reshape(1, -1)).ravel(), peaks.ravel())
-    return [DecayEnvelope(mode=mode, table=table.reshape(n, n), n=n) for (mode, _), table in zip(modes, tables)]
+    return [table.reshape(n, n) for table in tables]
 
 
-def envelope(channel: ChannelMatrix, mode: str, shift_map: np.ndarray | None = None) -> DecayEnvelope:
+def envelope(channel: ChannelMatrix, mode: str, shift_map: np.ndarray | None = None) -> np.ndarray:
     """Decay envelope of a channel matrix in one mode (see `envelopes`)."""
     return envelopes(channel, [(mode, shift_map)])[0]
 
 
-def fclass_mode(tau: float | None) -> tuple[str, np.ndarray | None]:
+def fclass_mode(tau: float) -> tuple[str, np.ndarray | None]:
     """The (mode, shift_map) of the Fourier-class envelope at tau, for `envelope` or `envelopes`.
 
-    U_tau-shifted in (0, 1); the weak "ttau" form at the endpoints (and when
-    tau is None), where U_tau is singular.  Its mass pairs with fclass_weight.
+    U_tau-shifted in (0, 1); the weak "ttau" form at the endpoints, where
+    U_tau is singular.  Its mass pairs with fclass_weight.
     """
-    return ("shifted", utau_matrix(tau)) if tau is not None and 0.0 < tau < 1.0 else ("ttau", None)
+    return ("shifted", utau_matrix(tau)) if 0.0 < tau < 1.0 else ("ttau", None)
 
 
 def fclass_weight(v: Weight, tau: float) -> Weight:
     """The weight paired with the fclass_mode envelope: v o B_tau inside (0, 1), v at the endpoints."""
     return v.compose(btau_matrix(tau)) if 0.0 < tau < 1.0 else v
-
-
-def ell1v(env: DecayEnvelope, v: Weight) -> float:
-    """Weighted l^1 mass sum_k h(k) v(k) of an envelope."""
-    return float(np.sum(env.table * v.on_grid(env.n)))
 
 
 def spearman_rank(a, b) -> float:
@@ -253,7 +233,7 @@ class DiagReport:
     envelope_l1: float
     class_norm: float
     ratio: float
-    envelope: DecayEnvelope  # the envelope whose mass is envelope_l1
+    envelope: np.ndarray  # the difference envelope whose mass is envelope_l1
     warnings: tuple[str, ...] = ()
 
 
@@ -329,10 +309,10 @@ def boundedness_report(
     rng = np.random.default_rng(seed)
     max_ratio = 0.0
     for _ in range(trials):
-        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        f = rand_complex(rng, n)
         denom = np.linalg.norm(f)
-        if denom > 0:
-            max_ratio = max(max_ratio, float(np.linalg.norm(operator @ f) / denom))
+        if denom > 0:  # np.maximum keeps a NaN ratio, where max would drop it
+            max_ratio = float(np.maximum(max_ratio, np.linalg.norm(operator @ f) / denom))
     sups = symbol_sups(arr, tau_wigner(phi, phi, tau))
     norm_bound = sjostrand_norm(sups, polynomial_weight(0.0))
     return BoundednessReport(max_ratio=max_ratio, norm_bound=norm_bound, operator=operator, sups=sups)

@@ -20,12 +20,18 @@ __all__ = [
     "graded_corpus",
     "make_symbol",
     "make_window",
+    "rand_complex",
     "random_symbol",
     "separable_omega_symbol",
     "separable_x_symbol",
 ]
 
 RNG_ALGORITHM = "numpy-pcg64"
+
+
+def rand_complex(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """Standard complex Gaussian draw of the given shape: real part first, then imaginary."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def gaussian_window(n: int, width: float = 1.0, normalize: bool = True) -> np.ndarray:
@@ -86,8 +92,7 @@ def _profile(n: int, seed: int, values) -> np.ndarray:
         if prof.shape != (n,):
             raise ValueError("profile values must have length N")
         return prof
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return rand_complex(np.random.default_rng(seed), n)
 
 
 def separable_x_symbol(n: int, seed: int = 0, values=None) -> np.ndarray:
@@ -101,8 +106,7 @@ def separable_omega_symbol(n: int, seed: int = 0, values=None) -> np.ndarray:
 
 
 def random_symbol(n: int, seed: int = 0) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return rand_complex(np.random.default_rng(seed), n, n)
 
 
 # name -> (generator, the config keys it reads besides its name)
@@ -146,8 +150,7 @@ def graded_corpus(n: int, count: int = 10, seed: int = 2024) -> list[np.ndarray]
     everything).  Roughness, class norms and operator norms all grow with k,
     which is what the monotone-association diagnostics measure.
     """
-    rng = np.random.default_rng(seed)
-    master = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    master = rand_complex(np.random.default_rng(seed), n, n)
     halves = np.linspace(0, n // 2, count).round().astype(int)
     for i in range(1, count):  # strictly graded: no duplicate members
         halves[i] = max(halves[i], halves[i - 1] + 1)

@@ -9,12 +9,11 @@ The symbol-class functionals read the 4-variable STFT of N x N grids
 through its two sup tables (symbol_sups, one streamed pass for both, which
 never holds the N^4 STFT): sjostrand_norm sums over the frequency offset of
 the largest-in-position STFT magnitude; fsjostrand_norm swaps the two roles.
-Both weight their sums by a phasespace.Weight.
+Both are the weighted l^1 mass ell1v of one sup table, the same mass that
+diagnostics takes of a channel's decay envelope.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .phasespace import Weight
 from .transforms import stft, stft_slabs
 
 __all__ = [
-    "MixedNormSpec",
+    "ell1v",
     "fsjostrand_norm",
     "mixed_norm",
     "modulation_norm",
@@ -31,38 +30,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MixedNormSpec:
-    """Exponent pair (p, q) in [1, inf]."""
-
-    p: float
-    q: float
-
-    def __post_init__(self) -> None:
-        for e in (self.p, self.q):
-            if not (e >= 1.0):
-                raise ValueError("exponents must satisfy p, q >= 1")
-
-
 def _lp(values: np.ndarray, p: float, axis: int) -> np.ndarray:
     if np.isinf(p):
         return values.max(axis=axis)
     return (values**p).sum(axis=axis) ** (1.0 / p)
 
 
-def mixed_norm(grid: np.ndarray, spec: MixedNormSpec) -> float:
-    """L^{p,q} norm of an N x N grid indexed (x, omega).
+def mixed_norm(grid: np.ndarray, p: float, q: float) -> float:
+    """L^{p,q} norm of an N x N grid indexed (x, omega), for p, q in [1, inf].
 
     Inner l^p over x, outer l^q over omega.
     """
+    if not (p >= 1.0 and q >= 1.0):  # refuses NaN too
+        raise ValueError("exponents must satisfy p, q >= 1")
     arr = np.abs(np.asarray(grid, dtype=complex))
-    inner = _lp(arr, spec.p, axis=0)  # collapse x, one value per omega
-    return float(_lp(inner, spec.q, axis=0))
+    inner = _lp(arr, p, axis=0)  # collapse x, one value per omega
+    return float(_lp(inner, q, axis=0))
 
 
-def modulation_norm(f: np.ndarray, g: np.ndarray, spec: MixedNormSpec) -> float:
+def modulation_norm(f: np.ndarray, g: np.ndarray, p: float, q: float) -> float:
     """|| V_g f ||_{L^{p,q}}; window-dependent, equivalent across windows."""
-    return mixed_norm(stft(f, g), spec)
+    return mixed_norm(stft(f, g), p, q)
 
 
 def symbol_sups(sigma: np.ndarray, window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -85,13 +73,16 @@ def symbol_sups(sigma: np.ndarray, window: np.ndarray) -> tuple[np.ndarray, np.n
     return sup_pos, sup_freq
 
 
+def ell1v(table: np.ndarray, v: Weight) -> float:
+    """Weighted l^1 mass sum_k table(k) v(k) of an N x N table on Z_N^2."""
+    return float(np.sum(table * v.on_grid(table.shape[0])))
+
+
 def sjostrand_norm(sups: tuple[np.ndarray, np.ndarray], v: Weight) -> float:
     """sum_zeta sup_z |V_W sigma(z, zeta)| v(zeta), from symbol_sups(sigma, W)."""
-    sup_pos = sups[0]
-    return float(np.sum(sup_pos * v.on_grid(sup_pos.shape[0])))
+    return ell1v(sups[0], v)
 
 
 def fsjostrand_norm(sups: tuple[np.ndarray, np.ndarray], v: Weight) -> float:
     """sum_z sup_zeta |V_W sigma(z, zeta)| v(z); the Fourier image of sjostrand_norm."""
-    sup_freq = sups[1]
-    return float(np.sum(sup_freq * v.on_grid(sup_freq.shape[0])))
+    return ell1v(sups[1], v)

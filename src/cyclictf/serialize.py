@@ -11,7 +11,6 @@ import json
 
 import numpy as np
 
-from .diagnostics import DecayEnvelope
 from .phasespace import Weight
 
 __all__ = ["envelope_csv_lines", "format_float", "write_json"]
@@ -26,13 +25,14 @@ def _round12(x: float) -> float:
     return float(format_float(x))
 
 
-def envelope_csv_lines(env: DecayEnvelope, v: Weight) -> list[str]:
-    """Envelope table as CSV rows: k_x, k_omega, h, v_s, h_times_v."""
+def envelope_csv_lines(table: np.ndarray, v: Weight) -> list[str]:
+    """An N x N envelope table as CSV rows: k_x, k_omega, h, v_s, h_times_v."""
     lines = ["k_x,k_omega,h,v_s,h_times_v"]
-    vgrid = v.on_grid(env.n)
-    for kx in range(env.n):
-        for kw in range(env.n):
-            h = env.table[kx, kw]
+    n = table.shape[0]
+    vgrid = v.on_grid(n)
+    for kx in range(n):
+        for kw in range(n):
+            h = table[kx, kw]
             w = vgrid[kx, kw]
             lines.append(
                 f"{kx},{kw},{format_float(h)},{format_float(w)},{format_float(h * w)}"

@@ -2,9 +2,10 @@
 
 Each suite is `suite(n, rng) -> residual`: it draws random inputs from rng,
 checks one identity of the calculus on Z_N at every case where that identity
-is exact, and returns the worst relative residual.  A suite passes when the
-residual is below SUITE_TOL.  Where an identity is exact only on part of the
-grids or taus, that exact set is one function of n (`covariance_taus`,
+is exact, and returns the worst relative residual (np.max keeps a NaN, which
+the builtin max may drop).  A suite passes when the residual is below
+SUITE_TOL, which a NaN never is.  Where an identity is exact only on part of
+the grids or taus, that exact set is one function of n (`covariance_taus`,
 `channel_modulus_cases`), read by the suite, the CLI and the tests alike.
 
 Every suite holds O(N^3) memory at most: `channel-modulus` streams the symbol
@@ -19,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import diagnostics as dg
-from .generators import comb_window, gaussian_window
+from .generators import comb_window, gaussian_window, rand_complex
 from .phasespace import Lattice
 from .quantize import convert_symbol, dequantize, op_tau, tau_wigner
 from .transforms import dft, stft, stft_adjoint, stft_slabs
@@ -29,10 +30,6 @@ VERIFY_TRIALS = 20
 CONVERT_PAIRS = ((0.0, 0.5), (0.3, 0.8), (0.5, 1.0), (0.25, 0.25), (0.7, 0.2))
 
 
-def rand_complex(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
 def _rel(diff, ref) -> float:
     """max |diff| relative to max |ref|."""
     return np.abs(diff).max() / max(np.abs(ref).max(), 1e-30)
@@ -40,20 +37,20 @@ def _rel(diff, ref) -> float:
 
 def fundamental_identity(n, rng):
     xg, wg = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    phase = np.exp(-2j * np.pi * xg * wg / n)
+    phase = np.exp(-2j * np.pi * (xg * wg % n) / n)  # x omega reduced mod N: its rounding does not grow with N
 
     def residual(f, g):
         lhs = stft(f, g)
         return _rel(lhs - phase * stft(dft(f), dft(g))[wg, (-xg) % n], lhs)
 
-    return max(residual(rand_complex(rng, n), rand_complex(rng, n)) for _ in range(VERIFY_TRIALS))
+    return np.max([residual(rand_complex(rng, n), rand_complex(rng, n)) for _ in range(VERIFY_TRIALS)])
 
 
 def stft_inversion(n, rng):
     def residual(f, g):
         return _rel(stft_adjoint(stft(f, g), g) / (n * np.linalg.norm(g) ** 2) - f, f)
 
-    return max(residual(rand_complex(rng, n), rand_complex(rng, n)) for _ in range(VERIFY_TRIALS))
+    return np.max([residual(rand_complex(rng, n), rand_complex(rng, n)) for _ in range(VERIFY_TRIALS)])
 
 
 def quantize_duality(n, rng):
@@ -62,7 +59,7 @@ def quantize_duality(n, rng):
         lhs = np.vdot(g, op_tau(sigma, tau) @ f)
         return _rel(lhs - np.vdot(tau_wigner(g, f, tau), sigma), lhs)
 
-    return max(residual(tau) for tau in (0.0, 0.3, 0.5, 1.0) for _ in range(VERIFY_TRIALS // 4 + 1))
+    return np.max([residual(tau) for tau in (0.0, 0.3, 0.5, 1.0) for _ in range(VERIFY_TRIALS // 4 + 1)])
 
 
 def quantize_roundtrip(n, rng):
@@ -70,17 +67,17 @@ def quantize_roundtrip(n, rng):
         sigma = rand_complex(rng, n, n)
         return _rel(dequantize(op_tau(sigma, tau), tau) - sigma, sigma)
 
-    return max(residual(tau) for tau in (0.0, 0.25, 1 / 3, 0.5, 1 / np.pi, 1.0))
+    return np.max([residual(tau) for tau in (0.0, 0.25, 1 / 3, 0.5, 1 / np.pi, 1.0)])
 
 
 def convert_consistency(n, rng):
     def residual(tau1, tau2):
         sigma = rand_complex(rng, n, n)
         moved = convert_symbol(sigma, tau1, tau2)
-        return max(_rel(op_tau(moved, tau2) - op_tau(sigma, tau1), sigma),
-                   _rel(dequantize(op_tau(sigma, tau1), tau2) - moved, sigma))
+        return np.maximum(_rel(op_tau(moved, tau2) - op_tau(sigma, tau1), sigma),
+                          _rel(dequantize(op_tau(sigma, tau1), tau2) - moved, sigma))
 
-    return max(residual(tau1, tau2) for tau1, tau2 in CONVERT_PAIRS)
+    return np.max([residual(tau1, tau2) for tau1, tau2 in CONVERT_PAIRS])
 
 
 def covariance_taus(n: int) -> tuple[float, ...]:
@@ -93,8 +90,8 @@ def covariance_taus(n: int) -> tuple[float, ...]:
 
 
 def symplectic_covariance(n, rng):
-    return max(dg.covariance_check(rand_complex(rng, n, n), tau)
-               for tau in covariance_taus(n) for _ in range(VERIFY_TRIALS // 4 + 1))
+    return np.max([dg.covariance_check(rand_complex(rng, n, n), tau)
+                   for tau in covariance_taus(n) for _ in range(VERIFY_TRIALS // 4 + 1)])
 
 
 def channel_modulus_cases(n: int):
@@ -158,11 +155,11 @@ def channel_modulus_residual(channel: dg.ChannelMatrix, slabs):
         picked = []
         for a, lo, hi in runs[k]:
             block = np.abs(left[:, a * n:(a + 1) * n].T @ right[:, lo * n:hi * n]).reshape(n, hi - lo, n)
-            scale = max(scale, block.max())
+            scale = np.maximum(scale, block.max())
             picked.append(block[:, on1[a, lo:hi]])
         diff = np.concatenate(picked, axis=1)  # (w1, pair, z1), or its swap; row-major pairs, as the runs
         diff -= np.abs(slab).reshape(n * n, n)[:, q2[(slab_of == k) & on1]][at2].transpose(0, 2, 1)
-        worst = max(worst, np.abs(diff, out=diff).transpose(0, 2, 1)[on2].max())
+        worst = np.maximum(worst, np.abs(diff, out=diff).transpose(0, 2, 1)[on2].max())
     return worst / scale, int(on1.sum()) * int(on2.sum())
 
 
@@ -172,7 +169,7 @@ def channel_modulus(n, rng):
         slabs = stft_slabs(sigma, tau_wigner(phi, phi, tau))
         return channel_modulus_residual(dg.channel_matrix(sigma, tau, phi), slabs)[0]
 
-    return max(residual(tau, phi) for tau, phi, _label in channel_modulus_cases(n))
+    return np.max([residual(tau, phi) for tau, phi, _label in channel_modulus_cases(n)])
 
 
 VERIFY_SUITES = {

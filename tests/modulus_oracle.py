@@ -13,6 +13,8 @@ from cyclictf.diagnostics import channel_matrix
 from cyclictf.quantize import tau_wigner
 from cyclictf.transforms import stft_grid
 
+from dense_channel import channel_entries
+
 
 def phase_exact(n, j, m):
     """Whether tau = j/m (reduced, 0 <= j <= m) is in the exact set of the
@@ -29,12 +31,12 @@ def phase_exact(n, j, m):
 
 def _channel_and_mags(n, tau, phi, sigma):
     chan = channel_matrix(sigma, tau, phi)
-    return chan, np.abs(stft_grid(sigma, tau_wigner(phi, phi, tau)))
+    return chan, channel_entries(chan), np.abs(stft_grid(sigma, tau_wigner(phi, phi, tau)))
 
 
 def pair_loop(n, tau, phi, sigma, require_even=False):
     """Every pair (w, z) whose T_tau(w, z) is on the grid (and w + z even if asked)."""
-    chan, mags = _channel_and_mags(n, tau, phi, sigma)
+    chan, entries, mags = _channel_and_mags(n, tau, phi, sigma)
     worst, pairs = 0.0, 0
     points = chan.lattice.points(n).tolist()
     for wi, w in enumerate(points):
@@ -46,14 +48,14 @@ def pair_loop(n, tau, phi, sigma, require_even=False):
             if abs(p1 - round(p1)) > 1e-9 or abs(p2 - round(p2)) > 1e-9:
                 continue
             rhs = mags[round(p1) % n, round(p2) % n, (w[1] - z[1]) % n, (z[0] - w[0]) % n]
-            worst = max(worst, abs(abs(chan.entries[wi, zi]) - rhs))
+            worst = max(worst, abs(abs(entries[wi, zi]) - rhs))
             pairs += 1
     return worst, pairs
 
 
 def inverse_map_loop(n, tau, phi, sigma):
     """The identity read backwards: every STFT point (x, y) whose paired w, z are on the grid."""
-    chan, mags = _channel_and_mags(n, tau, phi, sigma)
+    chan, entries, mags = _channel_and_mags(n, tau, phi, sigma)
     index = {tuple(p): i for i, p in enumerate(chan.lattice.points(n).tolist())}
     worst, pairs = 0.0, 0
     for x1 in range(n):
@@ -68,7 +70,7 @@ def inverse_map_loop(n, tau, phi, sigma):
                         continue
                     z = (round(z1) % n, round(z2) % n)
                     w = (round(w1) % n, round(w2) % n)
-                    rhs = abs(chan.entries[index[w], index[z]])
+                    rhs = abs(entries[index[w], index[z]])
                     worst = max(worst, abs(mags[x1, x2, y1, y2] - rhs))
                     pairs += 1
     return worst, pairs

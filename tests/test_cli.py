@@ -553,13 +553,11 @@ class TestNormsAndChannel:
 
 class TestSerialization:
     def test_envelope_csv_values(self):
-        from cyclictf.diagnostics import DecayEnvelope
         from cyclictf.phasespace import polynomial_weight
 
         table = np.zeros((4, 4))
         table[1, 2] = 2.0
-        env = DecayEnvelope(mode="difference", table=table, n=4)
-        lines = envelope_csv_lines(env, polynomial_weight(2.0))
+        lines = envelope_csv_lines(table, polynomial_weight(2.0))
         row = [ln for ln in lines if ln.startswith("1,2,")][0]
         cells = row.split(",")
         assert float(cells[2]) == 2.0

@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from cyclictf.diagnostics import (
     ChannelMatrix,
-    DecayEnvelope,
     almost_diag_report,
     boundedness_report,
     channel_matrix,
     composition_symmetry_check,
     covariance_check,
-    ell1v,
     envelope,
     envelopes,
     fclass_mode,
@@ -29,7 +27,7 @@ from cyclictf.generators import (
     graded_corpus,
     random_symbol,
 )
-from cyclictf.normbank import fsjostrand_norm, symbol_sups
+from cyclictf.normbank import ell1v, fsjostrand_norm, symbol_sups
 from cyclictf.phasespace import (
     J_MATRIX,
     Lattice,
@@ -47,7 +45,7 @@ from cyclictf.quantize import (
 )
 from cyclictf.transforms import dft_matrix, stft, tf_shift
 
-from dense_channel import dense_channel
+from dense_channel import channel_entries, dense_channel
 from modulus_oracle import inverse_map_loop, pair_loop
 
 V0 = polynomial_weight(0.0)
@@ -71,8 +69,8 @@ def _nearest_indices(vals: np.ndarray, n: int) -> np.ndarray:
     return out.astype(np.int64)
 
 
-def envelope_oracle(channel: ChannelMatrix, mode: str, shift_map: np.ndarray | None = None) -> DecayEnvelope:
-    """Decay envelope of a channel matrix.
+def envelope_oracle(channel: ChannelMatrix, mode: str, shift_map: np.ndarray | None = None) -> np.ndarray:
+    """Decay envelope table of a channel matrix.
 
     mode "difference" bins |entry(w, z)| by w - z, "sum" by w + z, "shifted"
     by the nearest grid point of w - A z for the given 2x2 map A, and "ttau"
@@ -106,8 +104,8 @@ def envelope_oracle(channel: ChannelMatrix, mode: str, shift_map: np.ndarray | N
     else:
         raise ValueError(f"unknown envelope mode {mode!r}")
     table = np.zeros((n, n))
-    np.maximum.at(table, (k1.ravel(), k2.ravel()), np.abs(channel.entries).ravel())
-    return DecayEnvelope(mode=mode, table=table, n=n)
+    np.maximum.at(table, (k1.ravel(), k2.ravel()), np.abs(channel_entries(channel)).ravel())
+    return table
 
 
 class TestChannelMatrix:
@@ -118,7 +116,7 @@ class TestChannelMatrix:
         amb = np.abs(stft(phi, phi))
         pts = chan.lattice.points(n)
         k = (pts[:, None, :] - pts[None, :, :]) % n  # w - z
-        assert np.allclose(np.abs(chan.entries), amb[k[..., 0], k[..., 1]], rtol=0, atol=1e-10)
+        assert np.allclose(np.abs(channel_entries(chan)), amb[k[..., 0], k[..., 1]], rtol=0, atol=1e-10)
 
     def test_entries_match_direct_recomputation(self):
         n = 8
@@ -126,13 +124,14 @@ class TestChannelMatrix:
         sigma = random_symbol(n, 0)
         t = op_tau(sigma, 0.3)
         chan = channel_matrix(sigma, 0.3, phi)
+        entries = channel_entries(chan)
         rng = np.random.default_rng(1)
         pts = chan.lattice.points(n)
         for _ in range(20):
             wi, zi = rng.integers(0, len(pts), size=2)
             w, z = pts[wi], pts[zi]
             direct = np.vdot(tf_shift(w, phi), t @ tf_shift(z, phi))
-            assert chan.entries[wi, zi] == pytest.approx(direct, abs=1e-12)
+            assert entries[wi, zi] == pytest.approx(direct, abs=1e-12)
 
     def test_lattice_restriction_of_full(self):
         n = 8
@@ -143,7 +142,7 @@ class TestChannelMatrix:
         sub = channel_matrix(sigma, 0.5, phi, lat)
         assert full.lattice == Lattice(1, 1)
         rows = lat.points(n) @ [n, 1]  # full-grid index x N + omega
-        assert np.allclose(sub.entries, full.entries[np.ix_(rows, rows)], rtol=0, atol=1e-12)
+        assert np.allclose(channel_entries(sub), channel_entries(full)[np.ix_(rows, rows)], rtol=0, atol=1e-12)
 
     def test_zero_window_rejected(self):
         with pytest.raises(ValueError, match="non-zero"):
@@ -203,12 +202,12 @@ class TestEnvelope:
         env = envelope(chan, "difference")
         expected = np.zeros((8, 8))
         expected[(1 - 4) % 8, (2 - 5) % 8] = 3.0
-        assert np.array_equal(env.table, expected)
+        assert np.array_equal(env, expected)
 
     def test_identity_symbol_difference_even(self):
         n = 8
         chan = channel_matrix(np.ones((n, n)), 0.5, gaussian_window(n))
-        h = envelope(chan, "difference").table
+        h = envelope(chan, "difference")
         for k1 in range(n):
             for k2 in range(n):
                 assert h[k1, k2] == pytest.approx(h[(-k1) % n, (-k2) % n], abs=1e-10)
@@ -217,23 +216,23 @@ class TestEnvelope:
         n = 8
         phi = gaussian_window(n)
         chan = channel_matrix(np.ones((n, n)), 0.5, phi)
-        h = envelope(chan, "difference").table
+        h = envelope(chan, "difference")
         assert h[0, 0] == pytest.approx(np.linalg.norm(phi) ** 2, abs=1e-10)
 
     def test_shifted_minus_identity_equals_sum(self):
         n = 8
         chan = channel_matrix(delta_symbol(n), 0.5, gaussian_window(n))
-        shifted = envelope(chan, "shifted", utau_matrix(0.5)).table
-        summed = envelope(chan, "sum").table
+        shifted = envelope(chan, "shifted", utau_matrix(0.5))
+        summed = envelope(chan, "sum")
         assert np.array_equal(shifted, summed)
 
     def test_max_property(self):
         n = 8
         chan = channel_matrix(random_symbol(n, 5), 0.3, gaussian_window(n))
-        h = envelope(chan, "difference").table
+        h = envelope(chan, "difference")
         pts = chan.lattice.points(n)
         k = (pts[:, None, :] - pts[None, :, :]) % n  # w - z
-        assert np.all(h[k[..., 0], k[..., 1]] >= np.abs(chan.entries) - 1e-12)
+        assert np.all(h[k[..., 0], k[..., 1]] >= np.abs(channel_entries(chan)) - 1e-12)
 
     def test_nearest_grid_tie_break(self):
         # w - A z = (0.5, 0): candidates 0 and 1 tie, smaller representative wins
@@ -241,8 +240,8 @@ class TestEnvelope:
         entries[1 * 8, 1 * 8] = 1.0  # w = z = (1, 0)
         chan = dense_channel(entries=entries, lattice=Lattice(1, 1), n=8)
         env = envelope(chan, "shifted", np.diag([0.5, 1.0]))
-        assert env.table[0, 0] == 1.0
-        assert env.table.sum() == 1.0
+        assert env[0, 0] == 1.0
+        assert env.sum() == 1.0
 
     def test_needs_shift_map(self):
         chan = channel_matrix(np.ones((4, 4)), 0.5, gaussian_window(4))
@@ -291,7 +290,7 @@ def envelope_cases(draw):
 def assert_shared_pass_matches_oracle(chan, runs):
     """One `envelopes` pass over every (mode, shift_map) run, each table bit for bit the oracle's."""
     for (mode, a), env in zip(runs, envelopes(chan, runs)):
-        assert np.array_equal(env.table, envelope_oracle(chan, mode, a).table), (mode, a)
+        assert np.array_equal(env, envelope_oracle(chan, mode, a)), (mode, a)
 
 
 class TestEnvelopeOracle:
@@ -306,13 +305,13 @@ class TestEnvelopeOracle:
         runs += [("shifted", a) for a in maps]
         for mode, a in runs:
             new = envelope(chan, mode, a)
-            assert new.mode == mode
-            assert np.array_equal(new.table, envelope_oracle(chan, mode, a).table), (mode, a)
+            assert new.shape == (chan.n, chan.n)
+            assert np.array_equal(new, envelope_oracle(chan, mode, a)), (mode, a)
         # every mode at once, from one pass over the channel's rows
         shared = envelopes(chan, runs)
-        assert [env.mode for env in shared] == [mode for mode, _ in runs]
+        assert len(shared) == len(runs)
         for (mode, a), env in zip(runs, shared):
-            assert np.array_equal(env.table, envelope_oracle(chan, mode, a).table), (mode, a)
+            assert np.array_equal(env, envelope_oracle(chan, mode, a)), (mode, a)
 
     def test_wrap_tie_goes_to_bin_zero(self):
         # w - A z = (7 + 2/4, 0) = (N - 1/2, 0): bins N - 1 and 0 tie, and 0
@@ -321,10 +320,10 @@ class TestEnvelopeOracle:
         entries[7 * 8, 2 * 8] = 1.0  # w = (7, 0), z = (2, 0)
         chan = dense_channel(entries=entries, lattice=Lattice(1, 1), n=8)
         a = np.diag([-0.25, 1.0])
-        table = envelope(chan, "shifted", a).table
+        table = envelope(chan, "shifted", a)
         assert table[0, 0] == 1.0
         assert table.sum() == 1.0
-        assert np.array_equal(table, envelope_oracle(chan, "shifted", a).table)
+        assert np.array_equal(table, envelope_oracle(chan, "shifted", a))
 
     @pytest.mark.parametrize("n", [12, 15, 16])
     def test_dense_shift_map_on_every_lattice(self, n):
@@ -342,8 +341,8 @@ class TestEnvelopeOracle:
                     envelope(chan, "shifted", dense)
             diagonal = np.diag([1 / 3, 5 / 3])
             for mode, shift in (("shifted", diagonal), ("shifted", -diagonal), ("ttau", None)):
-                new = envelope(chan, mode, shift).table
-                assert np.array_equal(new, envelope_oracle(chan, mode, shift).table), (lattice, mode)
+                new = envelope(chan, mode, shift)
+                assert np.array_equal(new, envelope_oracle(chan, mode, shift)), (lattice, mode)
 
     @pytest.mark.parametrize("lattice", [Lattice(1, 1), Lattice(2, 4), Lattice(4, 2)])
     def test_reduce_and_scatter_in_one_pass(self, lattice):
@@ -383,18 +382,12 @@ class TestEll1v:
     def test_point_mass(self):
         table = np.zeros((8, 8))
         table[0, 0] = 1.0
-        from cyclictf.diagnostics import DecayEnvelope
-
-        env = DecayEnvelope(mode="difference", table=table, n=8)
-        assert ell1v(env, polynomial_weight(3.0)) == 1.0
+        assert ell1v(table, polynomial_weight(3.0)) == 1.0
 
     def test_unweighted_is_plain_sum(self):
         rng = np.random.default_rng(6)
         table = np.abs(rng.standard_normal((8, 8)))
-        from cyclictf.diagnostics import DecayEnvelope
-
-        env = DecayEnvelope(mode="difference", table=table, n=8)
-        assert ell1v(env, V0) == pytest.approx(table.sum())
+        assert ell1v(table, V0) == pytest.approx(table.sum())
 
     def test_identity_symbol_regression(self):
         # frozen at build time: s = 1 mass of the difference envelope, N = 16
@@ -442,8 +435,8 @@ class TestAlmostDiagReport:
         sigma, phi, lat = random_symbol(8, 2), gaussian_window(8), Lattice(2, 2)
         rep = almost_diag_report(sigma, 0.3, phi, lat, 1.0)
         fresh = envelope(channel_matrix(sigma, 0.3, phi, lat), "difference")
-        assert rep.envelope.mode == "difference"
-        assert np.array_equal(rep.envelope.table, fresh.table)
+        assert rep.envelope.shape == (8, 8)
+        assert np.array_equal(rep.envelope, fresh)
         assert rep.envelope_l1 == ell1v(rep.envelope, polynomial_weight(1.0))
 
 
@@ -458,8 +451,8 @@ class TestFclassDiagReport:
         # difference index: peak-to-mean contrast high for sum, low for diff
         n = 16
         chan = channel_matrix(delta_symbol(n), 0.5, gaussian_window(n))
-        h_sum = envelope(chan, "sum").table
-        h_diff = envelope(chan, "difference").table
+        h_sum = envelope(chan, "sum")
+        h_diff = envelope(chan, "difference")
         assert h_sum.max() / h_sum.mean() > 3 * h_diff.max() / h_diff.mean()
 
     def test_identity_symbol_contrast_grows_with_n(self):
@@ -475,8 +468,8 @@ class TestFclassDiagReport:
 
     def test_endpoint_requires_weak_form(self):
         chan = channel_matrix(delta_symbol(8), 0.0, gaussian_window(8))
+        assert fclass_mode(chan.tau) == ("ttau", None)
         env = envelope(chan, *fclass_mode(chan.tau))
-        assert env.mode == "ttau"
         assert np.isfinite(ell1v(env, V0))
 
     def test_utau_shift_maps_invert_each_other(self):
@@ -547,6 +540,13 @@ class TestBoundedness:
         )
         assert rho >= 0.9
         assert all(r.max_ratio <= r.norm_bound for r in reports)
+
+    def test_nan_ratio_is_kept(self):
+        # every trial's ratio is NaN: max_ratio is NaN, not the 0 the maximum starts from
+        sigma = np.ones((8, 8), dtype=complex)
+        sigma[0, 0] = np.nan
+        rep = boundedness_report(sigma, 0.0, gaussian_window(8), 3, 0)
+        assert np.isnan(rep.max_ratio)
 
     def test_trials_validated(self):
         with pytest.raises(ValueError, match="trials"):

@@ -43,7 +43,7 @@ def ttau_bin(w, z, tau, n):
     entries = np.zeros((n * n, n * n), dtype=complex)
     entries[w[0] * n + w[1], z[0] * n + z[1]] = 1.0  # full-grid index x N + omega
     chan = dense_channel(entries=entries, lattice=Lattice(1, 1), n=n, tau=tau)
-    table = envelope(chan, "ttau").table
+    table = envelope(chan, "ttau")
     assert table.sum() == 1.0
     return tuple(int(k) for k in np.argwhere(table == 1.0)[0])
 

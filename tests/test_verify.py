@@ -13,13 +13,16 @@ from cyclictf import diagnostics, verify
 from cyclictf.generators import gaussian_window
 from cyclictf.phasespace import Lattice
 from cyclictf.quantize import op_tau, tau_wigner
-from cyclictf.transforms import stft_slabs
+from cyclictf.generators import random_symbol
+from cyclictf.transforms import stft_grid, stft_slabs
 from cyclictf.verify import (
     SUITE_TOL,
     VERIFY_SUITES,
     channel_modulus,
     channel_modulus_cases,
     channel_modulus_residual,
+    fundamental_identity,
+    quantize_roundtrip,
 )
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -48,6 +51,51 @@ class TestSuites:
             with monkeypatch.context() as patch:
                 patch.setattr(module, attr, lambda *args, exact=exact, **kwargs: (1 + 1e-6) * exact(*args, **kwargs))
                 assert suite(8, np.random.default_rng(0)) > SUITE_TOL, attr
+
+    def test_fundamental_identity_residual_does_not_grow_with_n(self):
+        # the phase reads x omega mod N: with x omega up to (N - 1)^2 in the
+        # exponent the residual grew to 2.0e-13 at N = 256
+        assert fundamental_identity(256, np.random.default_rng(0)) < 1e-14
+
+
+class TestNaNResiduals:
+    # a NaN residual must fail its suite: the builtin max keeps its first
+    # argument when the second is NaN, so it would drop one that is not first
+
+    @staticmethod
+    def _nan_at_half(patch):
+        exact = verify.dequantize
+
+        def dequantize(operator, tau):
+            out = exact(operator, tau)
+            if tau == 0.5:
+                out[0, 0] = np.nan
+            return out
+
+        patch.setattr(verify, "dequantize", dequantize)
+
+    def test_suite_keeps_a_nan_case(self, monkeypatch):
+        # tau = 1/2 is the fourth of quantize-roundtrip's six cases
+        self._nan_at_half(monkeypatch)
+        assert np.isnan(quantize_roundtrip(8, np.random.default_rng(0)))
+
+    def test_cli_fails_a_nan_suite(self, monkeypatch, tmp_path, capsys):
+        self._nan_at_half(monkeypatch)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 8, "suites": "quantize-roundtrip"}))
+        assert cli.main(["verify", "--config", str(config)]) == 1
+        row = capsys.readouterr().out.splitlines()[0].split()
+        assert row[0] == "quantize-roundtrip" and row[1] == "nan" and row[2] == "FAIL"
+
+    def test_channel_modulus_keeps_a_nan_slab(self):
+        # the slabs before and after slab 3 match to rounding
+        n, phi = 9, gaussian_window(9)
+        sigma = random_symbol(n, 0)
+        mags = np.abs(stft_grid(sigma, tau_wigner(phi, phi, 0.0)))
+        channel = diagnostics.channel_matrix(sigma, 0.0, phi)
+        assert channel_modulus_residual(channel, mags)[0] < SUITE_TOL
+        mags[3] = np.nan
+        assert np.isnan(channel_modulus_residual(channel, mags)[0])
 
 
 class TestChannelModulusScale:
