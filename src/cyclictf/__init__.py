@@ -61,7 +61,6 @@ from .transforms import (
     FrameReport,
     canonical_dual,
     dft,
-    dft_matrix,
     frame_bounds,
     frame_operator,
     gabor_reconstruct,

@@ -243,7 +243,7 @@ def _envelope_masses(operator, tau, phi, v) -> list[float]:
     return [ell1v(env, v) for env in dg.envelopes(chan, modes)]  # one pass over the channel's rows
 
 
-def run_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
+def run_sweep(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     sigma, phi = _generated(cfg)
     v = polynomial_weight(cfg.s)
     lines = [",".join(SWEEP_COLUMNS)]
@@ -256,12 +256,10 @@ def run_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
         lines.append(",".join(format_float(x) for x in row))
     out = out_dir / "sweep.csv"
     out.write_text("\n".join(lines) + "\n")
-    if not quiet:
-        print(f"wrote {out}")
-    return 0
+    return [out]
 
 
-def run_wiener(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
+def run_wiener(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     sigma, phi = _generated(cfg)
     rows = []
     for tau in cfg.tau:
@@ -283,12 +281,10 @@ def run_wiener(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int
         rows.append(row)
     out = out_dir / "wiener.json"
     write_json(out, {"rng": gen.RNG_ALGORITHM, "rows": rows})
-    if not quiet:
-        print(f"wrote {out}")
-    return 0
+    return [out]
 
 
-def run_norms(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
+def run_norms(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     sigma, phi = _generated(cfg)
     rng = np.random.default_rng(cfg.seed)
     probe = gen.rand_complex(rng, cfg.n)
@@ -307,12 +303,10 @@ def run_norms(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
     ]
     out = out_dir / "norms.json"
     write_json(out, {"rng": gen.RNG_ALGORITHM, "tau": tau, "reports": reports})
-    if not quiet:
-        print(f"wrote {out}")
-    return 0
+    return [out]
 
 
-def run_channel(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> int:
+def run_channel(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     sigma, phi = _generated(cfg)
     tau = cfg.tau[0]
     rep = dg.almost_diag_report(sigma, tau, phi, cfg.lattice, cfg.s)
@@ -333,9 +327,11 @@ def run_channel(cfg: ExperimentConfig, out_dir: Path, quiet: bool = False) -> in
             "warnings": list(rep.warnings),
         },
     )
-    if not quiet:
-        print(f"wrote {csv_out} and {json_out}")
-    return 0
+    return [csv_out, json_out]
+
+
+# the subcommands that write files: each returns the paths it wrote
+WRITERS = {"sweep": run_sweep, "wiener": run_wiener, "norms": run_norms, "channel": run_channel}
 
 
 # --------------------------------------------------------------------------
@@ -350,10 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--quiet", action="store_true")
-    parser.add_argument(
-        "command",
-        choices=["verify", "sweep", "wiener", "norms", "channel"],
-    )
+    parser.add_argument("command", choices=["verify", *WRITERS])
     return parser
 
 
@@ -377,13 +370,10 @@ def main(argv=None) -> int:
                 raise NotADirectoryError(f"--out {args.out}: {existing} is not a directory")
             return run_verify(cfg, quiet=args.quiet)
         args.out.mkdir(parents=True, exist_ok=True)
-        if args.command == "sweep":
-            return run_sweep(cfg, args.out, quiet=args.quiet)
-        if args.command == "wiener":
-            return run_wiener(cfg, args.out, quiet=args.quiet)
-        if args.command == "norms":
-            return run_norms(cfg, args.out, quiet=args.quiet)
-        return run_channel(cfg, args.out, quiet=args.quiet)
+        written = WRITERS[args.command](cfg, args.out)
+        if not args.quiet:
+            print("wrote " + " and ".join(map(str, written)))
+        return 0
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -33,7 +33,7 @@ from .phasespace import (
     utau_matrix,
 )
 from .quantize import dequantize, op_tau, rotate_symbol_j_inv, tau_wigner
-from .transforms import dft_matrix, frame_bounds, shift_bank
+from .transforms import frame_bounds, shift_bank
 
 __all__ = [
     "BoundednessReport",
@@ -209,7 +209,9 @@ def fclass_mode(tau: float) -> tuple[str, np.ndarray | None]:
     """The (mode, shift_map) of the Fourier-class envelope at tau, for `envelope` or `envelopes`.
 
     U_tau-shifted in (0, 1); the weak "ttau" form at the endpoints, where
-    U_tau is singular.  Its mass pairs with fclass_weight.
+    U_tau is singular.  Only the wiener and composition reports weight their
+    Fourier-class norms with fclass_weight; sweep weights this envelope's
+    mass and fsjostrand with plain v_s at every tau.
     """
     return ("shifted", utau_matrix(tau)) if 0.0 < tau < 1.0 else ("ttau", None)
 
@@ -271,10 +273,9 @@ def almost_diag_report(
 def covariance_check(sigma: np.ndarray, tau: float) -> float:
     """Relative HS residual of F Op_tau(sigma) F* = Op_{1-tau}(sigma o J^{-1})."""
     arr = np.asarray(sigma, dtype=complex)
-    n = arr.shape[0]
-    f = dft_matrix(n)
     operator = op_tau(arr, tau)
-    lhs = f @ operator @ f.conj().T
+    # F A F* = (fft down the columns / sqrt(N)) then (sqrt(N) ifft along the rows)
+    lhs = np.fft.ifft(np.fft.fft(operator, axis=0), axis=1)
     rhs = op_tau(rotate_symbol_j_inv(arr), 1.0 - tau)
     denom = np.linalg.norm(operator)
     return float(np.linalg.norm(lhs - rhs) / denom) if denom > 0 else 0.0

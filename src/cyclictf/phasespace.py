@@ -105,8 +105,8 @@ class Weight:
     dim = 2  # not a field: every weight lives on Z_N^2; perfbench/spans.py reads it to count on_grid points
 
     def __post_init__(self) -> None:
-        if self.s < 0:
-            raise ValueError("polynomial order must be nonnegative")
+        if not 0 <= self.s < np.inf:  # refuses NaN too
+            raise ValueError("polynomial order must be finite and nonnegative")
 
     def __call__(self, z, n: int) -> np.ndarray:
         """Values at the torus points z, shape (2, ...) -> z.shape[1:]."""

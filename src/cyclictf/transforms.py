@@ -24,7 +24,6 @@ __all__ = [
     "FrameReport",
     "canonical_dual",
     "dft",
-    "dft_matrix",
     "frame_bounds",
     "frame_operator",
     "gabor_reconstruct",
@@ -50,11 +49,6 @@ def dft(f: np.ndarray) -> np.ndarray:
     """Unitary DFT; dft applied four times is the identity."""
     arr = _as_signal(f)
     return np.fft.fft(arr) / np.sqrt(arr.shape[0])
-
-
-def dft_matrix(n: int) -> np.ndarray:
-    t = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(t, t) / n) / np.sqrt(n)
 
 
 def tf_shift(z: Sequence[int], f: np.ndarray) -> np.ndarray:

@@ -37,6 +37,7 @@ from cyclictf.generators import (
     gaussian_symbol,
     gaussian_window,
     graded_corpus,
+    rand_complex,
 )
 from cyclictf.normbank import ell1v
 from cyclictf.phasespace import Lattice, polynomial_weight
@@ -59,14 +60,6 @@ GRIDS = (4, 8, 16)
 
 def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"acceptance {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
-
-
-def rand_signal(rng, n):
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-
-def rand_symbol(rng, n):
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
 class TestCriterion1ExactIdentities:
@@ -94,7 +87,7 @@ class TestCriterion2ChannelModulusIdentity:
     def test_exhaustive_at_n8(self):
         n = 8
         rng = np.random.default_rng(2)
-        sigma = rand_symbol(rng, n)
+        sigma = rand_complex(rng, n, n)
         results = {}
         for tau in (0.0, 1.0):
             worst, pairs = pair_loop(n, tau, gaussian_window(n), sigma, False)
@@ -122,7 +115,7 @@ class TestCriterion2ChannelModulusIdentity:
         # array and of a Python complex may differ in the last bit
         rng = np.random.default_rng(20 + n)
         for tau, phi, label in channel_modulus_cases(n):
-            sigma = rand_symbol(rng, n)
+            sigma = rand_complex(rng, n, n)
             slabs = stft_slabs(sigma, tau_wigner(phi, phi, tau))
             channel = channel_matrix(sigma, tau, phi)
             residual, pairs = channel_modulus_residual(channel, slabs)
@@ -143,7 +136,7 @@ class TestCriterion2ChannelModulusIdentity:
         # off-grid pairs in slabs that compare nothing for them, and
         # tau = 3/4 and 1/3 take runs of several pairs along w0 and along z0
         phi = window(n)
-        sigma = rand_symbol(np.random.default_rng(5), n)
+        sigma = rand_complex(np.random.default_rng(5), n, n)
         slabs = stft_slabs(sigma, tau_wigner(phi, phi, tau))
         channel = channel_matrix(sigma, tau, phi)
         residual, pairs = channel_modulus_residual(channel, slabs)
@@ -159,7 +152,7 @@ class TestCriterion2ChannelModulusIdentity:
         # and the residual's scale max |entries| of the full channel
         (phi,) = [phi for case_tau, phi, _label in channel_modulus_cases(n) if case_tau == tau]
         if sigma is None:
-            sigma = rand_symbol(np.random.default_rng(3), n)
+            sigma = rand_complex(np.random.default_rng(3), n, n)
         mags = np.abs(stft_grid(sigma, tau_wigner(phi, phi, tau)))
         channel = channel_matrix(sigma, tau, phi)
         return channel, mags, np.abs(channel_entries(channel)).max()
@@ -235,7 +228,7 @@ class TestCriterion3FrameMachinery:
         dual = canonical_dual(phi16, lat)
         err = 0.0
         for _ in range(5):
-            f = rand_signal(rng, 16)
+            f = rand_complex(rng, 16)
             err = max(err, np.abs(gabor_reconstruct(f, phi16, dual, lat) - f).max())
         checks["reconstruction"] = err < 1e-8
 
@@ -386,12 +379,12 @@ class TestCriterion8CompositionSymmetry:
         rng = np.random.default_rng(8)
         worst_comp = 0.0
         for tau in (0.25, 0.5, 0.75):
-            a, b = rand_symbol(rng, n), rand_symbol(rng, n)
+            a, b = rand_complex(rng, n, n), rand_complex(rng, n, n)
             product = op_tau(a, tau) @ op_tau(b, 1.0 - tau)
             c = dequantize(product, 0.5)
             worst_comp = max(worst_comp, np.abs(op_tau(c, 0.5) - product).max())
 
-        a, b, c = (rand_symbol(rng, n) for _ in range(3))
+        a, b, c = (rand_complex(rng, n, n) for _ in range(3))
         lhs = twisted_product(twisted_product(a, b), c)
         rhs = twisted_product(a, twisted_product(b, c))
         assoc = np.abs(lhs - rhs).max()

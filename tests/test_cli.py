@@ -403,7 +403,7 @@ class TestSweep:
         cfg = ExperimentConfig.from_dict(self.BASELINE)
         tracemalloc.start()
         try:
-            run_sweep(cfg, tmp_path, quiet=True)
+            run_sweep(cfg, tmp_path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -430,7 +430,7 @@ class TestSweep:
         cfg = ExperimentConfig.from_dict(self.BASELINE)
         tracemalloc.start()
         try:
-            run_sweep(cfg, tmp_path, quiet=True)
+            run_sweep(cfg, tmp_path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -479,7 +479,7 @@ class TestWienerCommand:
         cfg = ExperimentConfig.from_dict(TestSweep.BASELINE)
         tracemalloc.start()
         try:
-            run_wiener(cfg, tmp_path, quiet=True)
+            run_wiener(cfg, tmp_path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -529,7 +529,7 @@ class TestNormsAndChannel:
         cfg = ExperimentConfig.from_dict({"n": 32, "tau": [0.5]})
         tracemalloc.start()
         try:
-            run_channel(cfg, tmp_path, quiet=True)
+            run_channel(cfg, tmp_path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -549,6 +549,21 @@ class TestNormsAndChannel:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == ""
         assert taken.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command, names", [
+        ("sweep", ["sweep.csv"]),
+        ("wiener", ["wiener.json"]),
+        ("norms", ["norms.json"]),
+        ("channel", ["envelope.csv", "channel_report.json"]),
+    ])
+    def test_wrote_line_names_every_file(self, tmp_path, capsys, command, names):
+        cfg = write_config(tmp_path, {"n": 4, "tau": [0.0, 0.5]})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "wrote " + " and ".join(str(out / name) for name in names) + "\n"
+        assert sorted(path.name for path in out.iterdir()) == sorted(names)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "quiet"), "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
 
 
 class TestSerialization:

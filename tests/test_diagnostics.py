@@ -25,6 +25,7 @@ from cyclictf.generators import (
     gaussian_symbol,
     gaussian_window,
     graded_corpus,
+    rand_complex,
     random_symbol,
 )
 from cyclictf.normbank import ell1v, fsjostrand_norm, symbol_sups
@@ -43,7 +44,7 @@ from cyclictf.quantize import (
     symbol_from_spreading,
     tau_wigner,
 )
-from cyclictf.transforms import dft_matrix, stft, tf_shift
+from cyclictf.transforms import stft, tf_shift
 
 from dense_channel import channel_entries, dense_channel
 from modulus_oracle import inverse_map_loop, pair_loop
@@ -282,7 +283,7 @@ def envelope_cases(draw):
     eighths = draw(st.lists(st.integers(-16, 16), min_size=2, max_size=2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     size = (lattice.count(n), lattice.count(n))
-    entries = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    entries = rand_complex(rng, *size)
     chan = dense_channel(entries=entries, lattice=lattice, n=n, tau=tau)
     return chan, [np.diag(eighths) / 8, np.diag(3 * rng.standard_normal(2))]
 
@@ -334,7 +335,7 @@ class TestEnvelopeOracle:
         divisors = [d for d in range(1, n + 1) if n % d == 0]
         for lattice in (Lattice(da, db) for da in divisors for db in divisors):
             size = (lattice.count(n), lattice.count(n))
-            entries = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            entries = rand_complex(rng, *size)
             chan = dense_channel(entries=entries, lattice=lattice, n=n, tau=1 / np.pi)
             for dense in (a, -a.T):
                 with pytest.raises(ValueError, match="diagonal shift map"):
@@ -492,7 +493,8 @@ class TestCovariance:
     def test_weyl_self_dual(self):
         n = 8
         sigma = random_symbol(n, 11)
-        f = dft_matrix(n)
+        t = np.arange(n)
+        f = np.exp(-2j * np.pi * np.outer(t, t) / n) / np.sqrt(n)  # the unitary DFT matrix, as the oracle
         lhs = f @ op_tau(sigma, 0.5) @ f.conj().T
         from cyclictf.quantize import rotate_symbol_j_inv
 

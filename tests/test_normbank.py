@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclictf.generators import delta_symbol, delta_window, gaussian_symbol, gaussian_window, random_symbol
+from cyclictf.generators import delta_symbol, delta_window, gaussian_symbol, gaussian_window, rand_complex, random_symbol
 from cyclictf.normbank import (
     fsjostrand_norm,
     mixed_norm,
@@ -18,10 +18,6 @@ from cyclictf.quantize import tau_wigner
 from cyclictf.transforms import stft_grid
 
 INF = float("inf")
-
-
-def rand_signal(rng, n):
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
 def dft2(grid):
@@ -38,7 +34,7 @@ class TestMixedNorm:
 
     def test_frobenius(self):
         rng = np.random.default_rng(0)
-        grid = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        grid = rand_complex(rng, 8, 8)
         assert mixed_norm(grid, 2, 2) == pytest.approx(np.linalg.norm(grid))
 
     def test_sup_then_sum(self):
@@ -63,7 +59,7 @@ class TestModulationNorm:
 
     def test_homogeneity(self):
         rng = np.random.default_rng(2)
-        f, g = rand_signal(rng, 8), gaussian_window(8)
+        f, g = rand_complex(rng, 8), gaussian_window(8)
         assert modulation_norm(3.5j * f, g, 1, INF) == pytest.approx(3.5 * modulation_norm(f, g, 1, INF))
 
     def test_window_equivalence_band(self):
@@ -72,7 +68,7 @@ class TestModulationNorm:
         rng = np.random.default_rng(3)
         g1, g2 = gaussian_window(16, 1.0), gaussian_window(16, 2.0)
         for _ in range(50):
-            f = rand_signal(rng, 16)
+            f = rand_complex(rng, 16)
             ratio = modulation_norm(f, g1, 1, 1) / modulation_norm(f, g2, 1, 1)
             assert 0.90 <= ratio <= 1.10
 
@@ -81,7 +77,7 @@ class TestModulationNorm:
         g = gaussian_window(8)
         for p, q in ((1, 1), (2, 2), (INF, 1)):
             for _ in range(10):
-                f1, f2 = rand_signal(rng, 8), rand_signal(rng, 8)
+                f1, f2 = rand_complex(rng, 8), rand_complex(rng, 8)
                 lhs = modulation_norm(f1 + f2, g, p, q)
                 assert lhs <= modulation_norm(f1, g, p, q) + modulation_norm(f2, g, p, q) + 1e-10
 
@@ -104,13 +100,13 @@ class TestSymbolClassNorms:
            tau=st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
     def test_streamed_sups_equal_the_full_stft(self, n, kind, tau, seed):
         rng = np.random.default_rng(seed)
-        sigma = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        sigma = rand_complex(rng, n, n)
         if kind == "gaussian":
             window = gaussian_symbol(n)
         elif kind == "random":
-            window = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            window = rand_complex(rng, n, n)
         else:
-            window = tau_wigner(gaussian_window(n), rand_signal(rng, n), tau)
+            window = tau_wigner(gaussian_window(n), rand_complex(rng, n), tau)
         mags = np.abs(stft_grid(sigma, window))
         sup_pos, sup_freq = symbol_sups(sigma, window)
         assert np.array_equal(sup_pos, mags.max(axis=(0, 1)))

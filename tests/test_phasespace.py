@@ -113,6 +113,12 @@ class TestWeights:
         with pytest.raises(ValueError, match="nonnegative"):
             Weight(s=-0.5)
 
+    @pytest.mark.parametrize("s", [float("nan"), float("inf")])
+    def test_non_finite_order_is_refused(self, s):
+        # a NaN or infinite order would put NaN or inf into every weighted mass
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            polynomial_weight(s)
+
     def test_call_keeps_point_shape(self):
         v = polynomial_weight(1.0)
         z = np.zeros((2, 3, 4, 5))

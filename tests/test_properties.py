@@ -87,7 +87,7 @@ def test_boundedness_ratio_is_the_m22_ratio(n, tau, seed):
     rep = boundedness_report(sigma, tau, phi, trials, seed)
     operator = op_tau(sigma, tau)
     draws = np.random.default_rng(seed)
-    signals = [draws.standard_normal(n) + 1j * draws.standard_normal(n) for _ in range(trials)]
+    signals = [rand_complex(draws, n) for _ in range(trials)]
     oracle = max(modulation_norm(operator @ f, phi, 2.0, 2.0) / modulation_norm(f, phi, 2.0, 2.0) for f in signals)
     assert abs(rep.max_ratio - oracle) <= 1e-12 * oracle
     # the first link of the boundedness chain: no trial exceeds the operator norm

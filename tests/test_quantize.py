@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cyclictf.generators import delta_symbol, gaussian_window, random_symbol
+from cyclictf.generators import delta_symbol, gaussian_window, rand_complex, random_symbol
 from cyclictf.quantize import (
     chirp_exponents,
     convert_symbol,
@@ -13,7 +13,7 @@ from cyclictf.quantize import (
     tau_wigner,
     twisted_product,
 )
-from cyclictf.transforms import dft, dft_matrix
+from cyclictf.transforms import dft
 
 from endpoint_oracle import kernel_from_symbol_endpoint
 
@@ -112,16 +112,17 @@ class TestOpTau:
     @pytest.mark.parametrize("tau", [0.0, 0.3, 1.0])
     def test_multiplication_symbol(self, tau):
         rng = np.random.default_rng(0)
-        m = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        m = rand_complex(rng, 8)
         sigma = np.tile(m[:, None], (1, 8))
         assert np.abs(op_tau(sigma, tau) - np.diag(m)).max() < 1e-12
 
     @pytest.mark.parametrize("tau", [0.0, 0.8, 1.0])
     def test_fourier_multiplier(self, tau):
         rng = np.random.default_rng(1)
-        g = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        g = rand_complex(rng, 8)
         sigma = np.tile(g[None, :], (8, 1))
-        f = dft_matrix(8)
+        t = np.arange(8)
+        f = np.exp(-2j * np.pi * np.outer(t, t) / 8) / np.sqrt(8)  # the unitary DFT matrix
         expected = f.conj().T @ np.diag(g) @ f
         assert np.abs(op_tau(sigma, tau) - expected).max() < 1e-12
 
@@ -150,7 +151,7 @@ class TestOpTau:
         # Lipschitz regression: HS distance bounded by a frozen constant times
         # |tau - tau'| for the seeded symbol; constant measured at build time.
         rng = np.random.default_rng(5)
-        sigma = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        sigma = rand_complex(rng, 16, 16)
         taus = np.linspace(0.1, 0.9, 9)
         for t1, t2 in zip(taus[:-1], taus[1:]):
             dist = np.linalg.norm(op_tau(sigma, t1) - op_tau(sigma, t2))
@@ -193,7 +194,7 @@ class TestDequantize:
 
     def test_multiplication_inverse(self):
         rng = np.random.default_rng(8)
-        m = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        m = rand_complex(rng, 8)
         sigma = dequantize(np.diag(m), 0.4)
         assert np.abs(sigma - m[:, None]).max() < 1e-12
 
@@ -277,8 +278,8 @@ class TestTauWigner:
         rng = np.random.default_rng(14)
         n = 8
         sigma = random_symbol(n, 15)
-        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        f = rand_complex(rng, n)
+        g = rand_complex(rng, n)
         lhs = np.vdot(g, op_tau(sigma, tau) @ f)
         rhs = np.vdot(tau_wigner(g, f, tau), sigma)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
@@ -287,8 +288,8 @@ class TestTauWigner:
         # W_0(f, g)(x, w) = N^{-1/2} f(x) conj(Fg(w)) e^{-2 pi i x w / N}
         rng = np.random.default_rng(16)
         n = 8
-        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        f = rand_complex(rng, n)
+        g = rand_complex(rng, n)
         ghat = dft(g)
         x = np.arange(n)
         direct = (
@@ -302,8 +303,8 @@ class TestTauWigner:
     def test_conjugate_rihaczek_at_one(self):
         rng = np.random.default_rng(17)
         n = 8
-        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        f = rand_complex(rng, n)
+        g = rand_complex(rng, n)
         fhat = dft(f)
         x = np.arange(n)
         direct = (
@@ -325,7 +326,7 @@ class TestTauWigner:
         assert constant == pytest.approx(1.0, abs=1e-12)
         assert np.abs(marg - constant * np.abs(delta) ** 2).max() < 1e-12
         rng = np.random.default_rng(18)
-        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        f = rand_complex(rng, n)
         marg = tau_wigner(f, f, 0.5).sum(axis=1)
         assert np.abs(marg - np.abs(f) ** 2).max() < 1e-10
 

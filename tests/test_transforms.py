@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclictf.generators import delta_window, gaussian_window
+from cyclictf.generators import delta_window, gaussian_window, rand_complex
 from cyclictf.phasespace import Lattice
 from cyclictf.transforms import (
     canonical_dual,
     dft,
-    dft_matrix,
     frame_bounds,
     frame_operator,
     gabor_reconstruct,
@@ -18,10 +17,6 @@ from cyclictf.transforms import (
     stft_grid,
     tf_shift,
 )
-
-
-def rand_signal(rng, n):
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
 def stft_loop(f, g):
@@ -64,30 +59,32 @@ class TestDft:
 
     def test_parseval(self):
         rng = np.random.default_rng(0)
-        f = rand_signal(rng, 16)
+        f = rand_complex(rng, 16)
         assert np.linalg.norm(dft(f)) == pytest.approx(np.linalg.norm(f))
 
     def test_fourth_power_is_identity(self):
         rng = np.random.default_rng(1)
-        f = rand_signal(rng, 8)
+        f = rand_complex(rng, 8)
         out = dft(dft(dft(dft(f))))
         assert np.abs(out - f).max() < 1e-12
 
     def test_matrix_matches(self):
         rng = np.random.default_rng(3)
-        f = rand_signal(rng, 8)
-        assert np.allclose(dft_matrix(8) @ f, dft(f))
+        f = rand_complex(rng, 8)
+        t = np.arange(8)
+        matrix = np.exp(-2j * np.pi * np.outer(t, t) / 8) / np.sqrt(8)  # the unitary DFT by its definition
+        assert np.allclose(matrix @ f, dft(f))
 
 
 class TestTfShift:
     def test_identity_shift(self):
         rng = np.random.default_rng(4)
-        f = rand_signal(rng, 8)
+        f = rand_complex(rng, 8)
         assert np.allclose(tf_shift((0, 0), f), f)
 
     def test_unitary(self):
         rng = np.random.default_rng(5)
-        f = rand_signal(rng, 8)
+        f = rand_complex(rng, 8)
         assert np.linalg.norm(tf_shift((3, 5), f)) == pytest.approx(np.linalg.norm(f))
 
     def test_commutation_phase_exhaustive(self):
@@ -95,7 +92,7 @@ class TestTfShift:
         # with pi(z') applied first
         n = 8
         rng = np.random.default_rng(6)
-        f = rand_signal(rng, n)
+        f = rand_complex(rng, n)
         for x in range(n):
             for w in range(n):
                 for xp in range(n):
@@ -114,8 +111,8 @@ class TestKernelEquivalence:
     def test_stft_grid_matches_definition(self, n, seed):
         # V_W sigma(p, q) = sum_r sigma(r) conj(W(r - p)) e^{-2 pi i q.r / N}
         rng = np.random.default_rng(seed)
-        sigma = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        window = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        sigma = rand_complex(rng, n, n)
+        window = rand_complex(rng, n, n)
         t = np.arange(n)
         fourier = np.exp(-2j * np.pi * np.outer(t, t) / n)
         direct = np.empty((n, n, n, n), dtype=complex)
@@ -131,15 +128,15 @@ class TestKernelEquivalence:
     def test_stft_grid_equals_fft2_loop(self, n, seed):
         # the in-place per-p1 slabs run the two passes of fft2 in its order
         rng = np.random.default_rng(seed)
-        sigma = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        window = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        sigma = rand_complex(rng, n, n)
+        window = rand_complex(rng, n, n)
         assert np.array_equal(stft_grid(sigma, window), stft_grid_loop(sigma, window))
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
     def test_shift_bank_is_stacked_tf_shift(self, n, seed):
         rng = np.random.default_rng(seed)
-        phi = rand_signal(rng, n)
+        phi = rand_complex(rng, n)
         lattices = [Lattice(1, 1)] + ([Lattice(2, 2)] if n % 2 == 0 else [])
         for lattice in lattices:
             pts = lattice.points(n)
@@ -150,12 +147,12 @@ class TestKernelEquivalence:
 class TestStft:
     def test_value_at_origin(self):
         rng = np.random.default_rng(7)
-        f, g = rand_signal(rng, 8), rand_signal(rng, 8)
+        f, g = rand_complex(rng, 8), rand_complex(rng, 8)
         assert stft(f, g)[0, 0] == pytest.approx(np.vdot(g, f))
 
     def test_cauchy_schwarz(self):
         rng = np.random.default_rng(8)
-        f, g = rand_signal(rng, 16), rand_signal(rng, 16)
+        f, g = rand_complex(rng, 16), rand_complex(rng, 16)
         bound = np.linalg.norm(f) * np.linalg.norm(g)
         assert np.abs(stft(f, g)).max() <= bound + 1e-12
 
@@ -163,7 +160,7 @@ class TestStft:
         # independent slow oracle for the STFT definition
         rng = np.random.default_rng(9)
         n = 6
-        f, g = rand_signal(rng, n), rand_signal(rng, n)
+        f, g = rand_complex(rng, n), rand_complex(rng, n)
         grid = stft(f, g)
         for x in range(n):
             for w in range(n):
@@ -176,7 +173,7 @@ class TestStft:
     def test_fundamental_identity(self):
         rng = np.random.default_rng(10)
         n = 8
-        f, g = rand_signal(rng, n), rand_signal(rng, n)
+        f, g = rand_complex(rng, n), rand_complex(rng, n)
         lhs = stft(f, g)
         hat = stft(dft(f), dft(g))
         for x in range(n):
@@ -188,9 +185,9 @@ class TestStft:
     @given(n=st.one_of(st.integers(2, 40), st.just(64)), seed=st.integers(0, 2**32 - 1))
     def test_batched_equals_loop(self, n, seed):
         rng = np.random.default_rng(seed)
-        f, g = rand_signal(rng, n), rand_signal(rng, n)
+        f, g = rand_complex(rng, n), rand_complex(rng, n)
         assert np.array_equal(stft(f, g), stft_loop(f, g))
-        coeff = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        coeff = rand_complex(rng, n, n)
         ref = stft_adjoint_loop(coeff, g)
         assert np.abs(stft_adjoint(coeff, g) - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -203,8 +200,8 @@ class TestStftAdjoint:
     def test_adjointness(self):
         rng = np.random.default_rng(11)
         n = 8
-        f, g = rand_signal(rng, n), rand_signal(rng, n)
-        coeff = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        f, g = rand_complex(rng, n), rand_complex(rng, n)
+        coeff = rand_complex(rng, n, n)
         lhs = np.vdot(coeff, stft(f, g))  # <V_g f, F>
         rhs = np.vdot(stft_adjoint(coeff, g), f)  # <f, V_g* F>
         assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -217,7 +214,7 @@ class TestStftAdjoint:
         # is N ||g||^2 times the identity, so the calibrated constant is 1/N.
         n = 4
         rng = np.random.default_rng(12)
-        g = rand_signal(rng, n)
+        g = rand_complex(rng, n)
         delta = np.zeros(n, dtype=complex)
         delta[0] = 1.0
         out = np.zeros(n, dtype=complex)
@@ -234,7 +231,7 @@ class TestStftAdjoint:
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_inversion_all_signals(self, n):
         rng = np.random.default_rng(13)
-        f, g = rand_signal(rng, n), rand_signal(rng, n)
+        f, g = rand_complex(rng, n), rand_complex(rng, n)
         recon = stft_adjoint(stft(f, g), g) / (n * np.linalg.norm(g) ** 2)
         assert np.abs(recon - f).max() < 1e-10
 
@@ -244,7 +241,7 @@ class TestFrames:
         # brute-force oracle at N=4: S = sum_z pi(z) phi <pi(z) phi, .> summed directly
         n = 4
         rng = np.random.default_rng(14)
-        phi = rand_signal(rng, n)
+        phi = rand_complex(rng, n)
         s = np.zeros((n, n), dtype=complex)
         for x in range(n):
             for w in range(n):
@@ -262,14 +259,14 @@ class TestFrames:
 
     def test_hermitian_psd(self):
         rng = np.random.default_rng(15)
-        phi = rand_signal(rng, 8)
+        phi = rand_complex(rng, 8)
         s = frame_operator(phi, Lattice(2, 4))
         assert np.abs(s - s.conj().T).max() < 1e-12
         assert np.linalg.eigvalsh(s).min() > -1e-12
 
     def test_commutes_with_lattice_shifts(self):
         rng = np.random.default_rng(16)
-        phi = rand_signal(rng, 8)
+        phi = rand_complex(rng, 8)
         lat = Lattice(2, 2)
         s = frame_operator(phi, lat)
         for p in lat.points(8):
@@ -298,7 +295,7 @@ class TestFrames:
     def test_bounds_ordered(self):
         rng = np.random.default_rng(19)
         for seed in range(5):
-            phi = rand_signal(rng, 8)
+            phi = rand_complex(rng, 8)
             rep = frame_bounds(phi, Lattice(2, 2))
             assert rep.lower <= rep.upper + 1e-12
 
@@ -309,7 +306,7 @@ class TestFrames:
         rep = frame_bounds(phi, lat)
         pts = lat.points(16)
         for _ in range(100):
-            f = rand_signal(rng, 16)
+            f = rand_complex(rng, 16)
             energy = sum(abs(np.vdot(tf_shift(p, phi), f)) ** 2 for p in pts)
             norm2 = np.linalg.norm(f) ** 2
             assert rep.lower * norm2 - 1e-8 <= energy <= rep.upper * norm2 + 1e-8
@@ -330,7 +327,7 @@ class TestCanonicalDual:
         phi = gaussian_window(16)
         lat = Lattice(2, 2)
         dual = canonical_dual(phi, lat)
-        f = rand_signal(rng, 16)
+        f = rand_complex(rng, 16)
         recon = gabor_reconstruct(f, phi, dual, lat)
         assert np.abs(recon - f).max() < 1e-8
 

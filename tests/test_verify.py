@@ -23,6 +23,7 @@ from cyclictf.verify import (
     channel_modulus_residual,
     fundamental_identity,
     quantize_roundtrip,
+    symplectic_covariance,
 )
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -56,6 +57,11 @@ class TestSuites:
         # the phase reads x omega mod N: with x omega up to (N - 1)^2 in the
         # exponent the residual grew to 2.0e-13 at N = 256
         assert fundamental_identity(256, np.random.default_rng(0)) < 1e-14
+
+    def test_symplectic_covariance_residual_at_n256(self):
+        # F Op F* by FFT along each axis; the two dense N^3 products with the
+        # DFT matrix left 4.2e-14 at N = 256
+        assert symplectic_covariance(256, np.random.default_rng(0)) < 2e-14
 
 
 class TestNaNResiduals:
