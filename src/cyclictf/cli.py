@@ -167,6 +167,8 @@ class ExperimentConfig:
             raise ConfigError("empty tau list")
         if not all(0.0 <= t <= 1.0 for t in cfg.tau):
             raise ConfigError("quantization parameter out of range")
+        if any(t > 0 and not np.isfinite(cfg.n / t) for t in cfg.tau):  # U_tau, B_tau scale by up to (n - 1) / tau
+            raise ConfigError(f"a nonzero tau must keep n / tau finite (at most {sys.float_info.max:g}) at n = {cfg.n}")
         lat = data.get("lattice", {})
         unknown = set(lat) - {"a", "b"}
         if unknown:

@@ -102,17 +102,16 @@ def channel_matrix(
 
 
 def _nearest_bins(c: np.ndarray, n: int) -> np.ndarray:
-    """Nearest grid point mod N of real coordinates c, as int32; overwrites c.
+    """Nearest grid point mod N of real coordinates c, as int32.
 
     Ties (within 1e-9) go to the smaller canonical representative, so a
     coordinate of N - 1/2 goes to bin 0.
     """
-    np.fmod(c, n, out=c)
-    np.add(c, n, out=c, where=c < 0)  # c mod N, as np.mod computes it
+    c = np.mod(c, n)
     k = c.astype(np.int32)  # floor, since c >= 0
-    c -= k  # the fractional part, exactly
-    up = c > 0.5 + 1e-9
-    up |= (c >= 0.5 - 1e-9) & (k == n - 1)
+    frac = c - k  # the fractional part, exactly
+    up = frac > 0.5 + 1e-9
+    up |= (frac >= 0.5 - 1e-9) & (k == n - 1)
     k += up
     k[k == n] = 0  # from c == N, or rounded up from N - 1
     return k
@@ -154,7 +153,6 @@ def envelopes(channel: ChannelMatrix, modes: list[tuple[str, np.ndarray | None]]
     n, lattice = channel.n, channel.lattice
     nx, width = n // lattice.a, n // lattice.b  # x-rows, and points per x-row
     size = nx * width
-    rows_max = min(n, size) // width  # x-rows per block
     xs, omegas = np.arange(0, n, lattice.a), np.arange(0, n, lattice.b)
     plans = []
     for mode, shift_map in modes:
@@ -174,27 +172,20 @@ def envelopes(channel: ChannelMatrix, modes: list[tuple[str, np.ndarray | None]]
         segments = order[starts + np.minimum(np.arange(lengths.max())[:, None], lengths - 1)]
         plans.append((first * n, segments, keys[starts]))  # first: (x-row of w, x-row of z) -> k1 * N
     # form n rows (w) at a time, a whole number of x-rows, with one product and
-    # one abs shared by every mode, through reused buffers, so no P x P array is
-    # ever built; the maximum is exact, so blocking keeps the table
-    mags = np.empty(rows_max * width * size)
-    gathered = np.empty(max((segments.size for _, segments, _ in plans), default=0) * rows_max * nx)
+    # one abs shared by every mode, so no P x P array is ever built; the
+    # maximum is exact, so blocking keeps the table
     tables = [np.zeros(n * n) for _ in plans]
     for start in range(0, size, n):
         m = min(n, size - start)
         rows, row0 = m // width, start // width
-        # rows (omega of w, omega of z), columns (x-row of w, x-row of z);
-        # `natural` is the same memory as rows w, columns z
-        block = mags[:m * size].reshape(width * width, rows * nx)
-        natural = block.reshape(width, width, rows, nx).transpose(2, 0, 3, 1)
-        np.abs(channel.rows(start, start + m).reshape(natural.shape), out=natural)
+        # rows (omega of w, omega of z), columns (x-row of w, x-row of z)
+        block = (np.abs(channel.rows(start, start + m)).reshape(rows, width, nx, width)
+                 .transpose(1, 3, 0, 2).reshape(width * width, rows * nx))
         for (first, segments, keys), table in zip(plans, tables):
             # one gather of the omega pairs into their segments, one maximum
             # over each segment, and a scatter of the (second bins) x
             # (x-row pairs) maxima
-            into = gathered[:segments.size * rows * nx].reshape(*segments.shape, rows * nx)
-            # mode="clip" writes straight into out (the default buffers); every index is in range
-            np.take(block, segments, axis=0, out=into, mode="clip")
-            peaks = into.max(axis=0)
+            peaks = block[segments].max(axis=0)
             # flat (1-D) index and values take ufunc.at's fast path
             np.maximum.at(table, (keys[:, None] + first[row0:row0 + rows].reshape(1, -1)).ravel(), peaks.ravel())
     return [table.reshape(n, n) for table in tables]

@@ -63,13 +63,12 @@ def symbol_sups(sigma: np.ndarray, window: np.ndarray) -> tuple[np.ndarray, np.n
     exact, so the tables equal those of the full stft_grid bit for bit.
     """
     n = np.shape(sigma)[0]
-    mags = np.empty((n, n, n))
     sup_pos = np.zeros((n, n))  # |V_W sigma| >= 0, so 0 is the identity of the running max
     sup_freq = np.empty((n, n))
     for p1, slab in enumerate(stft_slabs(sigma, window)):
-        np.abs(slab, out=mags)
+        mags = np.abs(slab)
         np.maximum(sup_pos, mags.max(axis=0), out=sup_pos)
-        mags.max(axis=(1, 2), out=sup_freq[p1])
+        sup_freq[p1] = mags.max(axis=(1, 2))
     return sup_pos, sup_freq
 
 

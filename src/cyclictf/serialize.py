@@ -1,8 +1,7 @@
 """Output formats: JSON reports and CSV envelope tables.
 
 All floating-point output is rendered at 12 significant digits so repeated
-runs (and implementations in other languages) can be compared byte for byte;
-complex numbers in reports become [re, im] pairs.
+runs (and implementations in other languages) can be compared byte for byte.
 """
 
 from __future__ import annotations
@@ -46,16 +45,10 @@ def write_json(path, obj) -> None:
     def clean(value):
         if isinstance(value, dict):
             return {k: clean(v) for k, v in value.items()}
-        if isinstance(value, (list, tuple)):
+        if isinstance(value, list):
             return [clean(v) for v in value]
-        if isinstance(value, (bool, np.bool_)):
-            return bool(value)
-        if isinstance(value, (float, np.floating)):
-            return _round12(float(value))
-        if isinstance(value, (int, np.integer)):
-            return int(value)
-        if isinstance(value, complex):
-            return [_round12(value.real), _round12(value.imag)]
+        if isinstance(value, float):  # np.float64 too
+            return _round12(value)
         return value
 
     with open(path, "w") as fh:

@@ -174,7 +174,7 @@ def frame_bounds(phi: np.ndarray, lattice: Lattice) -> FrameReport:
     s = frame_operator(phi, lattice)
     eig = np.linalg.eigvalsh(s)
     lower, upper = float(eig[0]), float(eig[-1])
-    is_frame = lower > FRAME_RTOL * max(upper, 1.0)
+    is_frame = lower > FRAME_RTOL * upper
     condition = upper / lower if is_frame else float("inf")
     return FrameReport(lower=lower, upper=upper, condition=condition, is_frame=is_frame)
 

@@ -341,6 +341,29 @@ class TestConfigValidation:
         numbers += [report[k] for k in ("envelope_l1", "class_norm", "ratio")]
         assert all(math.isfinite(x) for x in numbers), numbers
 
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    def test_tau_bound(self, tmp_path, capsys, n):
+        # U_tau and B_tau scale by up to (n - 1) / tau: tau = 1e-320 at n = 8 wrote NaN to
+        # wiener.json and ended sweep in a ValueError traceback (an IndexError at n = 32)
+        smallest = n / sys.float_info.max  # the smallest tau with n / tau finite
+        while not math.isfinite(n / smallest):
+            smallest = float(np.nextafter(smallest, 1.0))
+        below = write_config(tmp_path, {"n": n, "tau": [0.5, float(np.nextafter(smallest, 0.0))]}, "below.json")
+        for command in ("verify", "sweep", "wiener", "norms", "channel"):
+            assert main([command, "--config", str(below), "--out", str(tmp_path)]) == 2
+            assert "a nonzero tau must keep n / tau finite" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["below.json"]
+        above = write_config(tmp_path, {"n": n, "tau": [0.0, smallest, 0.5]}, "above.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for command in ("sweep", "wiener"):
+                assert main([command, "--config", str(above), "--out", str(tmp_path), "--quiet"]) == 0
+        numbers = [float(x) for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+                   for x in line.split(",")]
+        rows = json.loads((tmp_path / "wiener.json").read_text())["rows"]
+        numbers += [v for row in rows for v in row.values() if isinstance(v, float)]
+        assert len(rows) == 3 and all(math.isfinite(x) for x in numbers), numbers
+
     def test_zero_separable_values_accepted(self, tmp_path):
         cfg = write_config(tmp_path, {"n": 8, "symbol": {"name": "separable-x", "values": [0.0] + [1e-50] * 7}})
         assert main(["wiener", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0

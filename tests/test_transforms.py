@@ -292,6 +292,24 @@ class TestFrames:
         assert rep.lower == pytest.approx(3.970176713771, rel=1e-9)
         assert rep.upper == pytest.approx(4.029934881184, rel=1e-9)
 
+    @pytest.mark.parametrize("phi, lattice, frame", [(gaussian_window(16), Lattice(2, 2), True),
+                                                     (gaussian_window(4), Lattice(2, 4), False)])
+    def test_scale_free(self, phi, lattice, frame):
+        # the threshold is relative to the upper bound: at 1e-6 phi the frame at Lattice(2, 2)
+        # (lower 3.97e-12, condition 1.015) read as no frame, and canonical_dual raised
+        reference = frame_bounds(phi, lattice)
+        assert reference.is_frame == frame
+        for scale in (1e-8, 1.0, 1e8):
+            rep = frame_bounds(scale * phi, lattice)
+            assert rep.is_frame == frame
+            if frame:
+                assert rep.condition == pytest.approx(reference.condition, rel=1e-12)
+                f = rand_complex(np.random.default_rng(20), 16)
+                dual = canonical_dual(scale * phi, lattice)
+                assert np.abs(gabor_reconstruct(f, scale * phi, dual, lattice) - f).max() < 1e-12
+            else:
+                assert rep.condition == np.inf
+
     def test_bounds_ordered(self):
         rng = np.random.default_rng(19)
         for seed in range(5):
