@@ -43,6 +43,7 @@ MAX_WEIGHT = 1e200
 # one: `wiener` squares the symbol and inverts it (entries up to 1 / the smallest |value|),
 # and either times MAX_WEIGHT leaves 1e8 of headroom for the sums (N^5 <= 3.4e7)
 MAX_VALUE = 1e50
+MAX_WIDTH = 1e3  # the widest Gaussian: flat on Z_N to 2.5e-5 at n <= 32, symbol entries at most 5e5
 FULL_CHANNEL_CAP = 32  # the largest n: a full-grid channel pass takes O(N^5) time (the library takes any N)
 
 
@@ -73,9 +74,9 @@ def _seed(value, name: str, n: int) -> int:
 
 def _width(value, name: str, n: int) -> float:
     width = _number(value, name)
-    # the Gaussian generators divide by n * width^2, which must neither underflow nor overflow
-    if not (width > 0 and 0 < n * (width * width) < np.inf):
-        raise ConfigError(f"{name} must be positive with n * width^2 a positive finite float, not {width!r}")
+    # the Gaussian generators divide by n * width^2, which must not underflow
+    if not (0 < width <= MAX_WIDTH and n * (width * width) > 0):
+        raise ConfigError(f"{name} must be positive, at most {MAX_WIDTH:g}, with n * width^2 > 0, not {width!r}")
     return width
 
 

@@ -166,11 +166,9 @@ def envelopes(channel: ChannelMatrix, modes: list[tuple[str, np.ndarray | None]]
         # to one length by repeating its first pair (a maximum counts a repeat
         # once); on a lattice that keeps the gather within 2 N^3 entries
         order = np.argsort(second, kind="stable")
-        keys = second[order]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        lengths = np.diff(starts, append=len(order))
+        keys, starts, lengths = np.unique(second[order], return_index=True, return_counts=True)
         segments = order[starts + np.minimum(np.arange(lengths.max())[:, None], lengths - 1)]
-        plans.append((first * n, segments, keys[starts]))  # first: (x-row of w, x-row of z) -> k1 * N
+        plans.append((first * n, segments, keys))  # first: (x-row of w, x-row of z) -> k1 * N
     # form n rows (w) at a time, a whole number of x-rows, with one product and
     # one abs shared by every mode, so no P x P array is ever built; the
     # maximum is exact, so blocking keeps the table

@@ -35,14 +35,15 @@ def rand_complex(rng: np.random.Generator, *shape: int) -> np.ndarray:
 
 
 def gaussian_window(n: int, width: float = 1.0, normalize: bool = True) -> np.ndarray:
-    """Periodized Gaussian exp(-pi t^2 / (N width^2)), summed over wraps.
+    """Periodized Gaussian sum_j exp(-pi (t + j N)^2 / (N width^2)), |j| <= 1 + ceil(3.5 width / sqrt(N)).
 
-    For width 1 this is (up to normalization) the discrete theta window fixed
-    by the unitary DFT.
+    Further wraps move no entry by 2^-53 of itself.  For width 1 this is (up
+    to normalization) the discrete theta window fixed by the unitary DFT.
     """
     t = np.arange(n, dtype=float)
     phi = np.zeros(n)
-    for j in range(-4, 5):
+    wraps = 1 + int(np.ceil(3.5 * width / np.sqrt(n)))
+    for j in range(-wraps, wraps + 1):
         phi += np.exp(-np.pi * (t + j * n) ** 2 / (n * width**2))
     out = phi.astype(complex)
     return out / np.linalg.norm(out) if normalize else out
@@ -146,13 +147,15 @@ def graded_corpus(n: int, count: int = 10, seed: int = 2024) -> list[np.ndarray]
     """Smoothness-graded symbol family: nested band-limited partial sums.
 
     One master random draw; member k keeps the centered frequency square of
-    half-width k (member 0 keeps only the DC mode, the last member keeps
-    everything).  Roughness, class norms and operator norms all grow with k,
-    which is what the monotone-association diagnostics measure.
+    half-width h_k, strictly increasing from h_0 = 0 (the DC mode) towards
+    N // 2, and the last member keeps everything, as does any h_k >= N // 2:
+    so if N // 2 < count - 1, members N // 2 to count - 1 coincide (at count
+    10, every N < 18).  Roughness, class norms and operator norms grow with
+    k, which is what the monotone-association diagnostics measure.
     """
     master = rand_complex(np.random.default_rng(seed), n, n)
     halves = np.linspace(0, n // 2, count).round().astype(int)
-    for i in range(1, count):  # strictly graded: no duplicate members
+    for i in range(1, count):  # strictly increasing half-widths, not distinct members (see above)
         halves[i] = max(halves[i], halves[i - 1] + 1)
     halves[-1] = n  # keep the full spectrum in the last member
     a = np.arange(n)

@@ -30,12 +30,6 @@ __all__ = [
 ]
 
 
-def _lp(values: np.ndarray, p: float, axis: int) -> np.ndarray:
-    if np.isinf(p):
-        return values.max(axis=axis)
-    return (values**p).sum(axis=axis) ** (1.0 / p)
-
-
 def mixed_norm(grid: np.ndarray, p: float, q: float) -> float:
     """L^{p,q} norm of an N x N grid indexed (x, omega), for p, q in [1, inf].
 
@@ -43,9 +37,8 @@ def mixed_norm(grid: np.ndarray, p: float, q: float) -> float:
     """
     if not (p >= 1.0 and q >= 1.0):  # refuses NaN too
         raise ValueError("exponents must satisfy p, q >= 1")
-    arr = np.abs(np.asarray(grid, dtype=complex))
-    inner = _lp(arr, p, axis=0)  # collapse x, one value per omega
-    return float(_lp(inner, q, axis=0))
+    inner = np.linalg.norm(np.asarray(grid, dtype=complex), ord=p, axis=0)  # collapse x, one value per omega
+    return float(np.linalg.norm(inner, ord=q, axis=0))  # axis=0: without it, 1-D ord=2 sums by BLAS dot
 
 
 def modulation_norm(f: np.ndarray, g: np.ndarray, p: float, q: float) -> float:

@@ -136,7 +136,6 @@ def dequantize(operator: np.ndarray, tau: float) -> np.ndarray:
     arr = np.asarray(operator, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("operator must be a square matrix")
-    tau = _check_tau(tau)
     diag = arr[_diagonals(arr.shape[0])]  # diag[u, y] = T[y - u, y]
     coeff = np.fft.fft(diag, axis=1).T  # coeff[omega, u] = sum_y diag[u, y] e^{-2 pi i omega y/N}
     return symbol_from_spreading(coeff, tau)

@@ -20,10 +20,6 @@ def format_float(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _round12(x: float) -> float:
-    return float(format_float(x))
-
-
 def envelope_csv_lines(table: np.ndarray, v: Weight) -> list[str]:
     """An N x N envelope table as CSV rows: k_x, k_omega, h, v_s, h_times_v."""
     lines = ["k_x,k_omega,h,v_s,h_times_v"]
@@ -48,7 +44,7 @@ def write_json(path, obj) -> None:
         if isinstance(value, list):
             return [clean(v) for v in value]
         if isinstance(value, float):  # np.float64 too
-            return _round12(value)
+            return float(format_float(value))
         return value
 
     with open(path, "w") as fh:

@@ -145,11 +145,11 @@ def channel_modulus_residual(channel: dg.ChannelMatrix, slabs):
     if tau > 0.5:  # runs along w0 at a fixed z0, blocks (z1, w0, w1)
         left, right = channel.image.conj(), channel.bank
         slab_of, on1, on2, at2, q2 = slab_of.T, on1.T, on2.T, at2.T, q2.T
+    # each row of slab_of is nondecreasing (p1 is monotone, and rint(p1) <= N - 1: % n never wraps)
     runs = [[] for _ in range(n)]  # slab -> (a, lo, hi) with slab_of[a, lo:hi] == slab
     for a, row in enumerate(slab_of):
-        starts = np.flatnonzero(np.diff(row, prepend=-1)).tolist()
-        for lo, hi in zip(starts, [*starts[1:], n]):
-            runs[row[lo]].append((a, lo, hi))
+        for k, lo, length in zip(*np.unique(row, return_index=True, return_counts=True)):
+            runs[k].append((a, lo, lo + length))
     worst = scale = 0.0
     for k, slab in zip(range(n), slabs, strict=True):
         picked = []

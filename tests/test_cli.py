@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import cyclictf
 from cyclictf import generators as gen
-from cyclictf.cli import (MAX_VALUE, MAX_WEIGHT, ConfigError, ExperimentConfig, main, run_channel, run_sweep,
-                          run_wiener)
+from cyclictf.cli import (MAX_VALUE, MAX_WEIGHT, MAX_WIDTH, ConfigError, ExperimentConfig, main, run_channel,
+                          run_sweep, run_wiener)
 from cyclictf.diagnostics import ChannelMatrix
 from cyclictf.serialize import envelope_csv_lines
 from cyclictf.verify import VERIFY_SUITES
@@ -198,6 +198,15 @@ class TestConfigValidation:
             assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
             assert f"gaussian {kind} width must be positive" in capsys.readouterr().err
             assert not (tmp_path / out).exists()
+
+    @pytest.mark.parametrize("kind", ["symbol", "window"])
+    def test_gaussian_width_bound(self, tmp_path, capsys, kind):
+        widest = write_config(tmp_path, {"n": 2, kind: {"name": "gaussian", "width": MAX_WIDTH}})
+        assert main(["norms", "--config", str(widest), "--out", str(tmp_path), "--quiet"]) == 0
+        wider = write_config(tmp_path, {"n": 2, kind: {"name": "gaussian", "width": MAX_WIDTH * (1 + 1e-15)}})
+        assert main(["norms", "--config", str(wider), "--out", str(tmp_path / "wider")]) == 2
+        assert f"gaussian {kind} width must be positive, at most {MAX_WIDTH:g}," in capsys.readouterr().err
+        assert not (tmp_path / "wider").exists()
 
 
     @pytest.mark.parametrize(

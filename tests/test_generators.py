@@ -22,6 +22,17 @@ def test_gaussian_window_dft_invariant():
     assert np.abs(dft(phi) - phi).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32])
+def test_gaussian_window_sums_every_wrap(n):
+    # against a sum over |j| <= 4000 wraps, and even under t -> -t, up to the widest config width
+    t = np.arange(n)
+    for width in (0.1, 1.0, 3.0, 10.0, 30.0, 1e3):
+        phi = gaussian_window(n, width, normalize=False).real
+        long_sum = sum(np.exp(-np.pi * (t + j * n) ** 2 / (n * width**2)) for j in range(-4000, 4001))
+        assert np.abs(phi - long_sum).max() <= 1e-13 * long_sum.max()
+        assert np.abs(phi - phi[-t]).max() <= 1e-13 * phi.max()
+
+
 def test_comb_window_ambiguity_support():
     # the step-2 comb's ambiguity function lives on the even sublattice
     phi = comb_window(8)
@@ -58,6 +69,16 @@ def test_graded_corpus_shapes_and_determinism():
     # spectral support is nested: first member is the DC mode only
     hat0 = np.fft.fft2(a[0])
     assert np.abs(hat0[1:, :]).max() < 1e-12 and np.abs(hat0[:, 1:]).max() < 1e-12
+
+
+def test_graded_corpus_duplicates_below_n18():
+    # half-width N // 2 keeps the whole spectrum, so with 10 members the last ones coincide when N // 2 < 9
+    def equal_pairs(n):
+        corpus = graded_corpus(n, 10, 2024)
+        return [(i, j) for i in range(10) for j in range(i + 1, 10) if np.array_equal(corpus[i], corpus[j])]
+
+    assert equal_pairs(16) == [(8, 9)]
+    assert all(equal_pairs(n) == [] for n in range(18, 34))
 
 
 def test_named_symbols_cover_spec_list():

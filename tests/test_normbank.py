@@ -43,6 +43,17 @@ class TestMixedNorm:
         grid[:, 0] = 1.0
         assert mixed_norm(grid, INF, 1) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("p,q", [(1, 2), (2, 1), (3, 1.5), (2, INF), (INF, 2)])
+    def test_direct_formula(self, p, q):
+        # (sum_omega (sum_x |g|^p)^(q/p))^(1/q), a maximum for an infinite exponent
+        rng = np.random.default_rng(7)
+        for n in (2, 5, 8, 16):
+            grid = rand_complex(rng, n, n)
+            mags = np.abs(grid)
+            inner = mags.max(axis=0) if p == INF else (mags**p).sum(axis=0) ** (1 / p)
+            expected = inner.max() if q == INF else (inner**q).sum() ** (1 / q)
+            assert mixed_norm(grid, p, q) == pytest.approx(expected, rel=1e-14)
+
     def test_exponent_validation(self):
         grid = np.ones((4, 4))
         for p, q in [(0.5, 2), (2, 0.5), (float("nan"), 2), (2, float("nan"))]:

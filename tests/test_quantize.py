@@ -147,6 +147,11 @@ class TestOpTau:
         with pytest.raises(ValueError, match="out of range"):
             op_tau(np.ones((4, 4)), 1.2)
 
+    @pytest.mark.parametrize("tau", [1.2, -0.1])
+    def test_dequantize_tau_out_of_range(self, tau):
+        with pytest.raises(ValueError, match="out of range"):
+            dequantize(np.eye(4), tau)
+
     def test_continuity_in_tau(self):
         # Lipschitz regression: HS distance bounded by a frozen constant times
         # |tau - tau'| for the seeded symbol; constant measured at build time.
