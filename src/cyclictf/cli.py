@@ -4,8 +4,8 @@ Subcommands:
   verify   -- run the exact-identity suites, print a pass/fail table
   sweep    -- tau sweep of envelope masses, class norms, boundedness ratios (CSV)
   wiener   -- inverse-symbol and composition reports (JSON)
-  norms    -- norm bank report for the configured symbol and a probe signal (JSON)
-  channel  -- channel-matrix envelope table (CSV) and diagnostic report (JSON)
+  norms    -- norm bank report for the configured symbol and a probe signal (JSON), first tau only
+  channel  -- channel-matrix envelope table (CSV) and diagnostic report (JSON), first tau only
 
 Configuration is a JSON file (--config); every field has a default and is
 validated before any computation.  Runs are deterministic for a fixed config
@@ -29,6 +29,7 @@ import numpy as np
 
 from . import diagnostics as dg
 from . import generators as gen
+from .generators import MAX_WIDTH
 from .normbank import ell1v, fsjostrand_norm, modulation_norm, sjostrand_norm, symbol_sups
 from .phasespace import Lattice, polynomial_weight
 from .quantize import tau_wigner
@@ -43,7 +44,6 @@ MAX_WEIGHT = 1e200
 # one: `wiener` squares the symbol and inverts it (entries up to 1 / the smallest |value|),
 # and either times MAX_WEIGHT leaves 1e8 of headroom for the sums (N^5 <= 3.4e7)
 MAX_VALUE = 1e50
-MAX_WIDTH = 1e3  # the widest Gaussian: flat on Z_N to 2.5e-5 at n <= 32, symbol entries at most 5e5
 FULL_CHANNEL_CAP = 32  # the largest n: a full-grid channel pass takes O(N^5) time (the library takes any N)
 
 

@@ -24,14 +24,7 @@ import numpy as np
 
 from .generators import rand_complex
 from .normbank import ell1v, fsjostrand_norm, sjostrand_norm, symbol_sups
-from .phasespace import (
-    J_INV_MATRIX,
-    Lattice,
-    Weight,
-    btau_matrix,
-    polynomial_weight,
-    utau_matrix,
-)
+from .phasespace import Lattice, Weight, btau_matrix, polynomial_weight, utau_matrix
 from .quantize import dequantize, op_tau, rotate_symbol_j_inv, tau_wigner
 from .transforms import frame_bounds, shift_bank
 
@@ -79,12 +72,9 @@ def operator_channel(
     lattice: Lattice = Lattice(1, 1),
     tau: float | None = None,
 ) -> ChannelMatrix:
-    """Channel matrix of an arbitrary operator matrix (no symbol needed)."""
+    """Channel matrix of an arbitrary operator matrix (no symbol needed); shift_bank refuses a zero phi."""
     arr = np.asarray(operator, dtype=complex)
     n = arr.shape[0]
-    phi = np.asarray(phi, dtype=complex)
-    if not np.any(phi):
-        raise ValueError("window must be non-zero")
     if tau is not None and not 0.0 <= tau <= 1.0:
         raise ValueError(f"the channel's tau must be in [0, 1], not {tau}")
     bank = shift_bank(phi, lattice.points(n))
@@ -211,11 +201,12 @@ def fclass_weight(v: Weight, tau: float) -> Weight:
 
 
 def spearman_rank(a, b) -> float:
-    """Spearman rank correlation (no tie correction; inputs are continuous)."""
+    """Spearman rank correlation, no tie correction: a stable sort ranks tied entries by position,
+    the same order in both inputs when their ties come from one symbol (coinciding corpus members)."""
     x = np.asarray(a, dtype=float)
     y = np.asarray(b, dtype=float)
-    rx = np.argsort(np.argsort(x)).astype(float)
-    ry = np.argsort(np.argsort(y)).astype(float)
+    rx = np.argsort(np.argsort(x, kind="stable")).astype(float)
+    ry = np.argsort(np.argsort(y, kind="stable")).astype(float)
     return float(np.corrcoef(rx, ry)[0, 1])
 
 
@@ -252,8 +243,9 @@ def almost_diag_report(
     """
     warnings = () if frame_bounds(phi, lattice).is_frame else ("window/lattice pair is not a frame",)
     env = envelope(channel_matrix(sigma, tau, phi, lattice), "difference")
+    # v_s o J^{-1} = v_s: J^{-1} swaps the coordinates and negates one, and |z|_wrap is blind to both
     v = polynomial_weight(s)
-    class_norm = sjostrand_norm(symbol_sups(sigma, tau_wigner(phi, phi, tau)), v.compose(J_INV_MATRIX))
+    class_norm = sjostrand_norm(symbol_sups(sigma, tau_wigner(phi, phi, tau)), v)
     mass = ell1v(env, v)
     ratio = mass / class_norm if class_norm > 0 else float("inf")
     return DiagReport(mass, class_norm, ratio, env, warnings)

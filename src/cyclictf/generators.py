@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "MAX_WIDTH",
     "RNG_ALGORITHM",
     "comb_window",
     "delta_symbol",
@@ -27,6 +28,7 @@ __all__ = [
 ]
 
 RNG_ALGORITHM = "numpy-pcg64"
+MAX_WIDTH = 1e3  # the widest Gaussian: flat on Z_N to 2.5e-5 at n <= 32, symbol entries at most 5e5
 
 
 def rand_complex(rng: np.random.Generator, *shape: int) -> np.ndarray:
@@ -37,9 +39,12 @@ def rand_complex(rng: np.random.Generator, *shape: int) -> np.ndarray:
 def gaussian_window(n: int, width: float = 1.0, normalize: bool = True) -> np.ndarray:
     """Periodized Gaussian sum_j exp(-pi (t + j N)^2 / (N width^2)), |j| <= 1 + ceil(3.5 width / sqrt(N)).
 
-    Further wraps move no entry by 2^-53 of itself.  For width 1 this is (up
-    to normalization) the discrete theta window fixed by the unitary DFT.
+    Further wraps move no entry by 2^-53 of itself, and the wraps cost time
+    linear in width, so width must be in (0, MAX_WIDTH].  For width 1 this is
+    (up to normalization) the discrete theta window fixed by the unitary DFT.
     """
+    if not 0 < width <= MAX_WIDTH:  # refuses NaN too
+        raise ValueError(f"Gaussian width must be in (0, MAX_WIDTH = {MAX_WIDTH:g}], not {width!r}")
     t = np.arange(n, dtype=float)
     phi = np.zeros(n)
     wraps = 1 + int(np.ceil(3.5 * width / np.sqrt(n)))
@@ -65,10 +70,10 @@ def comb_window(n: int, step: int = 2) -> np.ndarray:
     if n % (step * step):
         raise ValueError("comb window requires step^2 to divide N")
     period = n // step
+    t = np.arange(0, n, step)
+    d = np.minimum(t % period, period - t % period)  # wrapped distance of each tooth
     phi = np.zeros(n, dtype=complex)
-    for t in range(0, n, step):
-        d = min(t % period, period - t % period)
-        phi[t] = np.exp(-np.pi * d * d / n)
+    phi[t] = np.exp(-np.pi * d * d / n)
     return phi / np.linalg.norm(phi)
 
 

@@ -32,12 +32,6 @@ __all__ = [
 ]
 
 
-def _wrapped(t: np.ndarray, n: int) -> np.ndarray:
-    """Distance from each t to the nearest multiple of N."""
-    r = np.mod(t, n)
-    return np.minimum(r, n - r)
-
-
 def _check_open_tau(tau: float) -> None:
     if not 0.0 < tau < 1.0:
         raise ValueError("B_tau/U_tau singular at endpoints")
@@ -113,7 +107,9 @@ class Weight:
         pt = np.asarray(z, dtype=float)
         if self.premap is not None:
             pt = np.tensordot(self.premap, pt, axes=1)
-        return (1.0 + np.sum(_wrapped(pt, n) ** 2, axis=0)) ** (self.s / 2.0)
+        r = np.mod(pt, n)
+        wrapped = np.minimum(r, n - r)  # each coordinate's distance to N Z
+        return (1.0 + np.sum(wrapped**2, axis=0)) ** (self.s / 2.0)
 
     def compose(self, matrix: np.ndarray) -> "Weight":
         """Weight z -> self(matrix z); premaps chain by matrix product."""

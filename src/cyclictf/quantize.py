@@ -133,9 +133,7 @@ def dequantize(operator: np.ndarray, tau: float) -> np.ndarray:
     coefficient is c(omega, u) = <T, T_{-u} M_omega>_HS (||U||_HS^2 = N
     cancels the 1/N in the quantization sum), then the inverse chirped DFT.
     """
-    arr = np.asarray(operator, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("operator must be a square matrix")
+    arr = _as_symbol(operator)
     diag = arr[_diagonals(arr.shape[0])]  # diag[u, y] = T[y - u, y]
     coeff = np.fft.fft(diag, axis=1).T  # coeff[omega, u] = sum_y diag[u, y] e^{-2 pi i omega y/N}
     return symbol_from_spreading(coeff, tau)

@@ -45,6 +45,13 @@ def _as_signal(f) -> np.ndarray:
     return arr
 
 
+def _nonzero(window: np.ndarray) -> np.ndarray:
+    """The window itself, refused if it is all zero (no frame, no STFT inversion)."""
+    if not np.any(window):
+        raise ValueError("window must be non-zero")
+    return window
+
+
 def dft(f: np.ndarray) -> np.ndarray:
     """Unitary DFT; dft applied four times is the identity."""
     arr = _as_signal(f)
@@ -67,7 +74,7 @@ def shift_bank(phi: np.ndarray, points: np.ndarray) -> np.ndarray:
     once, in the same order of operations as tf_shift, so each column equals
     tf_shift(z, phi) bit for bit.
     """
-    arr = _as_signal(phi)
+    arr = _nonzero(_as_signal(phi))
     n = arr.shape[0]
     x, omega = np.asarray(points).T
     t = np.arange(n)[:, None]
@@ -92,9 +99,7 @@ def stft(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     n = farr.shape[0]
     if garr.shape != farr.shape:
         raise ValueError(f"signal and window lengths differ: {n} != {garr.shape[0]}")
-    if not np.any(garr):
-        raise ValueError("window must be non-zero")
-    return np.fft.fft(farr * np.conj(garr[_shift_index(n)]), axis=1)
+    return np.fft.fft(farr * np.conj(_nonzero(garr)[_shift_index(n)]), axis=1)
 
 
 def stft_adjoint(big_f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -120,9 +125,7 @@ def stft_slabs(sigma: np.ndarray, window: np.ndarray):
     """
     arr = np.asarray(sigma, dtype=complex)
     n = arr.shape[0]
-    win = np.asarray(window, dtype=complex)
-    if not np.any(win):
-        raise ValueError("window must be non-zero")
+    win = _nonzero(np.asarray(window, dtype=complex))
     # cols[p2, r, y2] = conj(W)[r, (y2 - p2) mod N] = roll(conj(W), p2, axis=1)[r, y2],
     # one gather into a contiguous (p2, r, y2) array
     cols = np.conj(win)[np.arange(n)[:, None], _shift_index(n)[:, None, :]]
@@ -163,8 +166,6 @@ class FrameReport:
 def frame_operator(phi: np.ndarray, lattice: Lattice) -> np.ndarray:
     """S = sum_{l in Lambda} <., pi(l) phi> pi(l) phi, an N x N PSD matrix."""
     arr = _as_signal(phi)
-    if not np.any(arr):
-        raise ValueError("window must be non-zero")
     bank = shift_bank(arr, lattice.points(arr.shape[0]))
     return bank @ bank.conj().T
 

@@ -134,13 +134,12 @@ def channel_modulus_residual(channel: dg.ChannelMatrix, slabs):
     n, tau = channel.n, channel.tau
     x = np.arange(n)
     p1 = (1 - tau) * x[:, None] + tau * x[None, :]  # (w0, z0)
-    p2 = tau * x[:, None] + (1 - tau) * x[None, :]  # (w1, z1)
     on1 = np.abs(p1 - np.rint(p1)) <= 1e-9
-    on2 = np.abs(p2 - np.rint(p2)) <= 1e-9
     slab_of = np.rint(p1).astype(np.int64) % n
-    # a slab's |V| read as rows (p2, q1) = (rint(p2), w1 - z1) and columns q2 = z0 - w0
-    at2 = (np.rint(p2).astype(np.int64) % n) * n + (x[:, None] - x[None, :]) % n
     q2 = (x[None, :] - x[:, None]) % n
+    # a slab's |V| read as rows (p2, q1) = (rint(p2), w1 - z1) and columns q2 = z0 - w0; at
+    # (w1, z1), p2 = tau w1 + (1 - tau) z1 is p1 with w and z swapped, the same float sum
+    on2, at2 = on1.T, slab_of.T * n + q2.T
     left, right = channel.bank.conj(), channel.image  # a run's blocks are (w1, z0, z1)
     if tau > 0.5:  # runs along w0 at a fixed z0, blocks (z1, w0, w1)
         left, right = channel.image.conj(), channel.bank

@@ -149,6 +149,10 @@ class TestChannelMatrix:
         with pytest.raises(ValueError, match="non-zero"):
             channel_matrix(np.ones((4, 4)), 0.5, np.zeros(4))
 
+    def test_operator_channel_zero_window_rejected(self):
+        with pytest.raises(ValueError, match="non-zero"):
+            operator_channel(np.eye(4, dtype=complex), np.zeros(4))
+
 
 class TestModulusIdentity:
     """|channel entry| equals the symbol-STFT magnitude where the pairing is on-grid."""
@@ -531,6 +535,12 @@ class TestBoundedness:
         sigma = np.tile(m[:, None], (1, 8))
         rep = boundedness_report(sigma, 0.3, gaussian_window(8), 10, 1)
         assert rep.max_ratio == pytest.approx(1.0, abs=1e-9)
+
+    def test_spearman_ranks_ties_by_position(self):
+        # the tied 2s and 9s rank in the order they stand, as y's distinct values do
+        x = [3.0, 1.0, 2.0, 2.0, 5.0, 0.0, 2.0, 2.0, 9.0, 9.0]
+        y = [6.0, 1.0, 2.0, 3.0, 7.0, 0.0, 4.0, 5.0, 8.0, 9.0]
+        assert spearman_rank(x, y) == pytest.approx(1.0, abs=1e-15)
 
     def test_corpus_association(self):
         corpus = graded_corpus(16, 10, 2024)

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from cyclictf.generators import (
+    MAX_WIDTH,
     comb_window,
     gaussian_window,
     graded_corpus,
@@ -31,6 +34,25 @@ def test_gaussian_window_sums_every_wrap(n):
         long_sum = sum(np.exp(-np.pi * (t + j * n) ** 2 / (n * width**2)) for j in range(-4000, 4001))
         assert np.abs(phi - long_sum).max() <= 1e-13 * long_sum.max()
         assert np.abs(phi - phi[-t]).max() <= 1e-13 * phi.max()
+
+
+@pytest.mark.parametrize("width", [1e5, 0.0, -1.0, float("nan")])
+def test_gaussian_window_refuses_width_outside_bound(width):
+    # the wrap loop's time grows linearly with width, so a width past the bound is refused before it
+    with pytest.raises(ValueError, match=re.escape(f"(0, MAX_WIDTH = {MAX_WIDTH:g}]")):
+        gaussian_window(2, width)
+
+
+def test_comb_window_matches_per_tooth_oracle():
+    # tooth t carries exp(-pi d^2 / N), d its wrapped distance to the period N / step, then normalized
+    for n in range(1, 65):
+        for step in (s for s in range(1, n + 1) if n % (s * s) == 0):
+            period = n // step
+            oracle = np.zeros(n, dtype=complex)
+            for t in range(0, n, step):
+                d = min(t % period, period - t % period)
+                oracle[t] = np.exp(-np.pi * d * d / n)
+            assert comb_window(n, step).tobytes() == (oracle / np.linalg.norm(oracle)).tobytes(), (n, step)
 
 
 def test_comb_window_ambiguity_support():

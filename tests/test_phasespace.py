@@ -175,6 +175,13 @@ class TestSymplecticMaps:
         v = polynomial_weight(1.0)
         assert np.allclose(v.compose(J_MATRIX).on_grid(16), v.on_grid(16), rtol=1e-14, atol=0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 64), s=st.floats(0.0, 140.0))
+    def test_j_inverse_premap_is_the_weight_bitwise(self, n, s):
+        # almost_diag_report weights the class norm by v_s itself, not v_s o J^{-1}
+        v = polynomial_weight(s)
+        assert v.compose(J_INV_MATRIX).on_grid(n).tobytes() == v.on_grid(n).tobytes()
+
     def test_ttau_endpoint(self):
         # T_0(w, z) = (w0, z1)
         assert ttau_bin((3, 5), (1, 2), 0.0, 8) == (3, 2)

@@ -376,3 +376,15 @@ class TestInputValidation:
     def test_frame_operator_zero_window(self):
         with pytest.raises(ValueError, match="non-zero"):
             frame_operator(np.zeros(4), Lattice(1, 1))
+
+    def test_shift_bank_zero_window(self):
+        with pytest.raises(ValueError, match="non-zero"):
+            shift_bank(np.zeros(4), Lattice(1, 1).points(4))
+
+    def test_gabor_reconstruct_zero_windows(self):
+        # either zero window is refused, where the expansion would return zeros
+        phi = gaussian_window(4)
+        with pytest.raises(ValueError, match="non-zero"):
+            gabor_reconstruct(np.ones(4), np.zeros(4), phi, Lattice(1, 1))
+        with pytest.raises(ValueError, match="non-zero"):
+            gabor_reconstruct(np.ones(4), phi, np.zeros(4), Lattice(1, 1))
