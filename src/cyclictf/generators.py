@@ -65,10 +65,10 @@ def comb_window(n: int, step: int = 2) -> np.ndarray:
 
     Its ambiguity function is supported on the sublattice (step Z_N)^2, which
     is what the channel-identity verification at tau = 1/step needs on even
-    grids; requires step^2 | N.
+    grids; requires a positive integer step with step^2 | N.
     """
-    if n % (step * step):
-        raise ValueError("comb window requires step^2 to divide N")
+    if not (isinstance(step, (int, np.integer)) and step >= 1) or n % (step * step):
+        raise ValueError(f"comb window needs a positive integer step with step^2 dividing N = {n}, not {step!r}")
     period = n // step
     t = np.arange(0, n, step)
     d = np.minimum(t % period, period - t % period)  # wrapped distance of each tooth

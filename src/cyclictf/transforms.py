@@ -124,8 +124,10 @@ def stft_slabs(sigma: np.ndarray, window: np.ndarray):
     q2, then over q1, in place (the two passes of fft2, in its order).
     """
     arr = np.asarray(sigma, dtype=complex)
-    n = arr.shape[0]
     win = _nonzero(np.asarray(window, dtype=complex))
+    if arr.ndim != 2 or arr.shape != win.shape or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"symbol and window must be square grids of one shape: {arr.shape} and {win.shape}")
+    n = arr.shape[0]
     # cols[p2, r, y2] = conj(W)[r, (y2 - p2) mod N] = roll(conj(W), p2, axis=1)[r, y2],
     # one gather into a contiguous (p2, r, y2) array
     cols = np.conj(win)[np.arange(n)[:, None], _shift_index(n)[:, None, :]]

@@ -70,6 +70,13 @@ def test_comb_window_divisibility():
         comb_window(6)
 
 
+@pytest.mark.parametrize("step", [-2, 0, 2.0])
+def test_comb_window_refuses_a_step_that_is_not_a_positive_integer(step):
+    # unchecked, these end in an all-NaN window, a ZeroDivisionError and an IndexError
+    with pytest.raises(ValueError, match=re.escape("step^2")):
+        comb_window(8, step)
+
+
 def test_profile_length_checked():
     with pytest.raises(ValueError, match="length"):
         separable_x_symbol(8, values=[1.0, 2.0])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -372,6 +374,12 @@ class TestInputValidation:
     def test_grid_stft_zero_window(self):
         with pytest.raises(ValueError, match="non-zero"):
             stft_grid(np.ones((4, 4)), np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("shape", [(8, 8), (4, 8), (8, 4), (3, 3), (4,)])
+    def test_grid_stft_window_shape(self, shape):
+        # unchecked, a larger window is cut to its top-left block and a smaller one ends in an IndexError
+        with pytest.raises(ValueError, match=re.escape(f"(4, 4) and {shape}")):
+            stft_grid(np.ones((4, 4)), np.ones(shape))
 
     def test_frame_operator_zero_window(self):
         with pytest.raises(ValueError, match="non-zero"):
