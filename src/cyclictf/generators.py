@@ -158,6 +158,8 @@ def graded_corpus(n: int, count: int = 10, seed: int = 2024) -> list[np.ndarray]
     10, every N < 18).  Roughness, class norms and operator norms grow with
     k, which is what the monotone-association diagnostics measure.
     """
+    if count < 1:
+        raise ValueError(f"graded_corpus needs count >= 1, got {count}")
     master = rand_complex(np.random.default_rng(seed), n, n)
     halves = np.linspace(0, n // 2, count).round().astype(int)
     for i in range(1, count):  # strictly increasing half-widths, not distinct members (see above)

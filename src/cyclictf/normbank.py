@@ -37,7 +37,10 @@ def mixed_norm(grid: np.ndarray, p: float, q: float) -> float:
     """
     if not (p >= 1.0 and q >= 1.0):  # refuses NaN too
         raise ValueError("exponents must satisfy p, q >= 1")
-    inner = np.linalg.norm(np.asarray(grid, dtype=complex), ord=p, axis=0)  # collapse x, one value per omega
+    arr = np.asarray(grid, dtype=complex)
+    if arr.ndim != 2:
+        raise ValueError(f"mixed_norm needs a 2-D grid, got shape {arr.shape}")
+    inner = np.linalg.norm(arr, ord=p, axis=0)  # collapse x, one value per omega
     return float(np.linalg.norm(inner, ord=q, axis=0))  # axis=0: without it, 1-D ord=2 sums by BLAS dot
 
 

@@ -30,6 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .transforms import _shift_index
+
 __all__ = [
     "chirp_exponents",
     "convert_symbol",
@@ -41,13 +43,6 @@ __all__ = [
     "tau_wigner",
     "twisted_product",
 ]
-
-
-def _check_tau(tau: float) -> float:
-    tau = float(tau)
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("quantization parameter out of range")
-    return tau
 
 
 @lru_cache(maxsize=None)
@@ -72,6 +67,14 @@ def chirp_exponents(n: int) -> np.ndarray:
     return psi
 
 
+def _chirp(n: int, tau: float) -> np.ndarray:
+    """The chirp e^{-2 pi i (1 - tau) psi / N} of spreading_function, for tau in [0, 1]."""
+    tau = float(tau)
+    if not 0.0 <= tau <= 1.0:
+        raise ValueError("quantization parameter out of range")
+    return np.exp(-2j * np.pi * (1 - tau) * chirp_exponents(n) / n)
+
+
 def _as_symbol(sigma) -> np.ndarray:
     arr = np.asarray(sigma, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -86,29 +89,15 @@ def spreading_function(sigma: np.ndarray, tau: float) -> np.ndarray:
     c(omega, u) = sigma_hat(omega, u) e^{-2 pi i (1-tau) psi(omega, u)/N}.
     """
     arr = _as_symbol(sigma)
-    tau = _check_tau(tau)
     n = arr.shape[0]
-    phase = np.exp(-2j * np.pi * (1 - tau) * chirp_exponents(n) / n)
-    return (np.fft.fft2(arr) / n) * phase
+    return (np.fft.fft2(arr) / n) * _chirp(n, tau)
 
 
 def symbol_from_spreading(coeff: np.ndarray, tau: float) -> np.ndarray:
     """Inverse of spreading_function; exact round trip for every tau."""
     arr = _as_symbol(coeff)
-    tau = _check_tau(tau)
     n = arr.shape[0]
-    phase = np.exp(+2j * np.pi * (1 - tau) * chirp_exponents(n) / n)
-    return np.fft.ifft2(arr * phase) * n
-
-
-def _diagonals(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index map of the cyclic diagonals: [rows, cols][u, y] = (y - u, y) mod N.
-
-    Row u of the map walks the u-th diagonal of an N x N kernel.  op_tau
-    scatters spreading columns through it, dequantize gathers them back.
-    """
-    y = np.arange(n)
-    return (y[None, :] - y[:, None]) % n, np.broadcast_to(y, (n, n))
+    return np.fft.ifft2(arr * np.conj(_chirp(n, tau))) * n
 
 
 def op_tau(sigma: np.ndarray, tau: float) -> np.ndarray:
@@ -122,7 +111,7 @@ def op_tau(sigma: np.ndarray, tau: float) -> np.ndarray:
     # col[y, u] = (1/N) sum_omega c(omega, u) e^{2 pi i omega y / N}
     col = np.fft.ifft(coeff, axis=0)
     kernel = np.empty((n, n), dtype=complex)
-    kernel[_diagonals(n)] = col.T  # k(y - u, y) = col[y, u]
+    kernel[_shift_index(n), np.arange(n)] = col.T  # k(y - u, y) = col[y, u]: row u walks the u-th cyclic diagonal
     return kernel
 
 
@@ -134,7 +123,8 @@ def dequantize(operator: np.ndarray, tau: float) -> np.ndarray:
     cancels the 1/N in the quantization sum), then the inverse chirped DFT.
     """
     arr = _as_symbol(operator)
-    diag = arr[_diagonals(arr.shape[0])]  # diag[u, y] = T[y - u, y]
+    n = arr.shape[0]
+    diag = arr[_shift_index(n), np.arange(n)]  # diag[u, y] = T[y - u, y]
     coeff = np.fft.fft(diag, axis=1).T  # coeff[omega, u] = sum_y diag[u, y] e^{-2 pi i omega y/N}
     return symbol_from_spreading(coeff, tau)
 

@@ -63,22 +63,26 @@ def tf_shift(z: Sequence[int], f: np.ndarray) -> np.ndarray:
     arr = _as_signal(f)
     n = arr.shape[0]
     x, omega = int(z[0]), int(z[1])
-    t = np.arange(n)
-    return np.exp(2j * np.pi * omega * t / n) * np.roll(arr, x)
+    return _phase(omega * np.arange(n), n) * np.roll(arr, x)
+
+
+def _phase(k, n: int) -> np.ndarray:
+    """e^{2 pi i k / N} for integer k, read from one table of the N roots of unity at k mod N."""
+    return np.exp(2j * np.pi * np.arange(n) / n)[k % n]
 
 
 def shift_bank(phi: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Columns pi(z) phi for the rows z of a (P, 2) int point array, an N x P matrix.
 
-    Evaluates e^{2 pi i omega t / N} phi((t - x) mod N) for all columns at
-    once, in the same order of operations as tf_shift, so each column equals
+    Gathers e^{2 pi i omega t / N} and phi((t - x) mod N) for all columns at
+    once and multiplies them as tf_shift does, so each column equals
     tf_shift(z, phi) bit for bit.
     """
     arr = _nonzero(_as_signal(phi))
     n = arr.shape[0]
     x, omega = np.asarray(points).T
     t = np.arange(n)[:, None]
-    bank = np.exp(2j * np.pi * omega * t / n)
+    bank = _phase(omega * t, n)
     bank *= arr[(t - x) % n]
     return bank
 

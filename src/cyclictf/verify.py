@@ -23,7 +23,7 @@ from . import diagnostics as dg
 from .generators import comb_window, gaussian_window, rand_complex
 from .phasespace import Lattice
 from .quantize import convert_symbol, dequantize, op_tau, tau_wigner
-from .transforms import dft, stft, stft_adjoint, stft_slabs
+from .transforms import _phase, _shift_index, dft, stft, stft_adjoint, stft_slabs
 
 SUITE_TOL = 1e-10
 VERIFY_TRIALS = 20
@@ -37,7 +37,7 @@ def _rel(diff, ref) -> float:
 
 def fundamental_identity(n, rng):
     xg, wg = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    phase = np.exp(-2j * np.pi * (xg * wg % n) / n)  # x omega reduced mod N: its rounding does not grow with N
+    phase = np.conj(_phase(xg * wg, n))  # e^{-2 pi i x omega / N}, from x omega mod N
 
     def residual(f, g):
         lhs = stft(f, g)
@@ -136,7 +136,7 @@ def channel_modulus_residual(channel: dg.ChannelMatrix, slabs):
     p1 = (1 - tau) * x[:, None] + tau * x[None, :]  # (w0, z0)
     on1 = np.abs(p1 - np.rint(p1)) <= 1e-9
     slab_of = np.rint(p1).astype(np.int64) % n
-    q2 = (x[None, :] - x[:, None]) % n
+    q2 = _shift_index(n)
     # a slab's |V| read as rows (p2, q1) = (rint(p2), w1 - z1) and columns q2 = z0 - w0; at
     # (w1, z1), p2 = tau w1 + (1 - tau) z1 is p1 with w and z swapped, the same float sum
     on2, at2 = on1.T, slab_of.T * n + q2.T

@@ -110,6 +110,12 @@ def test_graded_corpus_duplicates_below_n18():
     assert all(equal_pairs(n) == [] for n in range(18, 34))
 
 
+def test_graded_corpus_refuses_a_count_below_one():
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="count >= 1"):
+            graded_corpus(8, count)
+
+
 def test_named_symbols_cover_spec_list():
     for name in ("constant", "separable-x", "separable-omega", "gaussian", "delta", "random-seeded"):
         out = make_symbol(name, 8, seed=3)

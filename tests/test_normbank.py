@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -59,6 +60,11 @@ class TestMixedNorm:
         for p, q in [(0.5, 2), (2, 0.5), (float("nan"), 2), (2, float("nan"))]:
             with pytest.raises(ValueError, match="p, q >= 1"):
                 mixed_norm(grid, p, q)
+
+    def test_grid_validation(self):
+        for grid in (np.ones(4), np.ones((2, 2, 2))):
+            with pytest.raises(ValueError, match=re.escape(f"2-D grid, got shape {grid.shape}")):
+                mixed_norm(grid, 2, 2)
 
 
 class TestModulationNorm:

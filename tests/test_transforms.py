@@ -145,6 +145,20 @@ class TestKernelEquivalence:
             stacked = np.stack([tf_shift(p, phi) for p in pts], axis=1)
             assert np.array_equal(shift_bank(phi, pts), stacked)
 
+    def test_phases_are_the_roots_of_unity_at_omega_t_mod_n(self):
+        # omega t reaches (N - 1)^2 >> N; each phase is e^{2 pi i k / N} at k = omega t mod N, bit for bit
+        n = 1024
+        t = np.arange(n)
+
+        def root(k):
+            return np.exp(2j * np.pi * (k % n) / n)
+
+        assert np.array_equal(tf_shift((0, n - 1), np.ones(n)), root((n - 1) * t))
+        phi = rand_complex(np.random.default_rng(0), n)
+        pts = np.array([[0, n - 1], [3, n // 2 + 1]])
+        expected = np.stack([root(omega * t) * np.roll(phi, x) for x, omega in pts], axis=1)
+        assert np.array_equal(shift_bank(phi, pts), expected)
+
 
 class TestStft:
     def test_value_at_origin(self):
