@@ -29,7 +29,7 @@ import numpy as np
 
 from . import diagnostics as dg
 from . import generators as gen
-from .generators import MAX_WIDTH
+from .generators import MAX_WIDTH, _width_ok
 from .normbank import ell1v, fsjostrand_norm, modulation_norm, sjostrand_norm, symbol_sups
 from .phasespace import Lattice, polynomial_weight
 from .quantize import tau_wigner
@@ -74,8 +74,7 @@ def _seed(value, name: str, n: int) -> int:
 
 def _width(value, name: str, n: int) -> float:
     width = _number(value, name)
-    # the Gaussian generators divide by n * width^2, which must not underflow
-    if not (0 < width <= MAX_WIDTH and n * (width * width) > 0):
+    if not _width_ok(n, width):  # the generators' own rule, with the config's message
         raise ConfigError(f"{name} must be positive, at most {MAX_WIDTH:g}, with n * width^2 > 0, not {width!r}")
     return width
 
@@ -241,7 +240,7 @@ SWEEP_COLUMNS = [
 
 def _envelope_masses(operator, tau, phi, v) -> list[float]:
     """l^1_v masses of the difference, sum and Fourier-class envelopes of Op_tau(sigma)'s channel."""
-    chan = dg.operator_channel(operator, phi, tau=tau)  # freed on return, before the next symbol STFT
+    chan = dg.operator_channel(operator, phi)  # freed on return, before the next symbol STFT
     modes = [("difference", None), ("sum", None), dg.fclass_mode(tau)]
     return [ell1v(env, v) for env in dg.envelopes(chan, modes)]  # one pass over the channel's rows
 

@@ -36,7 +36,6 @@ __all__ = [
     "WienerReport",
     "almost_diag_report",
     "boundedness_report",
-    "channel_matrix",
     "composition_symmetry_check",
     "covariance_check",
     "envelope",
@@ -53,42 +52,24 @@ CONDITION_LIMIT = 1e10  # invertibility threshold for the Wiener experiment
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """Entries <T pi(z) phi, pi(w) phi> (rows w, columns z), held as two N x P factors."""
+    """Entries <T pi(z) phi, pi(w) phi> (rows w, columns z) of T, phi and a lattice, held as two N x P factors."""
 
     bank: np.ndarray  # columns pi(w) phi
     image: np.ndarray  # columns T pi(z) phi
     lattice: Lattice  # rows and columns are lattice.points(n), row-major in (x, omega)
     n: int
-    tau: float | None = None
 
     def rows(self, start: int, stop: int) -> np.ndarray:
         """Rows start:stop of the entries bank[:, w]^* image[:, z], as one matrix product."""
         return self.bank[:, start:stop].conj().T @ self.image
 
 
-def operator_channel(
-    operator: np.ndarray,
-    phi: np.ndarray,
-    lattice: Lattice = Lattice(1, 1),
-    tau: float | None = None,
-) -> ChannelMatrix:
-    """Channel matrix of an arbitrary operator matrix (no symbol needed); shift_bank refuses a zero phi."""
+def operator_channel(operator: np.ndarray, phi: np.ndarray, lattice: Lattice = Lattice(1, 1)) -> ChannelMatrix:
+    """The one channel constructor, of any operator (op_tau(sigma, tau) for a symbol); shift_bank refuses a zero phi."""
     arr = np.asarray(operator, dtype=complex)
     n = arr.shape[0]
-    if tau is not None and not 0.0 <= tau <= 1.0:
-        raise ValueError(f"the channel's tau must be in [0, 1], not {tau}")
     bank = shift_bank(phi, lattice.points(n))
-    return ChannelMatrix(bank=bank, image=arr @ bank, lattice=lattice, n=n, tau=tau)
-
-
-def channel_matrix(
-    sigma: np.ndarray,
-    tau: float,
-    phi: np.ndarray,
-    lattice: Lattice = Lattice(1, 1),
-) -> ChannelMatrix:
-    """Channel matrix of Op_tau(sigma); full grid by default (O(N^5) time in an envelope pass)."""
-    return operator_channel(op_tau(sigma, tau), phi, lattice, tau=tau)
+    return ChannelMatrix(bank=bank, image=arr @ bank, lattice=lattice, n=n)
 
 
 def _nearest_bins(c: np.ndarray, n: int) -> np.ndarray:
@@ -107,7 +88,7 @@ def _nearest_bins(c: np.ndarray, n: int) -> np.ndarray:
     return k
 
 
-def _pairing(mode: str, shift_map: np.ndarray | None, tau: float | None) -> tuple[np.ndarray, np.ndarray]:
+def _pairing(mode: str, param: np.ndarray | float | None) -> tuple[np.ndarray, np.ndarray]:
     """The diagonals (p, q) by which a mode bins the pair (w, z) at p w + q z, one coordinate at a time."""
     one = np.ones(2)
     if mode == "difference":
@@ -115,41 +96,41 @@ def _pairing(mode: str, shift_map: np.ndarray | None, tau: float | None) -> tupl
     if mode == "sum":
         return one, one
     if mode == "shifted":
-        if np.shape(shift_map) != (2, 2):
-            raise ValueError(f"mode='shifted' needs a 2x2 shift map, not {np.shape(shift_map)}")
-        a = np.asarray(shift_map, dtype=float)
+        if np.shape(param) != (2, 2):
+            raise ValueError(f"mode='shifted' needs a 2x2 shift map, not {np.shape(param)}")
+        a = np.asarray(param, dtype=float)
         if a[0, 1] or a[1, 0] or not np.isfinite(a).all():
             raise ValueError(f"mode='shifted' needs a finite diagonal shift map, not {a.tolist()}")
         return one, -np.diag(a)
     if mode == "ttau":
-        if tau is None or not 0.0 <= tau <= 1.0:
-            raise ValueError(f"weak envelope needs the channel's tau, in [0, 1], not {tau}")
-        return np.array([1 - tau, tau]), np.array([tau, 1 - tau])
+        if param is None or not 0.0 <= param <= 1.0:
+            raise ValueError(f"weak envelope needs tau, in [0, 1], not {param}")
+        return np.array([1 - param, param]), np.array([param, 1 - param])
     raise ValueError(f"unknown envelope mode {mode!r}")
 
 
-def envelopes(channel: ChannelMatrix, modes: list[tuple[str, np.ndarray | None]]) -> list[np.ndarray]:
-    """Decay envelopes of a channel matrix, one per (mode, shift_map) pair, from one pass.
+def envelopes(channel: ChannelMatrix, modes: list[tuple[str, np.ndarray | float | None]]) -> list[np.ndarray]:
+    """Decay envelopes of a channel matrix, one per (mode, param) pair, from one pass.
 
     Each envelope is the N x N table h(k) >= 0, k in Z_N^2.  Every mode
     bins |entry(w, z)| by the nearest grid point of p w + q z (coordinate
     by coordinate) and keeps the maximum per bin; the mode only picks the
     diagonal pair (p, q): "difference" (1, -1) bins by w - z, "sum" (1, 1)
-    by w + z, "shifted" (1, -A) by w - A z for the given diagonal 2x2 map
-    A, and "ttau" ((1 - tau, tau), (tau, 1 - tau)) by the convex pairing of
-    (w, z) at tau (the weak endpoint form; requires the channel to carry
-    its tau).
+    by w + z, "shifted" (1, -A) by w - A z for its parameter, a diagonal
+    2x2 map A, and "ttau" ((1 - tau, tau), (tau, 1 - tau)) by the convex
+    pairing of (w, z) at its parameter tau in [0, 1] (the weak endpoint
+    form).  "difference" and "sum" take no parameter (None).
     """
     n, lattice = channel.n, channel.lattice
     nx, width = n // lattice.a, n // lattice.b  # x-rows, and points per x-row
     size = nx * width
     xs, omegas = np.arange(0, n, lattice.a), np.arange(0, n, lattice.b)
     plans = []
-    for mode, shift_map in modes:
+    for mode, param in modes:
         # the first bin depends on (w_x, z_x) only, the second on (w_omega,
         # z_omega) only; each is p w + q z with one rounding per product, so
         # the bins never depend on a BLAS kernel
-        p, q = _pairing(mode, shift_map, channel.tau)
+        p, q = _pairing(mode, param)
         first = _nearest_bins(np.add.outer(p[0] * xs, q[0] * xs), n)
         second = _nearest_bins(np.add.outer(p[1] * omegas, q[1] * omegas), n).ravel()
         # column k of `segments` lists the omega pairs of second bin k, padded
@@ -179,20 +160,20 @@ def envelopes(channel: ChannelMatrix, modes: list[tuple[str, np.ndarray | None]]
     return [table.reshape(n, n) for table in tables]
 
 
-def envelope(channel: ChannelMatrix, mode: str, shift_map: np.ndarray | None = None) -> np.ndarray:
-    """Decay envelope of a channel matrix in one mode (see `envelopes`)."""
-    return envelopes(channel, [(mode, shift_map)])[0]
+def envelope(channel: ChannelMatrix, mode: str, param: np.ndarray | float | None = None) -> np.ndarray:
+    """Decay envelope of a channel matrix in one mode, with its parameter (see `envelopes`)."""
+    return envelopes(channel, [(mode, param)])[0]
 
 
-def fclass_mode(tau: float) -> tuple[str, np.ndarray | None]:
-    """The (mode, shift_map) of the Fourier-class envelope at tau, for `envelope` or `envelopes`.
+def fclass_mode(tau: float) -> tuple[str, np.ndarray | float]:
+    """The (mode, param) of the Fourier-class envelope at tau, for `envelope` or `envelopes`.
 
-    U_tau-shifted in (0, 1); the weak "ttau" form at the endpoints, where
-    U_tau is singular.  Only the wiener and composition reports weight their
-    Fourier-class norms with fclass_weight; sweep weights this envelope's
-    mass and fsjostrand with plain v_s at every tau.
+    ("shifted", U_tau) in (0, 1); the weak ("ttau", tau) at the endpoints,
+    where U_tau is singular.  Only the wiener and composition reports weight
+    their Fourier-class norms with fclass_weight; sweep weights this
+    envelope's mass and fsjostrand with plain v_s at every tau.
     """
-    return ("shifted", utau_matrix(tau)) if 0.0 < tau < 1.0 else ("ttau", None)
+    return ("shifted", utau_matrix(tau)) if 0.0 < tau < 1.0 else ("ttau", tau)
 
 
 def fclass_weight(v: Weight, tau: float) -> Weight:
@@ -242,7 +223,7 @@ def almost_diag_report(
     (the "ratio": 1.0 of the tau = 0 channel goldens).
     """
     warnings = () if frame_bounds(phi, lattice).is_frame else ("window/lattice pair is not a frame",)
-    env = envelope(channel_matrix(sigma, tau, phi, lattice), "difference")
+    env = envelope(operator_channel(op_tau(sigma, tau), phi, lattice), "difference")
     # v_s o J^{-1} = v_s: J^{-1} swaps the coordinates and negates one, and |z|_wrap is blind to both
     v = polynomial_weight(s)
     class_norm = sjostrand_norm(symbol_sups(sigma, tau_wigner(phi, phi, tau)), v)

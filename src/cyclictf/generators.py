@@ -36,6 +36,11 @@ def rand_complex(rng: np.random.Generator, *shape: int) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def _width_ok(n: int, width: float) -> bool:
+    """The one Gaussian width rule: width in (0, MAX_WIDTH], NaN refused, and n * width^2 not 0 by underflow."""
+    return 0 < width <= MAX_WIDTH and n * (width * width) > 0
+
+
 def gaussian_window(n: int, width: float = 1.0, normalize: bool = True) -> np.ndarray:
     """Periodized Gaussian sum_j exp(-pi (t + j N)^2 / (N width^2)), |j| <= 1 + ceil(3.5 width / sqrt(N)).
 
@@ -43,8 +48,8 @@ def gaussian_window(n: int, width: float = 1.0, normalize: bool = True) -> np.nd
     linear in width, so width must be in (0, MAX_WIDTH].  For width 1 this is
     (up to normalization) the discrete theta window fixed by the unitary DFT.
     """
-    if not 0 < width <= MAX_WIDTH:  # refuses NaN too
-        raise ValueError(f"Gaussian width must be in (0, MAX_WIDTH = {MAX_WIDTH:g}], not {width!r}")
+    if not _width_ok(n, width):
+        raise ValueError(f"Gaussian width must be in (0, MAX_WIDTH = {MAX_WIDTH:g}] with n * width^2 > 0, not {width}")
     t = np.arange(n, dtype=float)
     phi = np.zeros(n)
     wraps = 1 + int(np.ceil(3.5 * width / np.sqrt(n)))

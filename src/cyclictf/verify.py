@@ -10,9 +10,9 @@ the grids or taus, that exact set is one function of n (`covariance_taus`,
 
 Every suite holds O(N^3) memory at most: `channel-modulus` streams the symbol
 STFT one `stft_slabs` slab at a time and forms the slab's blocks of the
-full-grid `diagnostics.channel_matrix` (the channel behind `sweep` and
-`channel`) in products over runs of x-rows, so it runs at every N, above the
-grid cap too.
+full-grid `diagnostics.operator_channel` of Op_tau(sigma) (the channel behind
+`sweep` and `channel`) in products over runs of x-rows, so it runs at every
+N, above the grid cap too.
 """
 
 from __future__ import annotations
@@ -109,13 +109,13 @@ def channel_modulus_cases(n: int):
     return cases
 
 
-def channel_modulus_residual(channel: dg.ChannelMatrix, slabs):
+def channel_modulus_residual(channel: dg.ChannelMatrix, tau: float, slabs):
     """Worst mismatch of |<Op pi(z) phi, pi(w) phi>| = |V_Phi sigma(T_tau(w, z), J(w - z))|.
 
-    channel is the `ChannelMatrix` of Op against phi on Lattice(1, 1), carrying
-    its tau, and slabs yields the (N, N, N) slabs V_Phi sigma(p1, ., ., .) (or
-    their moduli) for p1 = 0, ..., N - 1 in order: `stft_slabs(sigma, Phi)`,
-    or a 4-D array, which iterates by p1.  Only the pairs whose T_tau(w, z) =
+    channel is the `ChannelMatrix` of Op = Op_tau(sigma) against phi on Lattice(1, 1), tau
+    is the tau of Op, in [0, 1], and slabs yields the (N, N, N) slabs V_Phi sigma(p1, ., ., .)
+    (or their moduli) for p1 = 0, ..., N - 1 in order: `stft_slabs(sigma, Phi)`, or a 4-D
+    array, which iterates by p1.  Only the pairs whose T_tau(w, z) =
     ((1 - tau) w0 + tau z0, tau w1 + (1 - tau) z1) lies on the grid are
     compared.  Returns the worst difference relative to the largest |entry|
     of the full channel matrix, and the number of pairs compared.
@@ -129,9 +129,9 @@ def channel_modulus_residual(channel: dg.ChannelMatrix, slabs):
     tau > 1/2 the w0 of one z0, bank and image swapped).  Every entry is
     computed once, and no product or comparison has more than N^3 entries.
     """
-    if channel.tau is None or channel.lattice != Lattice(1, 1):
-        raise ValueError("channel-modulus needs a full-grid channel matrix with its tau")
-    n, tau = channel.n, channel.tau
+    if channel.lattice != Lattice(1, 1) or not 0.0 <= tau <= 1.0:
+        raise ValueError(f"channel-modulus needs a full-grid channel and a tau in [0, 1], not {channel.lattice}, {tau}")
+    n = channel.n
     x = np.arange(n)
     p1 = (1 - tau) * x[:, None] + tau * x[None, :]  # (w0, z0)
     on1 = np.abs(p1 - np.rint(p1)) <= 1e-9
@@ -166,7 +166,7 @@ def channel_modulus(n, rng):
     def residual(tau, phi):
         sigma = rand_complex(rng, n, n)
         slabs = stft_slabs(sigma, tau_wigner(phi, phi, tau))
-        return channel_modulus_residual(dg.channel_matrix(sigma, tau, phi), slabs)[0]
+        return channel_modulus_residual(dg.operator_channel(op_tau(sigma, tau), phi), tau, slabs)[0]
 
     return np.max([residual(tau, phi) for tau, phi, _label in channel_modulus_cases(n)])
 

@@ -13,10 +13,10 @@ import numpy as np
 from cyclictf.diagnostics import ChannelMatrix
 
 
-def dense_channel(entries, lattice, n, tau=None) -> ChannelMatrix:
+def dense_channel(entries, lattice, n) -> ChannelMatrix:
     """The channel whose P x P entries are `entries`, on the points of `lattice` in Z_N^2."""
     entries = np.asarray(entries, dtype=complex)
-    return ChannelMatrix(bank=np.eye(len(entries), dtype=complex), image=entries, lattice=lattice, n=n, tau=tau)
+    return ChannelMatrix(bank=np.eye(len(entries), dtype=complex), image=entries, lattice=lattice, n=n)
 
 
 def channel_entries(channel: ChannelMatrix) -> np.ndarray:

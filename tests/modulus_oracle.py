@@ -9,8 +9,8 @@ mismatch and the number of pairs compared.
 
 import numpy as np
 
-from cyclictf.diagnostics import channel_matrix
-from cyclictf.quantize import tau_wigner
+from cyclictf.diagnostics import operator_channel
+from cyclictf.quantize import op_tau, tau_wigner
 from cyclictf.transforms import stft_grid
 
 from dense_channel import channel_entries
@@ -30,7 +30,7 @@ def phase_exact(n, j, m):
 
 
 def _channel_and_mags(n, tau, phi, sigma):
-    chan = channel_matrix(sigma, tau, phi)
+    chan = operator_channel(op_tau(sigma, tau), phi)
     return chan, channel_entries(chan), np.abs(stft_grid(sigma, tau_wigner(phi, phi, tau)))
 
 

@@ -26,9 +26,9 @@ import pytest
 from cyclictf.cli import main
 from cyclictf.diagnostics import (
     boundedness_report,
-    channel_matrix,
     envelope,
     almost_diag_report,
+    operator_channel,
     spearman_rank,
 )
 from cyclictf.generators import (
@@ -117,8 +117,8 @@ class TestCriterion2ChannelModulusIdentity:
         for tau, phi, label in channel_modulus_cases(n):
             sigma = rand_complex(rng, n, n)
             slabs = stft_slabs(sigma, tau_wigner(phi, phi, tau))
-            channel = channel_matrix(sigma, tau, phi)
-            residual, pairs = channel_modulus_residual(channel, slabs)
+            channel = operator_channel(op_tau(sigma, tau), phi)
+            residual, pairs = channel_modulus_residual(channel, tau, slabs)
             worst, loop_pairs = pair_loop(n, tau, phi, sigma, False)
             assert pairs == loop_pairs, (tau, label)
             expected = worst / np.abs(channel_entries(channel)).max()
@@ -138,8 +138,8 @@ class TestCriterion2ChannelModulusIdentity:
         phi = window(n)
         sigma = rand_complex(np.random.default_rng(5), n, n)
         slabs = stft_slabs(sigma, tau_wigner(phi, phi, tau))
-        channel = channel_matrix(sigma, tau, phi)
-        residual, pairs = channel_modulus_residual(channel, slabs)
+        channel = operator_channel(op_tau(sigma, tau), phi)
+        residual, pairs = channel_modulus_residual(channel, tau, slabs)
         worst, loop_pairs = pair_loop(n, tau, phi, sigma, False)
         assert pairs == loop_pairs
         expected = worst / np.abs(channel_entries(channel)).max()
@@ -154,18 +154,18 @@ class TestCriterion2ChannelModulusIdentity:
         if sigma is None:
             sigma = rand_complex(np.random.default_rng(3), n, n)
         mags = np.abs(stft_grid(sigma, tau_wigner(phi, phi, tau)))
-        channel = channel_matrix(sigma, tau, phi)
+        channel = operator_channel(op_tau(sigma, tau), phi)
         return channel, mags, np.abs(channel_entries(channel)).max()
 
     def test_verify_oracle_sees_one_exact_pair(self):
         n, delta = 9, 1e-6
         channel, mags, scale = self._suite_case(n)
-        base, _ = channel_modulus_residual(channel, mags)
+        base, _ = channel_modulus_residual(channel, 0.5, mags)
         assert base < self.TOL
         # w = (0, 0), z = (2, 2): T_tau(w, z) = (1, 1) and J(w - z) = (-2, 2)
         nudged = mags.copy()
         nudged[1, 1, n - 2, 2] += delta * scale
-        residual, _ = channel_modulus_residual(channel, nudged)
+        residual, _ = channel_modulus_residual(channel, 0.5, nudged)
         # the pair's mismatch is delta relative to the full channel's max |entry|
         assert residual == pytest.approx(delta, rel=1e-6)
 
@@ -173,12 +173,12 @@ class TestCriterion2ChannelModulusIdentity:
         # tau = 1 puts every w0 of one z0 in the slab p1 = z0, as one run
         n, delta = 9, 1e-6
         channel, mags, scale = self._suite_case(n, 1.0)
-        base, _ = channel_modulus_residual(channel, mags)
+        base, _ = channel_modulus_residual(channel, 1.0, mags)
         assert base < self.TOL
         # w = (0, 0), z = (2, 2): T_tau(w, z) = (2, 0) and J(w - z) = (-2, 2)
         nudged = mags.copy()
         nudged[2, 0, n - 2, 2] += delta * scale
-        residual, _ = channel_modulus_residual(channel, nudged)
+        residual, _ = channel_modulus_residual(channel, 1.0, nudged)
         assert residual == pytest.approx(delta, rel=1e-6)
 
     def test_verify_oracle_scales_by_the_full_channel(self):
@@ -189,11 +189,11 @@ class TestCriterion2ChannelModulusIdentity:
         sigma = dequantize(shift, 0.5)
         assert np.abs(op_tau(sigma, 0.5) - shift).max() < self.TOL
         channel, mags, scale = self._suite_case(n, sigma=sigma)
-        base, _ = channel_modulus_residual(channel, mags)
+        base, _ = channel_modulus_residual(channel, 0.5, mags)
         assert base < self.TOL
         nudged = mags.copy()
         nudged[1, 1, n - 2, 2] += delta * scale  # the exact pair w = (0, 0), z = (2, 2)
-        residual, _ = channel_modulus_residual(channel, nudged)
+        residual, _ = channel_modulus_residual(channel, 0.5, nudged)
         assert residual == pytest.approx(delta, rel=1e-6)
 
     def test_verify_oracle_skips_odd_sum_pairs(self):
@@ -201,7 +201,7 @@ class TestCriterion2ChannelModulusIdentity:
         # the STFT points only such pairs would meet are never read
         n = 9
         channel, mags, scale = self._suite_case(n)
-        base, pairs = channel_modulus_residual(channel, mags)
+        base, pairs = channel_modulus_residual(channel, 0.5, mags)
         reached = np.zeros(mags.shape, dtype=bool)
         for w0, w1, z0, z1 in np.ndindex(n, n, n, n):
             if (w0 + z0) % 2 == 0 and (w1 + z1) % 2 == 0:
@@ -209,7 +209,7 @@ class TestCriterion2ChannelModulusIdentity:
         assert pairs == reached.sum()  # each exact pair meets its own point
         nudged = mags.copy()
         nudged[np.unravel_index(np.argmin(reached), reached.shape)] += 1e-6 * scale
-        assert channel_modulus_residual(channel, nudged) == (base, pairs)
+        assert channel_modulus_residual(channel, 0.5, nudged) == (base, pairs)
 
 
 class TestCriterion3FrameMachinery:
@@ -263,7 +263,7 @@ class TestCriterion5FclassConcentration:
     @staticmethod
     def envelope_masses(n, symbol, v):
         """Difference- and sum-envelope masses of the symbol's tau = 1/2 channel."""
-        chan = channel_matrix(symbol, 0.5, gaussian_window(n))
+        chan = operator_channel(op_tau(symbol, 0.5), gaussian_window(n))
         return ell1v(envelope(chan, "difference"), v), ell1v(envelope(chan, "sum"), v)
 
     def test_point_mass_concentration_factor(self):
@@ -310,7 +310,7 @@ class TestCriterion5FclassConcentration:
         n = 15
         phi = gaussian_window(n)
         v1 = polynomial_weight(1.0)
-        chan = channel_matrix(delta_symbol(n), 0.5, phi)
+        chan = operator_channel(op_tau(delta_symbol(n), 0.5), phi)
         factor = ell1v(envelope(chan, "difference"), v1) / ell1v(envelope(chan, "sum"), v1)
         assert factor >= 10.0
 
@@ -346,8 +346,6 @@ class TestCriterion7WienerExperiment:
         inverse = np.linalg.inv(operator)
 
         phi = gaussian_window(n)
-        from cyclictf.diagnostics import operator_channel
-
         inv_mass = ell1v(
             envelope(operator_channel(inverse, phi), "difference"), polynomial_weight(1.0)
         )

@@ -9,7 +9,6 @@ from cyclictf.diagnostics import (
     ChannelMatrix,
     almost_diag_report,
     boundedness_report,
-    channel_matrix,
     composition_symmetry_check,
     covariance_check,
     envelope,
@@ -70,13 +69,13 @@ def _nearest_indices(vals: np.ndarray, n: int) -> np.ndarray:
     return out.astype(np.int64)
 
 
-def envelope_oracle(channel: ChannelMatrix, mode: str, shift_map: np.ndarray | None = None) -> np.ndarray:
+def envelope_oracle(channel: ChannelMatrix, mode: str, param=None) -> np.ndarray:
     """Decay envelope table of a channel matrix.
 
     mode "difference" bins |entry(w, z)| by w - z, "sum" by w + z, "shifted"
-    by the nearest grid point of w - A z for the given 2x2 map A, and "ttau"
-    by the nearest grid point of the convex pairing of (w, z) at tau (the
-    weak endpoint form; requires the channel to carry its tau).
+    by the nearest grid point of w - A z for the 2x2 map A given as param,
+    and "ttau" by the nearest grid point of the convex pairing of (w, z) at
+    the tau given as param (the weak endpoint form).
     """
     n = channel.n
     pts = np.asarray(channel.lattice.points(n), dtype=float)
@@ -91,15 +90,15 @@ def envelope_oracle(channel: ChannelMatrix, mode: str, shift_map: np.ndarray | N
         k1 = (wx + zx).astype(np.int64) % n
         k2 = (ww + zw).astype(np.int64) % n
     elif mode == "shifted":
-        if np.shape(shift_map) != (2, 2):
-            raise ValueError(f"mode='shifted' needs a 2x2 shift map, not {np.shape(shift_map)}")
-        a = np.asarray(shift_map, dtype=float)
+        if np.shape(param) != (2, 2):
+            raise ValueError(f"mode='shifted' needs a 2x2 shift map, not {np.shape(param)}")
+        a = np.asarray(param, dtype=float)
         k1 = _nearest_indices(wx - (a[0, 0] * zx + a[0, 1] * zw), n)
         k2 = _nearest_indices(ww - (a[1, 0] * zx + a[1, 1] * zw), n)
     elif mode == "ttau":
-        if channel.tau is None:
-            raise ValueError("weak envelope needs the channel's tau")
-        t = channel.tau
+        if param is None:
+            raise ValueError("weak envelope needs tau")
+        t = param
         k1 = _nearest_indices((1 - t) * wx + t * zx, n)
         k2 = _nearest_indices(t * ww + (1 - t) * zw, n)
     else:
@@ -113,7 +112,7 @@ class TestChannelMatrix:
     def test_identity_symbol_reduces_to_ambiguity(self):
         n = 8
         phi = gaussian_window(n)
-        chan = channel_matrix(np.ones((n, n)), 0.5, phi)
+        chan = operator_channel(op_tau(np.ones((n, n)), 0.5), phi)
         amb = np.abs(stft(phi, phi))
         pts = chan.lattice.points(n)
         k = (pts[:, None, :] - pts[None, :, :]) % n  # w - z
@@ -124,7 +123,7 @@ class TestChannelMatrix:
         phi = gaussian_window(n)
         sigma = random_symbol(n, 0)
         t = op_tau(sigma, 0.3)
-        chan = channel_matrix(sigma, 0.3, phi)
+        chan = operator_channel(op_tau(sigma, 0.3), phi)
         entries = channel_entries(chan)
         rng = np.random.default_rng(1)
         pts = chan.lattice.points(n)
@@ -138,16 +137,16 @@ class TestChannelMatrix:
         n = 8
         phi = gaussian_window(n)
         sigma = random_symbol(n, 2)
-        full = channel_matrix(sigma, 0.5, phi)
+        full = operator_channel(op_tau(sigma, 0.5), phi)
         lat = Lattice(2, 4)
-        sub = channel_matrix(sigma, 0.5, phi, lat)
+        sub = operator_channel(op_tau(sigma, 0.5), phi, lat)
         assert full.lattice == Lattice(1, 1)
         rows = lat.points(n) @ [n, 1]  # full-grid index x N + omega
         assert np.allclose(channel_entries(sub), channel_entries(full)[np.ix_(rows, rows)], rtol=0, atol=1e-12)
 
     def test_zero_window_rejected(self):
         with pytest.raises(ValueError, match="non-zero"):
-            channel_matrix(np.ones((4, 4)), 0.5, np.zeros(4))
+            operator_channel(op_tau(np.ones((4, 4)), 0.5), np.zeros(4))
 
     def test_operator_channel_zero_window_rejected(self):
         with pytest.raises(ValueError, match="non-zero"):
@@ -211,7 +210,7 @@ class TestEnvelope:
 
     def test_identity_symbol_difference_even(self):
         n = 8
-        chan = channel_matrix(np.ones((n, n)), 0.5, gaussian_window(n))
+        chan = operator_channel(op_tau(np.ones((n, n)), 0.5), gaussian_window(n))
         h = envelope(chan, "difference")
         for k1 in range(n):
             for k2 in range(n):
@@ -220,20 +219,20 @@ class TestEnvelope:
     def test_identity_symbol_peak_is_window_energy(self):
         n = 8
         phi = gaussian_window(n)
-        chan = channel_matrix(np.ones((n, n)), 0.5, phi)
+        chan = operator_channel(op_tau(np.ones((n, n)), 0.5), phi)
         h = envelope(chan, "difference")
         assert h[0, 0] == pytest.approx(np.linalg.norm(phi) ** 2, abs=1e-10)
 
     def test_shifted_minus_identity_equals_sum(self):
         n = 8
-        chan = channel_matrix(delta_symbol(n), 0.5, gaussian_window(n))
+        chan = operator_channel(op_tau(delta_symbol(n), 0.5), gaussian_window(n))
         shifted = envelope(chan, "shifted", utau_matrix(0.5))
         summed = envelope(chan, "sum")
         assert np.array_equal(shifted, summed)
 
     def test_max_property(self):
         n = 8
-        chan = channel_matrix(random_symbol(n, 5), 0.3, gaussian_window(n))
+        chan = operator_channel(op_tau(random_symbol(n, 5), 0.3), gaussian_window(n))
         h = envelope(chan, "difference")
         pts = chan.lattice.points(n)
         k = (pts[:, None, :] - pts[None, :, :]) % n  # w - z
@@ -249,7 +248,7 @@ class TestEnvelope:
         assert env.sum() == 1.0
 
     def test_needs_shift_map(self):
-        chan = channel_matrix(np.ones((4, 4)), 0.5, gaussian_window(4))
+        chan = operator_channel(op_tau(np.ones((4, 4)), 0.5), gaussian_window(4))
         with pytest.raises(ValueError, match="shift map"):
             envelope(chan, "shifted")
         with pytest.raises(ValueError, match=r"2x2 shift map, not \(3, 3\)"):
@@ -259,18 +258,15 @@ class TestEnvelope:
 
     def test_weak_mode_needs_tau(self):
         chan = operator_channel(np.eye(4, dtype=complex), gaussian_window(4))
-        with pytest.raises(ValueError, match="tau"):
+        with pytest.raises(ValueError, match=r"tau, in \[0, 1\], not None"):
             envelope(chan, "ttau")
 
     @pytest.mark.parametrize("tau", [np.nan, -0.25, 1.5, np.inf])
     def test_channel_tau_outside_unit_interval_refused(self, tau):
         # a NaN tau would reach the ttau bins as the int32 minimum
-        with pytest.raises(ValueError, match=r"tau must be in \[0, 1\]"):
-            operator_channel(np.eye(4, dtype=complex), gaussian_window(4), tau=tau)
-        # a channel built from its factors reaches the same refusal in ttau
-        chan = dense_channel(entries=np.eye(16), lattice=Lattice(1, 1), n=4, tau=tau)
+        chan = dense_channel(entries=np.eye(16), lattice=Lattice(1, 1), n=4)
         with pytest.raises(ValueError, match=r"tau, in \[0, 1\]"):
-            envelope(chan, "ttau")
+            envelope(chan, "ttau", tau)
 
 
 ORACLE_TAUS = sorted({j / m for m in range(1, 9) for j in range(m + 1)} | {1 / np.pi})
@@ -278,7 +274,7 @@ ORACLE_TAUS = sorted({j / m for m in range(1, 9) for j in range(m + 1)} | {1 / n
 
 @st.composite
 def envelope_cases(draw):
-    """A random channel on the full grid or a lattice, its tau and two diagonal 2x2 maps."""
+    """A random channel on the full grid or a lattice, a tau and two diagonal 2x2 maps."""
     n = draw(st.integers(2, 24))
     divisors = [d for d in range(1, n + 1) if n % d == 0]
     lattice = Lattice(draw(st.sampled_from(divisors)), draw(st.sampled_from(divisors)))
@@ -288,12 +284,12 @@ def envelope_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     size = (lattice.count(n), lattice.count(n))
     entries = rand_complex(rng, *size)
-    chan = dense_channel(entries=entries, lattice=lattice, n=n, tau=tau)
-    return chan, [np.diag(eighths) / 8, np.diag(3 * rng.standard_normal(2))]
+    chan = dense_channel(entries=entries, lattice=lattice, n=n)
+    return chan, tau, [np.diag(eighths) / 8, np.diag(3 * rng.standard_normal(2))]
 
 
 def assert_shared_pass_matches_oracle(chan, runs):
-    """One `envelopes` pass over every (mode, shift_map) run, each table bit for bit the oracle's."""
+    """One `envelopes` pass over every (mode, param) run, each table bit for bit the oracle's."""
     for (mode, a), env in zip(runs, envelopes(chan, runs)):
         assert np.array_equal(env, envelope_oracle(chan, mode, a)), (mode, a)
 
@@ -304,9 +300,9 @@ class TestEnvelopeOracle:
     @settings(max_examples=60, deadline=None)
     @given(case=envelope_cases())
     def test_every_mode_equals_old_envelope(self, case):
-        chan, maps = case
-        maps = maps + ([utau_matrix(chan.tau)] if 0 < chan.tau < 1 else [])
-        runs = [("difference", None), ("sum", None), ("ttau", None)]
+        chan, tau, maps = case
+        maps = maps + ([utau_matrix(tau)] if 0 < tau < 1 else [])
+        runs = [("difference", None), ("sum", None), ("ttau", tau)]
         runs += [("shifted", a) for a in maps]
         for mode, a in runs:
             new = envelope(chan, mode, a)
@@ -340,12 +336,12 @@ class TestEnvelopeOracle:
         for lattice in (Lattice(da, db) for da in divisors for db in divisors):
             size = (lattice.count(n), lattice.count(n))
             entries = rand_complex(rng, *size)
-            chan = dense_channel(entries=entries, lattice=lattice, n=n, tau=1 / np.pi)
+            chan = dense_channel(entries=entries, lattice=lattice, n=n)
             for dense in (a, -a.T):
                 with pytest.raises(ValueError, match="diagonal shift map"):
                     envelope(chan, "shifted", dense)
             diagonal = np.diag([1 / 3, 5 / 3])
-            for mode, shift in (("shifted", diagonal), ("shifted", -diagonal), ("ttau", None)):
+            for mode, shift in (("shifted", diagonal), ("shifted", -diagonal), ("ttau", 1 / np.pi)):
                 new = envelope(chan, mode, shift)
                 assert np.array_equal(new, envelope_oracle(chan, mode, shift)), (lattice, mode)
 
@@ -354,8 +350,8 @@ class TestEnvelopeOracle:
         # every diagonal mode reduces its x-row blocks and scatters the maxima,
         # from the same blocks; J and -J are not diagonal, and are refused
         n, tau = 16, 1 / 3
-        chan = channel_matrix(random_symbol(n, 3), tau, gaussian_window(n), lattice)
-        runs = [("difference", None), ("ttau", None), ("shifted", utau_matrix(tau)), ("sum", None)]
+        chan = operator_channel(op_tau(random_symbol(n, 3), tau), gaussian_window(n), lattice)
+        runs = [("difference", None), ("ttau", tau), ("shifted", utau_matrix(tau)), ("sum", None)]
         assert_shared_pass_matches_oracle(chan, runs)
         for j in (J_MATRIX, -J_MATRIX):
             with pytest.raises(ValueError, match="diagonal shift map"):
@@ -363,7 +359,7 @@ class TestEnvelopeOracle:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_shift_map_refused(self, bad):
-        chan = channel_matrix(random_symbol(8, 1), 0.5, gaussian_window(8))
+        chan = operator_channel(op_tau(random_symbol(8, 1), 0.5), gaussian_window(8))
         with pytest.raises(ValueError, match="finite diagonal shift map"):
             envelope(chan, "shifted", np.diag([bad, 1.0]))
 
@@ -371,9 +367,9 @@ class TestEnvelopeOracle:
         # the old difference mode peaked at 25.2 MB, shifted/ttau at 85.0 MB;
         # the one bin rule on every pair of points at 19.9 MB for every mode
         n = 32
-        chan = channel_matrix(random_symbol(n, 0), 0.25, gaussian_window(n))
+        chan = operator_channel(op_tau(random_symbol(n, 0), 0.25), gaussian_window(n))
         for mode, a in (("difference", None), ("sum", None), ("shifted", utau_matrix(0.25)),
-                        ("ttau", None)):
+                        ("ttau", 0.25)):
             tracemalloc.start()
             try:
                 envelope(chan, mode, a)
@@ -396,12 +392,12 @@ class TestEll1v:
 
     def test_identity_symbol_regression(self):
         # frozen at build time: s = 1 mass of the difference envelope, N = 16
-        chan = channel_matrix(np.ones((16, 16)), 0.5, gaussian_window(16))
+        chan = operator_channel(op_tau(np.ones((16, 16)), 0.5), gaussian_window(16))
         env = envelope(chan, "difference")
         assert ell1v(env, V1) == pytest.approx(97.39998506604, rel=1e-9)
 
     def test_monotone_in_weight_order(self):
-        chan = channel_matrix(random_symbol(8, 7), 0.5, gaussian_window(8))
+        chan = operator_channel(op_tau(random_symbol(8, 7), 0.5), gaussian_window(8))
         env = envelope(chan, "difference")
         assert ell1v(env, V0) <= ell1v(env, V1) <= ell1v(env, polynomial_weight(2.0))
 
@@ -439,7 +435,7 @@ class TestAlmostDiagReport:
     def test_carries_its_envelope(self):
         sigma, phi, lat = random_symbol(8, 2), gaussian_window(8), Lattice(2, 2)
         rep = almost_diag_report(sigma, 0.3, phi, lat, 1.0)
-        fresh = envelope(channel_matrix(sigma, 0.3, phi, lat), "difference")
+        fresh = envelope(operator_channel(op_tau(sigma, 0.3), phi, lat), "difference")
         assert rep.envelope.shape == (8, 8)
         assert np.array_equal(rep.envelope, fresh)
         assert rep.envelope_l1 == ell1v(rep.envelope, polynomial_weight(1.0))
@@ -447,15 +443,15 @@ class TestAlmostDiagReport:
 
 class TestFclassDiagReport:
     def test_delta_concentrates_on_sum_diagonal(self):
-        chan = channel_matrix(delta_symbol(16), 0.5, gaussian_window(16))
+        chan = operator_channel(op_tau(delta_symbol(16), 0.5), gaussian_window(16))
         diff_mass = ell1v(envelope(chan, "difference"), V0)
-        assert ell1v(envelope(chan, *fclass_mode(chan.tau)), V0) < diff_mass  # sum-aligned mass is the smaller one
+        assert ell1v(envelope(chan, *fclass_mode(0.5)), V0) < diff_mass  # sum-aligned mass is the smaller one
 
     def test_delta_channel_shape(self):
         # the point-mass channel is peaked in the sum index and flat in the
         # difference index: peak-to-mean contrast high for sum, low for diff
         n = 16
-        chan = channel_matrix(delta_symbol(n), 0.5, gaussian_window(n))
+        chan = operator_channel(op_tau(delta_symbol(n), 0.5), gaussian_window(n))
         h_sum = envelope(chan, "sum")
         h_diff = envelope(chan, "difference")
         assert h_sum.max() / h_sum.mean() > 3 * h_diff.max() / h_diff.mean()
@@ -464,7 +460,7 @@ class TestFclassDiagReport:
         # for sigma == 1 the U_tau-shifted mass outgrows the difference mass
         ratios = []
         for n in (8, 16, 32):
-            chan = channel_matrix(np.ones((n, n)), 0.3, gaussian_window(n))
+            chan = operator_channel(op_tau(np.ones((n, n)), 0.3), gaussian_window(n))
             diff = ell1v(envelope(chan, "difference"), V0)
             shifted = ell1v(envelope(chan, "shifted", utau_matrix(0.3)), V0)
             ratios.append(shifted / diff)
@@ -472,9 +468,9 @@ class TestFclassDiagReport:
         assert ratios[0] > 1.0
 
     def test_endpoint_requires_weak_form(self):
-        chan = channel_matrix(delta_symbol(8), 0.0, gaussian_window(8))
-        assert fclass_mode(chan.tau) == ("ttau", None)
-        env = envelope(chan, *fclass_mode(chan.tau))
+        chan = operator_channel(op_tau(delta_symbol(8), 0.0), gaussian_window(8))
+        assert fclass_mode(0.0) == ("ttau", 0.0)
+        env = envelope(chan, *fclass_mode(0.0))
         assert np.isfinite(ell1v(env, V0))
 
     def test_utau_shift_maps_invert_each_other(self):

@@ -36,10 +36,11 @@ def test_gaussian_window_sums_every_wrap(n):
         assert np.abs(phi - phi[-t]).max() <= 1e-13 * phi.max()
 
 
-@pytest.mark.parametrize("width", [1e5, 0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("width", [1e5, 0.0, -1.0, float("nan"), 1e-170, 1e-200])
 def test_gaussian_window_refuses_width_outside_bound(width):
-    # the wrap loop's time grows linearly with width, so a width past the bound is refused before it
-    with pytest.raises(ValueError, match=re.escape(f"(0, MAX_WIDTH = {MAX_WIDTH:g}]")):
+    # the wrap loop's time grows linearly with width, so a width past the bound is refused before it;
+    # at 1e-170 and below n * width^2 underflows to 0, and every entry would be NaN
+    with pytest.raises(ValueError, match=re.escape(f"(0, MAX_WIDTH = {MAX_WIDTH:g}] with n * width^2 > 0")):
         gaussian_window(2, width)
 
 

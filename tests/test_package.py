@@ -26,6 +26,13 @@ def test_namespace_is_the_union_of_module_all():
     assert moved == []
 
 
+def test_readme_example_runs(capsys):
+    # the first python block of README.md, run as written, prints its almost-diagonalization ratio
+    block = (ROOT / "README.md").read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert float(capsys.readouterr().out) == pytest.approx(1.0056469378472492, rel=1e-12)
+
+
 def test_version_is_read_from_the_package():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclictf.diagnostics import channel_matrix, envelope
-from cyclictf.generators import gaussian_window
+from cyclictf.diagnostics import envelope
 from cyclictf.phasespace import (
     J_INV_MATRIX,
     J_MATRIX,
@@ -42,8 +41,8 @@ def ttau_bin(w, z, tau, n):
     """Where the ttau envelope bins a channel entry at rows w, columns z."""
     entries = np.zeros((n * n, n * n), dtype=complex)
     entries[w[0] * n + w[1], z[0] * n + z[1]] = 1.0  # full-grid index x N + omega
-    chan = dense_channel(entries=entries, lattice=Lattice(1, 1), n=n, tau=tau)
-    table = envelope(chan, "ttau")
+    chan = dense_channel(entries=entries, lattice=Lattice(1, 1), n=n)
+    table = envelope(chan, "ttau", tau)
     assert table.sum() == 1.0
     return tuple(int(k) for k in np.argwhere(table == 1.0)[0])
 
@@ -194,9 +193,10 @@ class TestSymplecticMaps:
         assert ttau_bin((0, 0), (2, 4), 0.5, 8) == (1, 2)
 
     def test_ttau_range_check(self):
-        # the ttau envelope takes its tau from the channel, which rejects it
-        with pytest.raises(ValueError, match="out of range"):
-            channel_matrix(np.ones((8, 8)), 1.5, gaussian_window(8))
+        # the ttau envelope takes its tau as its parameter, and rejects it
+        chan = dense_channel(entries=np.eye(64), lattice=Lattice(1, 1), n=8)
+        with pytest.raises(ValueError, match=r"tau, in \[0, 1\], not 1.5"):
+            envelope(chan, "ttau", 1.5)
 
     def test_half_point_maps(self):
         assert np.array_equal(utau_matrix(0.5), -np.eye(2))

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cyclictf.diagnostics import almost_diag_report, boundedness_report, channel_matrix, covariance_check, envelope
+from cyclictf.diagnostics import almost_diag_report, boundedness_report, covariance_check, envelope, operator_channel
 from cyclictf.generators import rand_complex
 from cyclictf.normbank import modulation_norm, symbol_sups
 from cyclictf.phasespace import Lattice
@@ -120,10 +120,10 @@ def test_exact_set_envelopes_are_the_symbol_sups(case, seed):
     rng = np.random.default_rng(seed)
     sigma, phi = rand_complex(rng, n, n), rand_complex(rng, n)
     sup_pos, sup_freq = symbol_sups(sigma, tau_wigner(phi, phi, tau))
-    chan = channel_matrix(sigma, tau, phi)
+    chan = operator_channel(op_tau(sigma, tau), phi)
     assert _difference_residual(chan, sup_pos) < SUITE_TOL
     if m == 1:
-        assert _rel(envelope(chan, "ttau") - sup_freq, sup_freq) < SUITE_TOL
+        assert _rel(envelope(chan, "ttau", tau) - sup_freq, sup_freq) < SUITE_TOL
     for s in (0.0, 1.0, 2.0):
         assert abs(almost_diag_report(sigma, tau, phi, Lattice(1, 1), s).ratio - 1) < SUITE_TOL
 
@@ -138,7 +138,7 @@ def test_difference_envelope_is_not_the_symbol_sups_off_the_exact_set(case, seed
     rng = np.random.default_rng(seed)
     sigma, phi = rand_complex(rng, n, n), rand_complex(rng, n)
     sup_pos = symbol_sups(sigma, tau_wigner(phi, phi, tau))[0]
-    assert _difference_residual(channel_matrix(sigma, tau, phi), sup_pos) >= 1e-2
+    assert _difference_residual(operator_channel(op_tau(sigma, tau), phi), sup_pos) >= 1e-2
 
 
 @settings(max_examples=30, deadline=None)
@@ -156,5 +156,5 @@ def test_integer_utau_envelope_is_the_frequency_sups(case, seed):
     sigma, phi = rand_complex(rng, n, n), rand_complex(rng, n)
     sup_freq = symbol_sups(sigma, tau_wigner(phi, phi, j / m))[1]
     k1, k2 = np.indices((n, n))
-    table = envelope(channel_matrix(sigma, j / m, phi), "shifted", a)
+    table = envelope(operator_channel(op_tau(sigma, j / m), phi), "shifted", a)
     assert _rel(table - sup_freq[(1 - t) * k1 % n, t * k2 % n], sup_freq) < SUITE_TOL

@@ -37,7 +37,7 @@ PERTURBED = {
     "convert-consistency": [(verify, "convert_symbol")],
     "symplectic-covariance": [(diagnostics, "rotate_symbol_j_inv")],
     # the STFT side through its window, and the production channel's operator and bank
-    "channel-modulus": [(verify, "tau_wigner"), (diagnostics, "op_tau"), (diagnostics, "shift_bank")],
+    "channel-modulus": [(verify, "tau_wigner"), (verify, "op_tau"), (diagnostics, "shift_bank")],
 }
 
 
@@ -98,10 +98,10 @@ class TestNaNResiduals:
         n, phi = 9, gaussian_window(9)
         sigma = random_symbol(n, 0)
         mags = np.abs(stft_grid(sigma, tau_wigner(phi, phi, 0.0)))
-        channel = diagnostics.channel_matrix(sigma, 0.0, phi)
-        assert channel_modulus_residual(channel, mags)[0] < SUITE_TOL
+        channel = diagnostics.operator_channel(op_tau(sigma, 0.0), phi)
+        assert channel_modulus_residual(channel, 0.0, mags)[0] < SUITE_TOL
         mags[3] = np.nan
-        assert np.isnan(channel_modulus_residual(channel, mags)[0])
+        assert np.isnan(channel_modulus_residual(channel, 0.0, mags)[0])
 
 
 class TestChannelModulusScale:
@@ -134,17 +134,15 @@ class TestChannelModulusScale:
         phi = gaussian_window(8)
         slabs = itertools.islice(stft_slabs(sigma, tau_wigner(phi, phi, 0.0)), 7)
         with pytest.raises(ValueError):
-            channel_modulus_residual(diagnostics.channel_matrix(sigma, 0.0, phi), slabs)
+            channel_modulus_residual(diagnostics.operator_channel(op_tau(sigma, 0.0), phi), 0.0, slabs)
 
-    @pytest.mark.parametrize("channel_of", [
-        lambda sigma, phi: diagnostics.channel_matrix(sigma, 0.0, phi, Lattice(2, 2)),
-        lambda sigma, phi: diagnostics.operator_channel(op_tau(sigma, 0.0), phi),
-    ], ids=["lattice", "no-tau"])
-    def test_needs_a_full_grid_channel_with_its_tau(self, channel_of):
+    @pytest.mark.parametrize("lattice, tau", [(Lattice(2, 2), 0.0), (Lattice(1, 1), np.nan), (Lattice(1, 1), 1.5)],
+                             ids=["lattice", "nan-tau", "tau-above-one"])
+    def test_needs_a_full_grid_channel_with_its_tau(self, lattice, tau):
         sigma, phi = np.ones((8, 8)), gaussian_window(8)
         slabs = stft_slabs(sigma, tau_wigner(phi, phi, 0.0))
-        with pytest.raises(ValueError, match="full-grid channel matrix with its tau"):
-            channel_modulus_residual(channel_of(sigma, phi), slabs)
+        with pytest.raises(ValueError, match=r"full-grid channel and a tau in \[0, 1\]"):
+            channel_modulus_residual(diagnostics.operator_channel(op_tau(sigma, 0.0), phi, lattice), tau, slabs)
 
     @pytest.mark.parametrize("n, window", [(33, "gaussian"), (40, "comb")])
     def test_identity_above_the_full_grid_cap(self, n, window):
