@@ -53,8 +53,9 @@ def gaussian_window(n: int, width: float = 1.0, normalize: bool = True) -> np.nd
     t = np.arange(n, dtype=float)
     phi = np.zeros(n)
     wraps = 1 + int(np.ceil(3.5 * width / np.sqrt(n)))
-    for j in range(-wraps, wraps + 1):
-        phi += np.exp(-np.pi * (t + j * n) ** 2 / (n * width**2))
+    with np.errstate(over="ignore"):  # a width near the underflow floor: every t != 0 term is exp(-inf) = 0
+        for j in range(-wraps, wraps + 1):
+            phi += np.exp(-np.pi * (t + j * n) ** 2 / (n * width**2))
     out = phi.astype(complex)
     return out / np.linalg.norm(out) if normalize else out
 

@@ -176,9 +176,8 @@ def frame_operator(phi: np.ndarray, lattice: Lattice) -> np.ndarray:
     return bank @ bank.conj().T
 
 
-def frame_bounds(phi: np.ndarray, lattice: Lattice) -> FrameReport:
-    """Exact bounds from the eigenvalues of the frame operator."""
-    s = frame_operator(phi, lattice)
+def _frame_report(s: np.ndarray) -> FrameReport:
+    """Exact bounds from the eigenvalues of a frame operator S."""
     eig = np.linalg.eigvalsh(s)
     lower, upper = float(eig[0]), float(eig[-1])
     is_frame = lower > FRAME_RTOL * upper
@@ -186,11 +185,15 @@ def frame_bounds(phi: np.ndarray, lattice: Lattice) -> FrameReport:
     return FrameReport(lower=lower, upper=upper, condition=condition, is_frame=is_frame)
 
 
+def frame_bounds(phi: np.ndarray, lattice: Lattice) -> FrameReport:
+    """Exact bounds from the eigenvalues of the frame operator."""
+    return _frame_report(frame_operator(phi, lattice))
+
+
 def canonical_dual(phi: np.ndarray, lattice: Lattice) -> np.ndarray:
     """Canonical dual window S^{-1} phi; requires the system to be a frame."""
     s = frame_operator(phi, lattice)
-    report = frame_bounds(phi, lattice)
-    if not report.is_frame:
+    if not _frame_report(s).is_frame:
         raise ValueError("frame operator singular")
     return np.linalg.solve(s, _as_signal(phi))
 

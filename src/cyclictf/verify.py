@@ -1,18 +1,16 @@
 """The exact-identity suites behind `cyclictf verify`.
 
-Each suite is `suite(n, rng) -> residual`: it draws random inputs from rng,
-checks one identity of the calculus on Z_N at every case where that identity
-is exact, and returns the worst relative residual (np.max keeps a NaN, which
-the builtin max may drop).  A suite passes when the residual is below
-SUITE_TOL, which a NaN never is.  Where an identity is exact only on part of
-the grids or taus, that exact set is one function of n (`covariance_taus`,
-`channel_modulus_cases`), read by the suite, the CLI and the tests alike.
+Each identity is one residual of its inputs, which its suite, the property tests and
+the unit tests all call.  `duality_residual` divides the gap of its scalar pairing by
+||sigma|| ||W_tau(g, f)||, the pairing's Cauchy-Schwarz bound; `covariance_check` and
+`channel_modulus_residual` state their own scale; every other residual is relative to
+the largest entry of one side, as its docstring says.  A suite `suite(n, rng)` draws
+its inputs from rng at each case where its identity is exact (`covariance_taus`,
+`channel_modulus_cases`) and returns np.max of the residuals, which keeps a NaN the
+builtin max may drop; it passes below SUITE_TOL, which a NaN never is.
 
-Every suite holds O(N^3) memory at most: `channel-modulus` streams the symbol
-STFT one `stft_slabs` slab at a time and forms the slab's blocks of the
-full-grid `diagnostics.operator_channel` of Op_tau(sigma) (the channel behind
-`sweep` and `channel`) in products over runs of x-rows, so it runs at every
-N, above the grid cap too.
+Every suite holds O(N^3) memory at most (`channel_modulus_residual` says how), so each
+runs at every N, above the config's grid cap too.
 """
 
 from __future__ import annotations
@@ -35,49 +33,55 @@ def _rel(diff, ref) -> float:
     return np.abs(diff).max() / max(np.abs(ref).max(), 1e-30)
 
 
+def fundamental_residual(f, g):
+    """V_g f(x, w) = e^{-2 pi i x w / N} V_{Fg} Ff(w, -x), relative to max |V_g f|."""
+    lhs = stft(f, g)
+    xg, wg = np.indices(lhs.shape)
+    return _rel(lhs - np.conj(_phase(xg * wg, len(f))) * stft(dft(f), dft(g))[wg, (-xg) % len(f)], lhs)
+
+
+def inversion_residual(f, g):
+    """V_g* V_g f = N ||g||^2 f, relative to max |f|."""
+    return _rel(stft_adjoint(stft(f, g), g) / (len(f) * np.linalg.norm(g) ** 2) - f, f)
+
+
+def duality_residual(sigma, f, g, tau):
+    """<Op_tau(sigma) f, g> = <sigma, W_tau(g, f)>, relative to ||sigma|| ||W_tau(g, f)||, its Cauchy-Schwarz bound."""
+    w = tau_wigner(g, f, tau)
+    return _rel(np.vdot(g, op_tau(sigma, tau) @ f) - np.vdot(w, sigma), np.linalg.norm(sigma) * np.linalg.norm(w))
+
+
+def roundtrip_residual(sigma, tau):
+    """dequantize(Op_tau(sigma), tau) = sigma, relative to max |sigma|."""
+    return _rel(dequantize(op_tau(sigma, tau), tau) - sigma, sigma)
+
+
+def convert_residual(sigma, tau1, tau2):
+    """Op_tau2(convert_symbol(sigma, tau1, tau2)) = Op_tau1(sigma) as operators and symbols, relative to max |sigma|."""
+    moved = convert_symbol(sigma, tau1, tau2)
+    return np.maximum(_rel(op_tau(moved, tau2) - op_tau(sigma, tau1), sigma),
+                      _rel(dequantize(op_tau(sigma, tau1), tau2) - moved, sigma))
+
+
 def fundamental_identity(n, rng):
-    xg, wg = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    phase = np.conj(_phase(xg * wg, n))  # e^{-2 pi i x omega / N}, from x omega mod N
-
-    def residual(f, g):
-        lhs = stft(f, g)
-        return _rel(lhs - phase * stft(dft(f), dft(g))[wg, (-xg) % n], lhs)
-
-    return np.max([residual(rand_complex(rng, n), rand_complex(rng, n)) for _ in range(VERIFY_TRIALS)])
+    return np.max([fundamental_residual(rand_complex(rng, n), rand_complex(rng, n)) for _ in range(VERIFY_TRIALS)])
 
 
 def stft_inversion(n, rng):
-    def residual(f, g):
-        return _rel(stft_adjoint(stft(f, g), g) / (n * np.linalg.norm(g) ** 2) - f, f)
-
-    return np.max([residual(rand_complex(rng, n), rand_complex(rng, n)) for _ in range(VERIFY_TRIALS)])
+    return np.max([inversion_residual(rand_complex(rng, n), rand_complex(rng, n)) for _ in range(VERIFY_TRIALS)])
 
 
 def quantize_duality(n, rng):
-    def residual(tau):
-        sigma, f, g = rand_complex(rng, n, n), rand_complex(rng, n), rand_complex(rng, n)
-        lhs = np.vdot(g, op_tau(sigma, tau) @ f)
-        return _rel(lhs - np.vdot(tau_wigner(g, f, tau), sigma), lhs)
-
-    return np.max([residual(tau) for tau in (0.0, 0.3, 0.5, 1.0) for _ in range(VERIFY_TRIALS // 4 + 1)])
+    return np.max([duality_residual(rand_complex(rng, n, n), rand_complex(rng, n), rand_complex(rng, n), tau)
+                   for tau in (0.0, 0.3, 0.5, 1.0) for _ in range(VERIFY_TRIALS // 4 + 1)])
 
 
 def quantize_roundtrip(n, rng):
-    def residual(tau):
-        sigma = rand_complex(rng, n, n)
-        return _rel(dequantize(op_tau(sigma, tau), tau) - sigma, sigma)
-
-    return np.max([residual(tau) for tau in (0.0, 0.25, 1 / 3, 0.5, 1 / np.pi, 1.0)])
+    return np.max([roundtrip_residual(rand_complex(rng, n, n), tau) for tau in (0.0, 0.25, 1 / 3, 0.5, 1 / np.pi, 1.0)])
 
 
 def convert_consistency(n, rng):
-    def residual(tau1, tau2):
-        sigma = rand_complex(rng, n, n)
-        moved = convert_symbol(sigma, tau1, tau2)
-        return np.maximum(_rel(op_tau(moved, tau2) - op_tau(sigma, tau1), sigma),
-                          _rel(dequantize(op_tau(sigma, tau1), tau2) - moved, sigma))
-
-    return np.max([residual(tau1, tau2) for tau1, tau2 in CONVERT_PAIRS])
+    return np.max([convert_residual(rand_complex(rng, n, n), tau1, tau2) for tau1, tau2 in CONVERT_PAIRS])
 
 
 def covariance_taus(n: int) -> tuple[float, ...]:

@@ -208,6 +208,16 @@ class TestConfigValidation:
         assert f"gaussian {kind} width must be positive, at most {MAX_WIDTH:g}," in capsys.readouterr().err
         assert not (tmp_path / "wider").exists()
 
+    def test_narrowest_gaussian_window_is_silent(self, tmp_path, capsys):
+        # n * width^2 > 0 admits width 1e-160 at n = 8, the delta window, whose wraps
+        # overflow to exp(-inf) = 0 at every t != 0: that printed a RuntimeWarning
+        cfg = write_config(tmp_path, {"n": 8, "window": {"name": "gaussian", "width": 1e-160}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["norms", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+            assert np.array_equal(gen.make_window(n=8, name="gaussian", width=1e-160), gen.delta_window(8))
+        assert capsys.readouterr().err == ""
+
 
     @pytest.mark.parametrize(
         "data, message",

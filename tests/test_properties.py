@@ -15,8 +15,8 @@ from cyclictf.diagnostics import almost_diag_report, boundedness_report, covaria
 from cyclictf.generators import rand_complex
 from cyclictf.normbank import modulation_norm, symbol_sups
 from cyclictf.phasespace import Lattice
-from cyclictf.quantize import convert_symbol, dequantize, op_tau, tau_wigner
-from cyclictf.verify import SUITE_TOL, covariance_taus
+from cyclictf.quantize import op_tau, tau_wigner
+from cyclictf.verify import SUITE_TOL, convert_residual, covariance_taus, duality_residual, roundtrip_residual
 
 from endpoint_oracle import kernel_from_symbol_endpoint
 from modulus_oracle import phase_exact
@@ -35,8 +35,7 @@ def _rel(diff, ref) -> float:
 @PROPERTY_SETTINGS
 @given(GRID_SIZES, st.sampled_from(TAUS), SEEDS)
 def test_quantize_roundtrip(n, tau, seed):
-    sigma = rand_complex(np.random.default_rng(seed), n, n)
-    assert _rel(dequantize(op_tau(sigma, tau), tau) - sigma, sigma) < SUITE_TOL
+    assert roundtrip_residual(rand_complex(np.random.default_rng(seed), n, n), tau) < SUITE_TOL
 
 
 @PROPERTY_SETTINGS
@@ -50,10 +49,7 @@ def test_endpoint_kernel_matches_integral_form(n, tau, seed):
 @PROPERTY_SETTINGS
 @given(GRID_SIZES, st.sampled_from(TAUS), st.sampled_from(TAUS), SEEDS)
 def test_convert_consistency(n, tau1, tau2, seed):
-    sigma = rand_complex(np.random.default_rng(seed), n, n)
-    moved = convert_symbol(sigma, tau1, tau2)
-    assert _rel(op_tau(moved, tau2) - op_tau(sigma, tau1), sigma) < SUITE_TOL
-    assert _rel(dequantize(op_tau(sigma, tau1), tau2) - moved, sigma) < SUITE_TOL
+    assert convert_residual(rand_complex(np.random.default_rng(seed), n, n), tau1, tau2) < SUITE_TOL
 
 
 @PROPERTY_SETTINGS
@@ -61,10 +57,11 @@ def test_convert_consistency(n, tau1, tau2, seed):
 def test_duality_with_tau_wigner(n, tau, seed):
     rng = np.random.default_rng(seed)
     sigma, f, g = rand_complex(rng, n, n), rand_complex(rng, n), rand_complex(rng, n)
-    diff = np.vdot(g, op_tau(sigma, tau) @ f) - np.vdot(tau_wigner(g, f, tau), sigma)
-    # relative to the sizes of the inputs, so a near-zero pairing cannot inflate it
-    scale = np.linalg.norm(sigma) * np.linalg.norm(f) * np.linalg.norm(g)
-    assert abs(diff) / scale < SUITE_TOL
+    assert duality_residual(sigma, f, g, tau) < SUITE_TOL
+    # Moyal: ||W_tau(g, f)|| = ||f|| ||g|| / sqrt(N), so the residual's Cauchy-Schwarz
+    # scale ||sigma|| ||W_tau(g, f)|| is ||sigma|| ||f|| ||g|| / sqrt(N) at every tau
+    expected = np.linalg.norm(f) * np.linalg.norm(g) / np.sqrt(n)
+    assert abs(np.linalg.norm(tau_wigner(g, f, tau)) - expected) < 1e-12 * expected
 
 
 @PROPERTY_SETTINGS

@@ -14,6 +14,7 @@ from cyclictf.quantize import (
     twisted_product,
 )
 from cyclictf.transforms import dft
+from cyclictf.verify import SUITE_TOL, convert_residual, duality_residual, roundtrip_residual
 
 from endpoint_oracle import kernel_from_symbol_endpoint
 
@@ -188,14 +189,10 @@ class TestDequantize:
     @pytest.mark.parametrize("n", [4, 8, 16])
     @pytest.mark.parametrize("tau", [0.0, 0.25, 1 / 3, 0.5, 0.7, 1.0])
     def test_round_trip(self, n, tau):
-        sigma = random_symbol(n, seed=6)
-        back = dequantize(op_tau(sigma, tau), tau)
-        assert np.abs(back - sigma).max() / np.abs(sigma).max() < 1e-10
+        assert roundtrip_residual(random_symbol(n, seed=6), tau) < SUITE_TOL
 
     def test_round_trip_irrational(self):
-        sigma = random_symbol(8, 7)
-        tau = 1 / np.pi
-        assert np.abs(dequantize(op_tau(sigma, tau), tau) - sigma).max() < 1e-10
+        assert roundtrip_residual(random_symbol(8, 7), 1 / np.pi) < SUITE_TOL
 
     def test_multiplication_inverse(self):
         rng = np.random.default_rng(8)
@@ -261,15 +258,11 @@ class TestConvertSymbol:
 
     @pytest.mark.parametrize("tau1,tau2", [(0.0, 0.5), (0.3, 0.8), (0.5, 1.0)])
     def test_operator_consistency(self, tau1, tau2):
-        sigma = random_symbol(8, 12)
-        lhs = op_tau(convert_symbol(sigma, tau1, tau2), tau2)
-        assert np.abs(lhs - op_tau(sigma, tau1)).max() < 1e-10
+        assert convert_residual(random_symbol(8, 12), tau1, tau2) < SUITE_TOL
 
     @pytest.mark.parametrize("tau1,tau2", [(0.0, 1.0), (0.25, 0.6)])
     def test_matches_dequantize_path(self, tau1, tau2):
-        sigma = random_symbol(8, 13)
-        via_ops = dequantize(op_tau(sigma, tau1), tau2)
-        assert np.abs(via_ops - convert_symbol(sigma, tau1, tau2)).max() < 1e-10
+        assert convert_residual(random_symbol(8, 13), tau1, tau2) < SUITE_TOL
 
     def test_constant_invariant(self):
         for tau1, tau2 in [(0.0, 1.0), (0.3, 0.7)]:
@@ -281,13 +274,7 @@ class TestTauWigner:
     @pytest.mark.parametrize("tau", [0.0, 0.3, 0.5, 1.0])
     def test_duality(self, tau):
         rng = np.random.default_rng(14)
-        n = 8
-        sigma = random_symbol(n, 15)
-        f = rand_complex(rng, n)
-        g = rand_complex(rng, n)
-        lhs = np.vdot(g, op_tau(sigma, tau) @ f)
-        rhs = np.vdot(tau_wigner(g, f, tau), sigma)
-        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+        assert duality_residual(random_symbol(8, 15), rand_complex(rng, 8), rand_complex(rng, 8), tau) < SUITE_TOL
 
     def test_rihaczek_at_zero(self):
         # W_0(f, g)(x, w) = N^{-1/2} f(x) conj(Fg(w)) e^{-2 pi i x w / N}

@@ -10,10 +10,9 @@ import pytest
 
 import cyclictf.cli as cli
 from cyclictf import diagnostics, verify
-from cyclictf.generators import gaussian_window
+from cyclictf.generators import gaussian_window, rand_complex, random_symbol
 from cyclictf.phasespace import Lattice
 from cyclictf.quantize import op_tau, tau_wigner
-from cyclictf.generators import random_symbol
 from cyclictf.transforms import stft_grid, stft_slabs
 from cyclictf.verify import (
     SUITE_TOL,
@@ -21,6 +20,7 @@ from cyclictf.verify import (
     channel_modulus,
     channel_modulus_cases,
     channel_modulus_residual,
+    duality_residual,
     fundamental_identity,
     quantize_roundtrip,
     symplectic_covariance,
@@ -62,6 +62,16 @@ class TestSuites:
         # F Op F* by FFT along each axis; the two dense N^3 products with the
         # DFT matrix left 4.2e-14 at N = 256
         assert symplectic_covariance(256, np.random.default_rng(0)) < 2e-14
+
+    def test_duality_residual_is_relative_to_the_cauchy_schwarz_bound(self):
+        # g orthogonal to Op_{1/2}(sigma) f leaves both sides rounding noise: relative to
+        # |<g, Op f>| the residual would read 6.3, relative to ||sigma|| ||W_{1/2}(g, f)|| 1.9e-17
+        rng = np.random.default_rng(1)
+        sigma, f, g = rand_complex(rng, 8, 8), rand_complex(rng, 8), rand_complex(rng, 8)
+        image = op_tau(sigma, 0.5) @ f
+        g -= np.vdot(image, g) / np.vdot(image, image) * image
+        assert duality_residual(sigma, f, g, 0.5) < 1e-15
+        assert duality_residual(0 * sigma, 0 * f, 0 * g, 0.5) == 0.0  # a guarded scale, not 0/0
 
 
 class TestNaNResiduals:
