@@ -2,14 +2,14 @@
 
 The channel matrix of an operator T against a window phi collects
 <T pi(z) phi, pi(w) phi> over pairs of points of a lattice; it is held as
-two N x P factors and its entries are formed N rows at a time, a whole
-number of the lattice's x-rows.  Its magnitude structure is summarized by
-decay envelopes, reduced from those row blocks in O(N^3) memory: the
-maximum of |entry| over a family of shifted diagonals (difference w - z,
-sum w + z, or w - A z for a diagonal shift map A), and by their weighted
-l^1 mass.  Every pairing is diagonal, so it bins the x-rows and the omega
-pairs apart, and each block reduces by one gather and one segmented
-maximum per mode.
+the analysis operator C_phi (P x N) and the image T D_phi (N x P), and its
+entries are formed N rows at a time, a whole number of the lattice's x-rows.
+Its magnitude structure is summarized by decay envelopes, reduced from those
+row blocks in O(N^3) memory: the maximum of |entry| over a family of shifted
+diagonals (difference w - z, sum w + z, or w - A z for a diagonal shift map
+A), and by their weighted l^1 mass.  Every pairing is diagonal, so it bins
+the x-rows and the omega pairs apart, and each block reduces by one gather
+and one segmented maximum per mode.
 The reports compare these envelope masses against the symbol-class
 functionals from normbank; equivalence constants are window-dependent, so
 the reports only record ratios and the rank association across symbol
@@ -52,16 +52,16 @@ CONDITION_LIMIT = 1e10  # invertibility threshold for the Wiener experiment
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """Entries <T pi(z) phi, pi(w) phi> (rows w, columns z) of T, phi and a lattice, held as two N x P factors."""
+    """Entries <T pi(z) phi, pi(w) phi> (rows w, columns z) of T, phi and a lattice, as C_phi times T D_phi."""
 
-    bank: np.ndarray  # columns pi(w) phi
-    image: np.ndarray  # columns T pi(z) phi
+    analysis: np.ndarray  # P x N, rows conj(pi(w) phi): the analysis operator C_phi
+    image: np.ndarray  # N x P, columns T pi(z) phi
     lattice: Lattice  # rows and columns are lattice.points(n), row-major in (x, omega)
     n: int
 
     def rows(self, start: int, stop: int) -> np.ndarray:
-        """Rows start:stop of the entries bank[:, w]^* image[:, z], as one matrix product."""
-        return self.bank[:, start:stop].conj().T @ self.image
+        """Rows start:stop of the entries analysis[w] @ image[:, z], as one matrix product."""
+        return self.analysis[start:stop] @ self.image
 
 
 def operator_channel(operator: np.ndarray, phi: np.ndarray, lattice: Lattice = Lattice(1, 1)) -> ChannelMatrix:
@@ -69,7 +69,8 @@ def operator_channel(operator: np.ndarray, phi: np.ndarray, lattice: Lattice = L
     arr = np.asarray(operator, dtype=complex)
     n = arr.shape[0]
     bank = shift_bank(phi, lattice.points(n))
-    return ChannelMatrix(bank=bank, image=arr @ bank, lattice=lattice, n=n)
+    image = arr @ bank  # then C_phi is the bank conjugated in place and transposed: a view, not a copy
+    return ChannelMatrix(analysis=np.conj(bank, out=bank).T, image=image, lattice=lattice, n=n)
 
 
 def _nearest_bins(c: np.ndarray, n: int) -> np.ndarray:

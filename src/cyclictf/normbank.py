@@ -61,8 +61,9 @@ def symbol_sups(sigma: np.ndarray, window: np.ndarray) -> tuple[np.ndarray, np.n
     n = np.shape(sigma)[0]
     sup_pos = np.zeros((n, n))  # |V_W sigma| >= 0, so 0 is the identity of the running max
     sup_freq = np.empty((n, n))
+    mags = np.empty((n, n, n))
     for p1, slab in enumerate(stft_slabs(sigma, window)):
-        mags = np.abs(slab)
+        np.abs(slab, out=mags)
         np.maximum(sup_pos, mags.max(axis=0), out=sup_pos)
         sup_freq[p1] = mags.max(axis=(1, 2))
     return sup_pos, sup_freq

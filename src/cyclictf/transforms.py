@@ -123,23 +123,20 @@ def stft_slabs(sigma: np.ndarray, window: np.ndarray):
 
     Each slab has shape (N, N, N) indexed (p2, q1, q2) and is the same buffer,
     overwritten by the next p1, so a consumer must copy or reduce it before
-    asking for the next one.  The N column shifts of conj(W) are built once;
-    each p1 multiplies them by its row-shifted sigma and takes the fft over
-    q2, then over q1, in place (the two passes of fft2, in its order).
+    asking for the next one.  Every window shift of conj(W) is one view into
+    its 2N x 2N tiling; each p1 multiplies sigma by its N shifts and takes the
+    fft over q2, then over q1, in place (the two passes of fft2, in its order).
     """
     arr = np.asarray(sigma, dtype=complex)
     win = _nonzero(np.asarray(window, dtype=complex))
     if arr.ndim != 2 or arr.shape != win.shape or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"symbol and window must be square grids of one shape: {arr.shape} and {win.shape}")
     n = arr.shape[0]
-    # cols[p2, r, y2] = conj(W)[r, (y2 - p2) mod N] = roll(conj(W), p2, axis=1)[r, y2],
-    # one gather into a contiguous (p2, r, y2) array
-    cols = np.conj(win)[np.arange(n)[:, None], _shift_index(n)[:, None, :]]
+    # tiles[N - p1, N - p2][y1, y2] = conj(W)[(y1 - p1) mod N, (y2 - p2) mod N], a view
+    tiles = np.lib.stride_tricks.sliding_window_view(np.tile(np.conj(win), (2, 2)), (n, n))
     slab = np.empty((n, n, n), dtype=complex)
     for p1 in range(n):
-        # arr * roll(cols, p1, axis=1), written in two slices without a copy
-        np.multiply(arr[p1:], cols[:, : n - p1], out=slab[:, p1:])
-        np.multiply(arr[:p1], cols[:, n - p1 :], out=slab[:, :p1])
+        np.multiply(arr, tiles[n - p1, n:0:-1], out=slab)
         np.fft.fft(slab, axis=2, out=slab)
         np.fft.fft(slab, axis=1, out=slab)
         yield slab

@@ -28,7 +28,7 @@ VERIFY_TRIALS = 20
 CONVERT_PAIRS = ((0.0, 0.5), (0.3, 0.8), (0.5, 1.0), (0.25, 0.25), (0.7, 0.2))
 
 
-def _rel(diff, ref) -> float:
+def relative_residual(diff, ref) -> float:
     """max |diff| relative to max |ref|."""
     return np.abs(diff).max() / max(np.abs(ref).max(), 1e-30)
 
@@ -37,30 +37,32 @@ def fundamental_residual(f, g):
     """V_g f(x, w) = e^{-2 pi i x w / N} V_{Fg} Ff(w, -x), relative to max |V_g f|."""
     lhs = stft(f, g)
     xg, wg = np.indices(lhs.shape)
-    return _rel(lhs - np.conj(_phase(xg * wg, len(f))) * stft(dft(f), dft(g))[wg, (-xg) % len(f)], lhs)
+    rhs = np.conj(_phase(xg * wg, len(f))) * stft(dft(f), dft(g))[wg, (-xg) % len(f)]
+    return relative_residual(lhs - rhs, lhs)
 
 
 def inversion_residual(f, g):
     """V_g* V_g f = N ||g||^2 f, relative to max |f|."""
-    return _rel(stft_adjoint(stft(f, g), g) / (len(f) * np.linalg.norm(g) ** 2) - f, f)
+    return relative_residual(stft_adjoint(stft(f, g), g) / (len(f) * np.linalg.norm(g) ** 2) - f, f)
 
 
 def duality_residual(sigma, f, g, tau):
     """<Op_tau(sigma) f, g> = <sigma, W_tau(g, f)>, relative to ||sigma|| ||W_tau(g, f)||, its Cauchy-Schwarz bound."""
     w = tau_wigner(g, f, tau)
-    return _rel(np.vdot(g, op_tau(sigma, tau) @ f) - np.vdot(w, sigma), np.linalg.norm(sigma) * np.linalg.norm(w))
+    gap = np.vdot(g, op_tau(sigma, tau) @ f) - np.vdot(w, sigma)
+    return relative_residual(gap, np.linalg.norm(sigma) * np.linalg.norm(w))
 
 
 def roundtrip_residual(sigma, tau):
     """dequantize(Op_tau(sigma), tau) = sigma, relative to max |sigma|."""
-    return _rel(dequantize(op_tau(sigma, tau), tau) - sigma, sigma)
+    return relative_residual(dequantize(op_tau(sigma, tau), tau) - sigma, sigma)
 
 
 def convert_residual(sigma, tau1, tau2):
     """Op_tau2(convert_symbol(sigma, tau1, tau2)) = Op_tau1(sigma) as operators and symbols, relative to max |sigma|."""
     moved = convert_symbol(sigma, tau1, tau2)
-    return np.maximum(_rel(op_tau(moved, tau2) - op_tau(sigma, tau1), sigma),
-                      _rel(dequantize(op_tau(sigma, tau1), tau2) - moved, sigma))
+    return np.maximum(relative_residual(op_tau(moved, tau2) - op_tau(sigma, tau1), sigma),
+                      relative_residual(dequantize(op_tau(sigma, tau1), tau2) - moved, sigma))
 
 
 def fundamental_identity(n, rng):
@@ -127,11 +129,11 @@ def channel_modulus_residual(channel: dg.ChannelMatrix, tau: float, slabs):
     The first coordinate of T_tau depends on (w0, z0) only and the second on
     (w1, z1) only.  So each pair (w0, z0), on the grid or not, belongs to the
     slab p1 = rint((1 - tau) w0 + tau z0) mod N, where its N x N block over
-    (w1, z1) is the row block w0 of channel.bank* times the column block z0
+    (w1, z1) is the row block w0 of channel.analysis times the column block z0
     of channel.image.  p1 is monotone in z0, so the z0 of one w0 in a slab
     are one run, whose blocks are one product over a slice of image (for
-    tau > 1/2 the w0 of one z0, bank and image swapped).  Every entry is
-    computed once, and no product or comparison has more than N^3 entries.
+    tau > 1/2 the w0 of one z0, from the transposed factors).  Every entry is
+    computed once from uncopied factors; no product or comparison has over N^3.
     """
     if channel.lattice != Lattice(1, 1) or not 0.0 <= tau <= 1.0:
         raise ValueError(f"channel-modulus needs a full-grid channel and a tau in [0, 1], not {channel.lattice}, {tau}")
@@ -144,9 +146,9 @@ def channel_modulus_residual(channel: dg.ChannelMatrix, tau: float, slabs):
     # a slab's |V| read as rows (p2, q1) = (rint(p2), w1 - z1) and columns q2 = z0 - w0; at
     # (w1, z1), p2 = tau w1 + (1 - tau) z1 is p1 with w and z swapped, the same float sum
     on2, at2 = on1.T, slab_of.T * n + q2.T
-    left, right = channel.bank.conj(), channel.image  # a run's blocks are (w1, z0, z1)
-    if tau > 0.5:  # runs along w0 at a fixed z0, blocks (z1, w0, w1)
-        left, right = channel.image.conj(), channel.bank
+    left, right = channel.analysis, channel.image  # a run's blocks are (w1, z0, z1)
+    if tau > 0.5:  # runs along w0 at a fixed z0, blocks (z1, w0, w1) of the transposed entries
+        left, right = channel.image.T, channel.analysis.T
         slab_of, on1, on2, at2, q2 = slab_of.T, on1.T, on2.T, at2.T, q2.T
     # each row of slab_of is nondecreasing (p1 is monotone, and rint(p1) <= N - 1: % n never wraps)
     runs = [[] for _ in range(n)]  # slab -> (a, lo, hi) with slab_of[a, lo:hi] == slab
@@ -154,15 +156,20 @@ def channel_modulus_residual(channel: dg.ChannelMatrix, tau: float, slabs):
         for k, lo, length in zip(*np.unique(row, return_index=True, return_counts=True)):
             runs[k].append((a, lo, lo + length))
     worst = scale = 0.0
+    mags = np.empty((n, n, n))
     for k, slab in zip(range(n), slabs, strict=True):
-        picked = []
+        picked = []  # blocks (w1, pair, z1), or their swap; pairs row-major, as the gather below
         for a, lo, hi in runs[k]:
-            block = np.abs(left[:, a * n:(a + 1) * n].T @ right[:, lo * n:hi * n]).reshape(n, hi - lo, n)
+            block = np.abs(left[a * n:(a + 1) * n] @ right[:, lo * n:hi * n]).reshape(n, hi - lo, n)
             scale = np.maximum(scale, block.max())
-            picked.append(block[:, on1[a, lo:hi]])
-        diff = np.concatenate(picked, axis=1)  # (w1, pair, z1), or its swap; row-major pairs, as the runs
-        diff -= np.abs(slab).reshape(n * n, n)[:, q2[(slab_of == k) & on1]][at2].transpose(0, 2, 1)
+            on = on1[a, lo:hi]
+            picked.append(block if on.all() else block[:, on])
+        diff = picked[0] if len(picked) == 1 else np.concatenate(picked, axis=1)
+        del picked, block  # the run blocks go before the gather, the diff before the next slab's products
+        np.abs(slab, out=mags)
+        diff -= mags.reshape(n * n, n)[at2[:, :, None], q2[(slab_of == k) & on1]].transpose(0, 2, 1)
         worst = np.maximum(worst, np.abs(diff, out=diff).transpose(0, 2, 1)[on2].max())
+        del diff
     return worst / scale, int(on1.sum()) * int(on2.sum())
 
 

@@ -1,8 +1,8 @@
 """Channel matrices as plain P x P arrays, for tests that bin synthetic channels
 or check a channel entry by entry.
 
-`ChannelMatrix` holds its two N x P factors; with bank = I_P and
-image = entries, every row block `bank[:, rows]^* image` is a product with
+`ChannelMatrix` holds its two factors; with analysis = I_P and
+image = entries, every row block `analysis[rows] @ image` is a product with
 one unit per term, so the channel's entries are the given ones exactly.
 `channel_entries` goes the other way and stacks the N-row blocks that
 `envelopes` reads.
@@ -16,7 +16,7 @@ from cyclictf.diagnostics import ChannelMatrix
 def dense_channel(entries, lattice, n) -> ChannelMatrix:
     """The channel whose P x P entries are `entries`, on the points of `lattice` in Z_N^2."""
     entries = np.asarray(entries, dtype=complex)
-    return ChannelMatrix(bank=np.eye(len(entries), dtype=complex), image=entries, lattice=lattice, n=n)
+    return ChannelMatrix(analysis=np.eye(len(entries), dtype=complex), image=entries, lattice=lattice, n=n)
 
 
 def channel_entries(channel: ChannelMatrix) -> np.ndarray:

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -439,16 +438,11 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
         assert calls == {"symbol_sups": 5, "operator_channel": 5, "op_tau": 5}
 
-    def test_peak_memory_at_n32(self, tmp_path):
+    def test_peak_memory_at_n32(self, tmp_path, traced_peak):
         # the channel (16.8 MB) is freed before the next tau's symbol STFT;
         # with both alive together the sweep peaked at 42.1 MB
         cfg = ExperimentConfig.from_dict(self.BASELINE)
-        tracemalloc.start()
-        try:
-            run_sweep(cfg, tmp_path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(run_sweep, cfg, tmp_path)
         assert peak <= 32e6, peak
 
     def test_one_row_pass_per_tau(self, tmp_path, monkeypatch):
@@ -466,16 +460,11 @@ class TestSweep:
         assert len(blocks) == 5 * math.ceil(8 * 8 / 8) == 40
         assert set(blocks) == {8}
 
-    def test_streamed_peak_memory_at_n32(self, tmp_path):
-        # the channel as two N x P factors and one row block at a time (2.3 MB);
+    def test_streamed_peak_memory_at_n32(self, tmp_path, traced_peak):
+        # the channel as its two factors and one row block at a time (2.3 MB);
         # with its N^4 entries built once per tau the sweep peaked at 18.4 MB
         cfg = ExperimentConfig.from_dict(self.BASELINE)
-        tracemalloc.start()
-        try:
-            run_sweep(cfg, tmp_path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(run_sweep, cfg, tmp_path)
         assert peak <= 4e6, peak
 
 
@@ -516,15 +505,10 @@ class TestWienerCommand:
         assert all(row["invertible"] for row in rows)
         assert calls == {"symbol_sups": 16}
 
-    def test_peak_memory_at_n32(self, tmp_path):
+    def test_peak_memory_at_n32(self, tmp_path, traced_peak):
         # one symbol-STFT slab at a time (2.1 MB); the full N^4 STFT peaked at 25.4 MB
         cfg = ExperimentConfig.from_dict(TestSweep.BASELINE)
-        tracemalloc.start()
-        try:
-            run_wiener(cfg, tmp_path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(run_wiener, cfg, tmp_path)
         assert peak <= 4e6, peak
 
     def test_perturbed_identity_row(self, tmp_path):
@@ -566,15 +550,10 @@ class TestNormsAndChannel:
         assert main(["channel", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
         assert calls == {"operator_channel": 1}
 
-    def test_full_grid_peak_memory_at_n32(self, tmp_path):
+    def test_full_grid_peak_memory_at_n32(self, tmp_path, traced_peak):
         # one row block of the channel at a time (2.2 MB); its N^4 entries peaked at 18.4 MB
         cfg = ExperimentConfig.from_dict({"n": 32, "tau": [0.5]})
-        tracemalloc.start()
-        try:
-            run_channel(cfg, tmp_path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(run_channel, cfg, tmp_path)
         assert peak <= 4e6, peak
 
     @pytest.mark.parametrize("command", ["norms", "verify"])

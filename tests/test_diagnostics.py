@@ -1,4 +1,3 @@
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,7 +42,7 @@ from cyclictf.quantize import (
     symbol_from_spreading,
     tau_wigner,
 )
-from cyclictf.transforms import stft, tf_shift
+from cyclictf.transforms import shift_bank, stft, tf_shift
 
 from dense_channel import channel_entries, dense_channel
 from modulus_oracle import inverse_map_loop, pair_loop
@@ -143,6 +142,17 @@ class TestChannelMatrix:
         assert full.lattice == Lattice(1, 1)
         rows = lat.points(n) @ [n, 1]  # full-grid index x N + omega
         assert np.allclose(channel_entries(sub), channel_entries(full)[np.ix_(rows, rows)], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("lattice", [Lattice(1, 1), Lattice(2, 2)], ids=["full", "lattice"])
+    def test_holds_the_analysis_operator(self, lattice):
+        # C_phi is the conjugated bank of shifted windows, and a row block is
+        # one product of it with the image
+        n = 8
+        phi = gaussian_window(n)
+        chan = operator_channel(op_tau(random_symbol(n, 3), 0.25), phi, lattice)
+        assert np.array_equal(chan.analysis, shift_bank(phi, lattice.points(n)).conj().T)
+        size = chan.image.shape[1]
+        assert np.array_equal(chan.rows(0, size), chan.analysis @ chan.image)
 
     def test_zero_window_rejected(self):
         with pytest.raises(ValueError, match="non-zero"):
@@ -363,19 +373,14 @@ class TestEnvelopeOracle:
         with pytest.raises(ValueError, match="finite diagonal shift map"):
             envelope(chan, "shifted", np.diag([bad, 1.0]))
 
-    def test_peak_memory_at_n32(self):
+    def test_peak_memory_at_n32(self, traced_peak):
         # the old difference mode peaked at 25.2 MB, shifted/ttau at 85.0 MB;
         # the one bin rule on every pair of points at 19.9 MB for every mode
         n = 32
         chan = operator_channel(op_tau(random_symbol(n, 0), 0.25), gaussian_window(n))
         for mode, a in (("difference", None), ("sum", None), ("shifted", utau_matrix(0.25)),
                         ("ttau", 0.25)):
-            tracemalloc.start()
-            try:
-                envelope(chan, mode, a)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak = traced_peak(envelope, chan, mode, a)
             assert peak <= 13.5e6, (mode, peak)
 
 

@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,17 +128,13 @@ class TestSymbolClassNorms:
         assert np.array_equal(sup_pos, mags.max(axis=(0, 1)))
         assert np.array_equal(sup_freq, mags.max(axis=(2, 3)))
 
-    def test_sups_peak_memory_at_n32(self):
-        # one (N, N, N) slab and its magnitudes (1.7 MB); the full N^4 STFT and its abs took 25.2 MB
+    def test_sups_peak_memory_at_n32(self, traced_peak):
+        # one (N, N, N) slab, its magnitudes' buffer and the window's 2N x 2N tiling (1.1 MB); a
+        # gathered table of the window's N^3 shifts took 1.7 MB, the full N^4 STFT and its abs 25.2 MB
         n = 32
         sigma, window = random_symbol(n, 0), tau_wigner(gaussian_window(n), gaussian_window(n), 0.5)
-        tracemalloc.start()
-        try:
-            symbol_sups(sigma, window)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3e6, peak
+        peak = traced_peak(symbol_sups, sigma, window)
+        assert peak <= 1.4e6, peak
 
     def test_sjostrand_brute_force_regression(self):
         # direct quadruple-sum oracle at N=4 froze this value at build time

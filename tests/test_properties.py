@@ -16,7 +16,14 @@ from cyclictf.generators import rand_complex
 from cyclictf.normbank import modulation_norm, symbol_sups
 from cyclictf.phasespace import Lattice
 from cyclictf.quantize import op_tau, tau_wigner
-from cyclictf.verify import SUITE_TOL, convert_residual, covariance_taus, duality_residual, roundtrip_residual
+from cyclictf.verify import (
+    SUITE_TOL,
+    convert_residual,
+    covariance_taus,
+    duality_residual,
+    relative_residual,
+    roundtrip_residual,
+)
 
 from endpoint_oracle import kernel_from_symbol_endpoint
 from modulus_oracle import phase_exact
@@ -26,10 +33,6 @@ FRACTIONS = [(j, m) for m in range(1, 9) for j in range(m + 1) if np.gcd(j, m) =
 GRID_SIZES = st.integers(min_value=2, max_value=40)
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
-
-
-def _rel(diff, ref) -> float:
-    return float(np.abs(diff).max() / max(np.abs(ref).max(), 1e-30))
 
 
 @PROPERTY_SETTINGS
@@ -43,7 +46,7 @@ def test_quantize_roundtrip(n, tau, seed):
 def test_endpoint_kernel_matches_integral_form(n, tau, seed):
     sigma = rand_complex(np.random.default_rng(seed), n, n)
     kernel = kernel_from_symbol_endpoint(sigma, tau)
-    assert _rel(op_tau(sigma, tau) - kernel, kernel) < SUITE_TOL
+    assert relative_residual(op_tau(sigma, tau) - kernel, kernel) < SUITE_TOL
 
 
 @PROPERTY_SETTINGS
@@ -100,7 +103,7 @@ def _cases(sizes, on_set):
 def _difference_residual(chan, sup_pos):
     """Relative residual of the channel's difference envelope against sup_pos o J."""
     k1, k2 = np.indices(sup_pos.shape)
-    return _rel(envelope(chan, "difference") - sup_pos[k2, -k1 % chan.n], sup_pos)
+    return relative_residual(envelope(chan, "difference") - sup_pos[k2, -k1 % chan.n], sup_pos)
 
 
 @settings(max_examples=30, deadline=None)  # four channels and four N^4 symbol passes per example
@@ -120,7 +123,7 @@ def test_exact_set_envelopes_are_the_symbol_sups(case, seed):
     chan = operator_channel(op_tau(sigma, tau), phi)
     assert _difference_residual(chan, sup_pos) < SUITE_TOL
     if m == 1:
-        assert _rel(envelope(chan, "ttau", tau) - sup_freq, sup_freq) < SUITE_TOL
+        assert relative_residual(envelope(chan, "ttau", tau) - sup_freq, sup_freq) < SUITE_TOL
     for s in (0.0, 1.0, 2.0):
         assert abs(almost_diag_report(sigma, tau, phi, Lattice(1, 1), s).ratio - 1) < SUITE_TOL
 
@@ -154,4 +157,4 @@ def test_integer_utau_envelope_is_the_frequency_sups(case, seed):
     sup_freq = symbol_sups(sigma, tau_wigner(phi, phi, j / m))[1]
     k1, k2 = np.indices((n, n))
     table = envelope(operator_channel(op_tau(sigma, j / m), phi), "shifted", a)
-    assert _rel(table - sup_freq[(1 - t) * k1 % n, t * k2 % n], sup_freq) < SUITE_TOL
+    assert relative_residual(table - sup_freq[(1 - t) * k1 % n, t * k2 % n], sup_freq) < SUITE_TOL

@@ -2,7 +2,6 @@ import importlib
 import itertools
 import json
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -116,27 +115,22 @@ class TestNaNResiduals:
 
 class TestChannelModulusScale:
     @staticmethod
-    def _traced_peak(n):
-        tracemalloc.start()
-        try:
-            residual = channel_modulus(n, np.random.default_rng(0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert residual < SUITE_TOL
-        return peak
+    def _passes(n):
+        assert channel_modulus(n, np.random.default_rng(0)) < SUITE_TOL
 
-    def test_peak_memory_at_the_cap(self):
+    def test_peak_memory_at_the_cap(self, traced_peak):
         # the full channel matrix and |stft_grid| alone take 24 MB at N = 32;
         # the suite keeps O(N^3): one STFT slab, the channel's two factors and
-        # products of at most N x N^2 entries over runs of x-rows
-        peak = self._traced_peak(32)
-        assert peak <= 7.5e6, peak
+        # products of at most N x N^2 entries over runs of x-rows (3.7 MB); a
+        # conjugated copy of a factor and an N^3 table of window shifts took 4.9 MB
+        peak = traced_peak(self._passes, 32)
+        assert peak <= 4.2e6, peak
 
-    def test_peak_memory_above_the_cap(self):
-        # the same O(N^3) at N = 48, where the full channel matrix alone takes 85 MB
-        peak = self._traced_peak(48)
-        assert peak <= 18e6, peak
+    def test_peak_memory_above_the_cap(self, traced_peak):
+        # the same O(N^3) at N = 48 (9.2 MB; 13.5 MB with those copies), where the
+        # full channel matrix alone takes 85 MB
+        peak = traced_peak(self._passes, 48)
+        assert peak <= 11e6, peak
 
     def test_every_slab_is_required(self):
         # a short slab sequence would leave pairs unchecked
