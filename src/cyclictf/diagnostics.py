@@ -3,13 +3,13 @@
 The channel matrix of an operator T against a window phi collects
 <T pi(z) phi, pi(w) phi> over pairs of points of a lattice; it is held as
 the analysis operator C_phi (P x N) and the image T D_phi (N x P), and its
-entries are formed N rows at a time, a whole number of the lattice's x-rows.
+entries are formed one x-row of w at a time (N rows on the full grid).
 Its magnitude structure is summarized by decay envelopes, reduced from those
 row blocks in O(N^3) memory: the maximum of |entry| over a family of shifted
 diagonals (difference w - z, sum w + z, or w - A z for a diagonal shift map
 A), and by their weighted l^1 mass.  Every pairing is diagonal, so it bins
-the x-rows and the omega pairs apart, and each block reduces by one gather
-and one segmented maximum per mode.
+the x-rows and the omega pairs apart, and each block reduces, in the layout
+its product gives it, by one gather and one segmented maximum per mode.
 The reports compare these envelope masses against the symbol-class
 functionals from normbank; equivalence constants are window-dependent, so
 the reports only record ratios and the rank association across symbol
@@ -124,7 +124,6 @@ def envelopes(channel: ChannelMatrix, modes: list[tuple[str, np.ndarray | float 
     """
     n, lattice = channel.n, channel.lattice
     nx, width = n // lattice.a, n // lattice.b  # x-rows, and points per x-row
-    size = nx * width
     xs, omegas = np.arange(0, n, lattice.a), np.arange(0, n, lattice.b)
     plans = []
     for mode, param in modes:
@@ -134,30 +133,23 @@ def envelopes(channel: ChannelMatrix, modes: list[tuple[str, np.ndarray | float 
         p, q = _pairing(mode, param)
         first = _nearest_bins(np.add.outer(p[0] * xs, q[0] * xs), n)
         second = _nearest_bins(np.add.outer(p[1] * omegas, q[1] * omegas), n).ravel()
-        # column k of `segments` lists the omega pairs of second bin k, padded
+        # column k of (seg_w, seg_z) lists the omega pairs of second bin k, padded
         # to one length by repeating its first pair (a maximum counts a repeat
         # once); on a lattice that keeps the gather within 2 N^3 entries
         order = np.argsort(second, kind="stable")
         keys, starts, lengths = np.unique(second[order], return_index=True, return_counts=True)
-        segments = order[starts + np.minimum(np.arange(lengths.max())[:, None], lengths - 1)]
-        plans.append((first * n, segments, keys))  # first: (x-row of w, x-row of z) -> k1 * N
-    # form n rows (w) at a time, a whole number of x-rows, with one product and
-    # one abs shared by every mode, so no P x P array is ever built; the
-    # maximum is exact, so blocking keeps the table
+        seg_w, seg_z = np.divmod(order[starts + np.minimum(np.arange(lengths.max())[:, None], lengths - 1)], width)
+        plans.append((first * n, seg_w, seg_z, keys))  # first: (x-row of w, x-row of z) -> k1 * N
+    # form one x-row of w at a time, with one product and one abs shared by every mode, so no
+    # P x P array is ever built; the maximum is exact, so blocking keeps the table
     tables = [np.zeros(n * n) for _ in plans]
-    for start in range(0, size, n):
-        m = min(n, size - start)
-        rows, row0 = m // width, start // width
-        # rows (omega of w, omega of z), columns (x-row of w, x-row of z)
-        block = (np.abs(channel.rows(start, start + m)).reshape(rows, width, nx, width)
-                 .transpose(1, 3, 0, 2).reshape(width * width, rows * nx))
-        for (first, segments, keys), table in zip(plans, tables):
-            # one gather of the omega pairs into their segments, one maximum
-            # over each segment, and a scatter of the (second bins) x
-            # (x-row pairs) maxima
-            peaks = block[segments].max(axis=0)
-            # flat (1-D) index and values take ufunc.at's fast path
-            np.maximum.at(table, (keys[:, None] + first[row0:row0 + rows].reshape(1, -1)).ravel(), peaks.ravel())
+    for row in range(nx):
+        # axes (omega of w, x-row of z, omega of z), as the product lays them out
+        block = np.abs(channel.rows(row * width, (row + 1) * width)).reshape(width, nx, width)
+        for (first, seg_w, seg_z, keys), table in zip(plans, tables):
+            # one gather of the omega pairs into their segments, one maximum over each segment, and a scatter
+            # of the (second bins) x (x-rows of z) maxima; flat (1-D) index and values take ufunc.at's fast path
+            np.maximum.at(table, (keys[:, None] + first[row]).ravel(), block[seg_w, :, seg_z].max(axis=0).ravel())
     return [table.reshape(n, n) for table in tables]
 
 

@@ -199,4 +199,5 @@ def gabor_reconstruct(f: np.ndarray, phi: np.ndarray, dual: np.ndarray, lattice:
     """Expansion sum_l <f, pi(l) phi> pi(l) dual; identity when dual = S^{-1} phi."""
     arr = _as_signal(f)
     pts = lattice.points(arr.shape[0])
-    return shift_bank(dual, pts) @ (shift_bank(phi, pts).conj().T @ arr)
+    bank = shift_bank(phi, pts)  # fresh, so conjugated in place: the analysis operator is a view, not a copy
+    return shift_bank(dual, pts) @ (np.conj(bank, out=bank).T @ arr)

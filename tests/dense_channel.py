@@ -4,8 +4,7 @@ or check a channel entry by entry.
 `ChannelMatrix` holds its two factors; with analysis = I_P and
 image = entries, every row block `analysis[rows] @ image` is a product with
 one unit per term, so the channel's entries are the given ones exactly.
-`channel_entries` goes the other way and stacks the N-row blocks that
-`envelopes` reads.
+`channel_entries` goes the other way and stacks N-row blocks of the entries.
 """
 
 import numpy as np

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import cyclictf
 from cyclictf import generators as gen
-from cyclictf.cli import (MAX_VALUE, MAX_WEIGHT, MAX_WIDTH, ConfigError, ExperimentConfig, main, run_channel,
-                          run_sweep, run_wiener)
+from cyclictf.cli import (MAX_TRIALS, MAX_VALUE, MAX_WEIGHT, MAX_WIDTH, ConfigError, ExperimentConfig, main,
+                          run_channel, run_sweep, run_wiener)
 from cyclictf.diagnostics import ChannelMatrix
 from cyclictf.serialize import envelope_csv_lines
 from cyclictf.verify import VERIFY_SUITES
@@ -235,6 +235,7 @@ class TestConfigValidation:
             ("abc", "config must be a JSON object"),
             ({"suites": [["quantize-roundtrip"]]}, "suites must be a suite name or a list of suite names"),
             ({"suites": ["bogus"]}, "unknown suites: ['bogus']"),
+            ({"trials": 0}, "trials must be at least 1"),
         ],
     )
     def test_malformed_values_exit_2(self, tmp_path, capsys, data, message):
@@ -287,6 +288,13 @@ class TestConfigValidation:
             assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
             assert message in capsys.readouterr().err
             assert not (tmp_path / out).exists()
+
+    def test_trials_bound(self):
+        # an unbounded count is an endless boundedness loop: 1e300 trials is a 301-digit int
+        for trials in (1e300, MAX_TRIALS + 1):
+            with pytest.raises(ConfigError, match=f"trials must be at least 1 and at most MAX_TRIALS = {MAX_TRIALS}"):
+                ExperimentConfig.from_dict({"trials": trials})
+        assert ExperimentConfig.from_dict({"trials": MAX_TRIALS}).trials == MAX_TRIALS
 
     @pytest.mark.parametrize("n", [8, 32])
     def test_weight_order_bound(self, tmp_path, capsys, n):
@@ -438,16 +446,10 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
         assert calls == {"symbol_sups": 5, "operator_channel": 5, "op_tau": 5}
 
-    def test_peak_memory_at_n32(self, tmp_path, traced_peak):
-        # the channel (16.8 MB) is freed before the next tau's symbol STFT;
-        # with both alive together the sweep peaked at 42.1 MB
-        cfg = ExperimentConfig.from_dict(self.BASELINE)
-        peak = traced_peak(run_sweep, cfg, tmp_path)
-        assert peak <= 32e6, peak
-
     def test_one_row_pass_per_tau(self, tmp_path, monkeypatch):
         # the three envelopes of a tau share one pass over the channel's rows,
-        # N rows at a time, and no CLI path stacks the P x P entries
+        # one x-row of w at a time (N rows on the full grid), and no CLI path
+        # stacks the P x P entries
         blocks = []
 
         def counted(chan, start, stop, _rows=ChannelMatrix.rows):
@@ -462,7 +464,9 @@ class TestSweep:
 
     def test_streamed_peak_memory_at_n32(self, tmp_path, traced_peak):
         # the channel as its two factors and one row block at a time (2.3 MB);
-        # with its N^4 entries built once per tau the sweep peaked at 18.4 MB
+        # with its N^4 entries built once per tau the sweep peaked at 18.4 MB;
+        # the channel is freed before the next tau's symbol STFT (42.1 MB with
+        # the N^4 channel and that STFT alive together)
         cfg = ExperimentConfig.from_dict(self.BASELINE)
         peak = traced_peak(run_sweep, cfg, tmp_path)
         assert peak <= 4e6, peak
@@ -626,7 +630,7 @@ class TestConfigContract:
         assert cfg.suites and set(cfg.suites) <= set(VERIFY_SUITES)
         cfg.lattice.validate(cfg.n)
         assert math.isfinite(cfg.s) and cfg.s >= 0
-        assert cfg.trials >= 1 and cfg.seed >= 0
+        assert 1 <= cfg.trials <= MAX_TRIALS and cfg.seed >= 0
         symbol = gen.make_symbol(n=cfg.n, **cfg.symbol)
         window = gen.make_window(n=cfg.n, **cfg.window)
         assert symbol.shape == (cfg.n, cfg.n) and np.abs(symbol).max() <= MAX_VALUE

@@ -367,6 +367,21 @@ class TestEnvelopeOracle:
             with pytest.raises(ValueError, match="diagonal shift map"):
                 envelopes(chan, runs + [("shifted", j)])
 
+    def test_one_block_per_x_row(self, monkeypatch):
+        # Lattice(2, 2) at N = 8 has 4 x-rows of 4 points: one product per x-row
+        # of w, each reduced in the layout it comes in
+        chan = operator_channel(op_tau(random_symbol(8, 2), 0.5), gaussian_window(8), Lattice(2, 2))
+        blocks = []
+
+        def counted(channel, start, stop, _rows=ChannelMatrix.rows):
+            blocks.append((start, stop))
+            return _rows(channel, start, stop)
+
+        monkeypatch.setattr(ChannelMatrix, "rows", counted)
+        table = envelope(chan, "difference")
+        assert blocks == [(0, 4), (4, 8), (8, 12), (12, 16)]
+        assert np.array_equal(table, envelope_oracle(chan, "difference"))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_shift_map_refused(self, bad):
         chan = operator_channel(op_tau(random_symbol(8, 1), 0.5), gaussian_window(8))
