@@ -25,7 +25,6 @@ __all__ = [
     "canonical_dual",
     "dft",
     "frame_bounds",
-    "frame_operator",
     "gabor_reconstruct",
     "shift_bank",
     "stft",
@@ -166,33 +165,34 @@ class FrameReport:
     is_frame: bool
 
 
-def frame_operator(phi: np.ndarray, lattice: Lattice) -> np.ndarray:
-    """S = sum_{l in Lambda} <., pi(l) phi> pi(l) phi, an N x N PSD matrix."""
+def _walnut_blocks(phi: np.ndarray, lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
+    """The frame operator in Walnut form: blocks[t0] is S on the class classes[t0] = t0 + i N/b (i < b), and
+    S(t, s) = (N/b) sum_{j < N/a} phi(t - ja) conj phi(s - ja) for t == s (mod N/b), 0 otherwise."""
     arr = _as_signal(phi)
-    bank = shift_bank(arr, lattice.points(arr.shape[0]))
-    return bank @ bank.conj().T
-
-
-def _frame_report(s: np.ndarray) -> FrameReport:
-    """Exact bounds from the eigenvalues of a frame operator S."""
-    eig = np.linalg.eigvalsh(s)
-    lower, upper = float(eig[0]), float(eig[-1])
-    is_frame = lower > FRAME_RTOL * upper
-    condition = upper / lower if is_frame else float("inf")
-    return FrameReport(lower=lower, upper=upper, condition=condition, is_frame=is_frame)
+    n = arr.shape[0]
+    lattice.validate(n)
+    classes = np.arange(n).reshape(lattice.b, -1).T
+    shifts = _nonzero(arr)[(classes[:, None] - lattice.a * np.arange(n // lattice.a)[:, None]) % n]  # [t0, j, i]
+    return classes, (n // lattice.b) * (shifts.transpose(0, 2, 1) @ shifts.conj())
 
 
 def frame_bounds(phi: np.ndarray, lattice: Lattice) -> FrameReport:
-    """Exact bounds from the eigenvalues of the frame operator."""
-    return _frame_report(frame_operator(phi, lattice))
+    """Exact bounds: the extreme eigenvalues of the frame operator's Walnut blocks."""
+    eig = np.linalg.eigvalsh(_walnut_blocks(phi, lattice)[1])
+    lower, upper = float(eig[:, 0].min()), float(eig[:, -1].max())
+    is_frame = lower > FRAME_RTOL * upper
+    return FrameReport(lower=lower, upper=upper, condition=upper / lower if is_frame else np.inf, is_frame=is_frame)
 
 
 def canonical_dual(phi: np.ndarray, lattice: Lattice) -> np.ndarray:
-    """Canonical dual window S^{-1} phi; requires the system to be a frame."""
-    s = frame_operator(phi, lattice)
-    if not _frame_report(s).is_frame:
+    """Canonical dual window S^{-1} phi, solved block by block; requires the system to be a frame."""
+    arr = _as_signal(phi)
+    if not frame_bounds(arr, lattice).is_frame:
         raise ValueError("frame operator singular")
-    return np.linalg.solve(s, _as_signal(phi))
+    classes, blocks = _walnut_blocks(arr, lattice)
+    dual = np.empty_like(arr)
+    dual[classes] = np.linalg.solve(blocks, arr[classes][..., None])[..., 0]
+    return dual
 
 
 def gabor_reconstruct(f: np.ndarray, phi: np.ndarray, dual: np.ndarray, lattice: Lattice) -> np.ndarray:

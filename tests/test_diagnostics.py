@@ -25,6 +25,7 @@ from cyclictf.generators import (
     graded_corpus,
     rand_complex,
     random_symbol,
+    separable_x_symbol,
 )
 from cyclictf.normbank import ell1v, fsjostrand_norm, symbol_sups
 from cyclictf.phasespace import (
@@ -604,6 +605,18 @@ class TestWienerExperiment:
         rep = wiener_experiment(sigma, 0.5, gaussian_window(8), 1.0)
         assert not rep.invertible
         assert rep.weyl_track_norm is None
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("entry, invertible", [(1e-9, True), (1e-11, False)])
+    def test_condition_limit_boundary(self, tau, entry, invertible):
+        # mutant: CONDITION_LIMIT 1e10 -> 1e12.  sigma(x, omega) = m(x) is multiplication by m at every
+        # tau, so the condition is max |m| / min |m| = 2 / entry: 2e9 is invertible and 2e11 is not
+        m = np.linspace(1.0, 2.0, 8)
+        m[3] = entry
+        rep = wiener_experiment(separable_x_symbol(8, values=m), tau, gaussian_window(8), 1.0)
+        assert rep.invertible == invertible
+        # 2e11 read 2.00004e11: the SVD resolves the singular value 1e-11 to about 1e-16
+        assert rep.condition == pytest.approx(2.0 / entry, rel=1e-3)
 
 
 class TestCompositionSymmetry:

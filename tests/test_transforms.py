@@ -11,7 +11,6 @@ from cyclictf.transforms import (
     canonical_dual,
     dft,
     frame_bounds,
-    frame_operator,
     gabor_reconstruct,
     shift_bank,
     stft,
@@ -20,6 +19,8 @@ from cyclictf.transforms import (
     tf_shift,
 )
 from cyclictf.verify import SUITE_TOL, inversion_residual
+
+from frame_oracle import dense_frame_operator
 
 
 def stft_loop(f, g):
@@ -264,29 +265,42 @@ class TestFrames:
                 s += np.outer(v, v.conj())
         expected = n * np.linalg.norm(phi) ** 2 * np.eye(n)
         assert np.abs(s - expected).max() < 1e-10
-        assert np.abs(frame_operator(phi, Lattice(1, 1)) - expected).max() < 1e-10
+        assert np.abs(dense_frame_operator(phi, Lattice(1, 1)) - expected).max() < 1e-10
 
     def test_translation_frame_diagonal(self):
         n = 4
         phi = delta_window(n)
-        s = frame_operator(phi, Lattice(1, n))
-        assert np.abs(s - np.eye(n)).max() < 1e-12
+        assert np.abs(dense_frame_operator(phi, Lattice(1, n)) - np.eye(n)).max() < 1e-12
 
     def test_hermitian_psd(self):
+        # Hermitian PSD, and zero off the index classes t == s (mod N/b): the Walnut blocks are all of S
         rng = np.random.default_rng(15)
         phi = rand_complex(rng, 8)
-        s = frame_operator(phi, Lattice(2, 4))
+        s = dense_frame_operator(phi, Lattice(2, 4))
         assert np.abs(s - s.conj().T).max() < 1e-12
         assert np.linalg.eigvalsh(s).min() > -1e-12
+        t = np.arange(8)
+        assert np.abs(s[(t[:, None] - t[None, :]) % 2 != 0]).max() < 1e-12
 
     def test_commutes_with_lattice_shifts(self):
         rng = np.random.default_rng(16)
         phi = rand_complex(rng, 8)
         lat = Lattice(2, 2)
-        s = frame_operator(phi, lat)
+        s = dense_frame_operator(phi, lat)
         for p in lat.points(8):
             shift = np.stack([tf_shift(p, e) for e in np.eye(8, dtype=complex).T], axis=1)
             assert np.abs(s @ shift - shift @ s).max() < 1e-10
+
+    @pytest.mark.parametrize("r, frame", [(1e-8, True), (1e-12, False)])
+    def test_frame_rtol_boundary(self, r, frame):
+        # on Lattice(N, 1) the blocks are 1 x 1 and S = N diag(|phi|^2), so lower / upper is the
+        # smallest |phi|^2 / the largest: 1e-8 is a frame and 1e-12 is not under FRAME_RTOL = 1e-10
+        # (a FRAME_RTOL of 1e-6 read 1e-8 as no frame)
+        phi = np.ones(8, dtype=complex)
+        phi[3] = np.sqrt(r)
+        rep = frame_bounds(phi, Lattice(8, 1))
+        assert rep.is_frame == frame
+        assert rep.lower / rep.upper == pytest.approx(r, rel=1e-6)
 
     def test_full_grid_bounds(self):
         phi = gaussian_window(8)  # unit norm
@@ -395,8 +409,12 @@ class TestInputValidation:
             stft_grid(np.ones((4, 4)), np.ones(shape))
 
     def test_frame_operator_zero_window(self):
-        with pytest.raises(ValueError, match="non-zero"):
-            frame_operator(np.zeros(4), Lattice(1, 1))
+        # the frame operator's bounds and its dual refuse a zero window, and a lattice that does not divide N
+        for call in (frame_bounds, canonical_dual):
+            with pytest.raises(ValueError, match="window must be non-zero"):
+                call(np.zeros(4), Lattice(1, 1))
+            with pytest.raises(ValueError, match="lattice must divide grid"):
+                call(np.ones(4), Lattice(3, 1))
 
     def test_shift_bank_zero_window(self):
         with pytest.raises(ValueError, match="non-zero"):

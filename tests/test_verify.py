@@ -72,6 +72,50 @@ class TestSuites:
         assert duality_residual(sigma, f, g, 0.5) < 1e-15
         assert duality_residual(0 * sigma, 0 * f, 0 * g, 0.5) == 0.0  # a guarded scale, not 0/0
 
+    @pytest.mark.parametrize("tau", [0.0, 0.3, 0.5, 1.0])
+    def test_duality_residual_reads_a_known_gap(self, tau, monkeypatch):
+        # mutant: the residual divided by a further N.  Op + c g f^H opens the gap c ||f||^2 ||g||^2,
+        # and ||W_tau(g, f)|| = ||f|| ||g|| / sqrt(N), so the residual is c ||f|| ||g|| sqrt(N) / ||sigma||
+        n, c = 8, 1e-3
+        rng = np.random.default_rng(2)
+        sigma, f, g = rand_complex(rng, n, n), rand_complex(rng, n), rand_complex(rng, n)
+        monkeypatch.setattr(verify, "op_tau", lambda s, t: op_tau(s, t) + c * np.outer(g, f.conj()))
+        expected = c * np.linalg.norm(f) * np.linalg.norm(g) * np.sqrt(n) / np.linalg.norm(sigma)
+        assert duality_residual(sigma, f, g, tau) == pytest.approx(expected, rel=0.01)
+
+    def test_default_suites_pin_their_taus(self, monkeypatch):
+        # mutant: the quantize-duality suite at tau in {0, 1} only.  Each suite's residual calls are
+        # recorded, so the taus and the number of cases `cyclictf verify` runs are fixed here
+        calls = []
+
+        def record(module, name, *taus):
+            exact = getattr(module, name)
+
+            def residual(*args):
+                calls.append((name, *(args[i] for i in taus)))
+                return exact(*args)
+
+            monkeypatch.setattr(module, name, residual)
+
+        record(verify, "duality_residual", 3)
+        record(verify, "roundtrip_residual", 1)
+        record(verify, "convert_residual", 1, 2)
+        record(diagnostics, "covariance_check", 1)
+        runs = {
+            verify.quantize_duality: [("duality_residual", tau) for tau in (0.0, 0.3, 0.5, 1.0) for _ in range(6)],
+            verify.quantize_roundtrip: [("roundtrip_residual", tau) for tau in (0.0, 0.25, 1 / 3, 0.5, 1 / np.pi, 1.0)],
+            verify.convert_consistency: [("convert_residual", *pair) for pair in
+                                         ((0.0, 0.5), (0.3, 0.8), (0.5, 1.0), (0.25, 0.25), (0.7, 0.2))],
+            verify.symplectic_covariance: [("covariance_check", tau) for tau in (0.0, 0.3, 0.5, 1.0) for _ in range(6)],
+        }
+        for suite, expected in runs.items():
+            calls.clear()
+            assert suite(8, np.random.default_rng(0)) < SUITE_TOL
+            assert calls == expected, suite.__name__
+        calls.clear()
+        symplectic_covariance(6, np.random.default_rng(0))  # N == 2 (mod 4): the endpoints only
+        assert calls == [("covariance_check", tau) for tau in (0.0, 1.0) for _ in range(6)]
+
 
 class TestNaNResiduals:
     # a NaN residual must fail its suite: the builtin max keeps its first
