@@ -59,10 +59,6 @@ class ChannelMatrix:
     lattice: Lattice  # rows and columns are lattice.points(n), row-major in (x, omega)
     n: int
 
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        """Rows start:stop of the entries analysis[w] @ image[:, z], as one matrix product."""
-        return self.analysis[start:stop] @ self.image
-
 
 def operator_channel(operator: np.ndarray, phi: np.ndarray, lattice: Lattice = Lattice(1, 1)) -> ChannelMatrix:
     """The one channel constructor, of any operator (op_tau(sigma, tau) for a symbol); shift_bank refuses a zero phi."""
@@ -145,7 +141,7 @@ def envelopes(channel: ChannelMatrix, modes: list[tuple[str, np.ndarray | float 
     tables = [np.zeros(n * n) for _ in plans]
     for row in range(nx):
         # axes (omega of w, x-row of z, omega of z), as the product lays them out
-        block = np.abs(channel.rows(row * width, (row + 1) * width)).reshape(width, nx, width)
+        block = np.abs(channel.analysis[row * width:(row + 1) * width] @ channel.image).reshape(width, nx, width)
         for (first, seg_w, seg_z, keys), table in zip(plans, tables):
             # one gather of the omega pairs into their segments, one maximum over each segment, and a scatter
             # of the (second bins) x (x-rows of z) maxima; flat (1-D) index and values take ufunc.at's fast path

@@ -15,9 +15,10 @@ import cyclictf
 from cyclictf import generators as gen
 from cyclictf.cli import (MAX_TRIALS, MAX_VALUE, MAX_WEIGHT, MAX_WIDTH, ConfigError, ExperimentConfig, main,
                           run_channel, run_sweep, run_wiener)
-from cyclictf.diagnostics import ChannelMatrix
 from cyclictf.serialize import envelope_csv_lines
 from cyclictf.verify import VERIFY_SUITES
+
+from dense_channel import recording_rows
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -452,15 +453,14 @@ class TestSweep:
         # stacks the P x P entries
         blocks = []
 
-        def counted(chan, start, stop, _rows=ChannelMatrix.rows):
-            blocks.append(stop - start)
-            return _rows(chan, start, stop)
+        def recorded(*args, _fn=cyclictf.diagnostics.operator_channel):
+            return recording_rows(_fn(*args), blocks)
 
-        monkeypatch.setattr(ChannelMatrix, "rows", counted)
+        monkeypatch.setattr(cyclictf.diagnostics, "operator_channel", recorded)
         cfg = write_config(tmp_path, {**self.BASELINE, "n": 8})
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
         assert len(blocks) == 5 * math.ceil(8 * 8 / 8) == 40
-        assert set(blocks) == {8}
+        assert {stop - start for start, stop in blocks} == {8}
 
     def test_streamed_peak_memory_at_n32(self, tmp_path, traced_peak):
         # the channel as its two factors and one row block at a time (2.3 MB);

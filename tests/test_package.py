@@ -1,5 +1,6 @@
 """The package surface: the `cyclictf` namespace is the union of its modules' `__all__`,
-the version is stated once, and every public function or class has a reader outside the unit tests."""
+the version is stated once, every public function or class has a reader outside the unit tests,
+and the mutant catalogue of tools/mutants.py still applies to src/."""
 
 import ast
 import importlib
@@ -97,3 +98,9 @@ def test_tests_import_no_private_names():
                and (node.module or "").split(".")[0] == "cyclictf" for alias in node.names
                if alias.name.startswith("_")]
     assert private == []
+
+
+def test_mutant_catalogue_is_fresh(monkeypatch):
+    # the catalogue's own staleness rule, without its 3-6 minute run
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    assert importlib.import_module("mutants").stale_entries() == []

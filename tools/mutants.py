@@ -7,15 +7,19 @@ Usage, from the repository root:
 
 Each mutant replaces one string `old` in one file by `new`, in a fresh copy of
 the repository in a temporary directory, and runs the tier-1 command there with
--x (stop at the first failure).  A mutant is killed when that run fails.  Each
-entry names its expected result: `killed`, or `equivalent: <reason>` for an edit
-that the tests cannot tell from the original by design.  It prints each result
-with the first failing test, and the total run time.
+-x (stop at the first failure), less tier-1's freshness test of this catalogue
+(FRESHNESS_TEST), which fails in every mutant copy since its `old` is gone.  A
+mutant is killed when that run fails.  Each entry names its expected result:
+`killed`, or `equivalent: <reason>` for an edit that the tests cannot tell from
+the original by design.  It prints each result with the first failing test, and
+the total run time.
 
-It exits 1 when a mutant marked `killed` survives, or when an `old` string no
-longer occurs exactly once in its file (the catalogue went stale and must be
-mended with the code).  It is not part of tier-1: a survivor costs one full
-tier-1 run, about 25 s on a 2-vCPU Xeon, and the catalogue about 3-6 minutes.
+It exits 1 when a mutant marked `killed` survives, or when an entry is stale
+(`stale_reason`: its `old` string no longer occurs exactly once in its file, or
+its expected result is neither form above; the catalogue must be mended with
+the code).  Tier-1 applies that rule alone, in milliseconds; the catalogue run
+is not part of tier-1: a survivor costs one full tier-1 run, about 25 s on a
+2-vCPU Xeon, and the catalogue about 3-6 minutes.
 
 A change to a formula in src/ adds at least one mutant of its own to the table
 and shows that tier-1 kills it.
@@ -24,6 +28,7 @@ and shows that tier-1 kills it.
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -32,7 +37,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+SRC = ROOT / "src" / "cyclictf"
+FRESHNESS_TEST = "tests/test_package.py::test_mutant_catalogue_is_fresh"
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider",
+         "--deselect", FRESHNESS_TEST]
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench_out",
                                  "*.egg-info")
 
@@ -74,15 +82,31 @@ CATALOGUE = [  # (file under src/cyclictf, old, new, label, expected)
 ]
 
 
-def run_mutant(path: str, old: str, new: str) -> tuple[str, str]:
+def stale_reason(path: str, old: str, expected: str) -> str:
+    """Why one entry no longer applies to src/, or "" when it is fresh."""
+    count = (SRC / path).read_text().count(old)
+    if count != 1:
+        return f"`{old}` occurs {count} times in {path}"
+    if not re.fullmatch(r"killed|equivalent: \S.*", expected):
+        return f"expected {expected!r} is neither `killed` nor `equivalent: <reason>`"
+    return ""
+
+
+def stale_entries() -> list[str]:
+    """`label: reason` of every stale entry of the catalogue."""
+    return [f"{label}: {reason}" for path, old, _, label, expected in CATALOGUE
+            if (reason := stale_reason(path, old, expected))]
+
+
+def run_mutant(path: str, old: str, new: str, expected: str) -> tuple[str, str]:
     """(status, first failing test) of one mutant: status killed, survived or stale."""
-    text = (ROOT / "src" / "cyclictf" / path).read_text()
-    if text.count(old) != 1:
-        return "stale", f"`{old}` occurs {text.count(old)} times in {path}"
+    if reason := stale_reason(path, old, expected):
+        return "stale", reason
+    text = (SRC / path).read_text()
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=IGNORED)
-        (copy / "src" / "cyclictf" / path).write_text(text.replace(old, new))
+        (copy / SRC.relative_to(ROOT) / path).write_text(text.replace(old, new))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
         run = subprocess.run(TIER1, cwd=copy, env=env, capture_output=True, text=True)
     if run.returncode == 0:
@@ -96,7 +120,7 @@ def main() -> int:
     wrong = 0
     for number, (path, old, new, label, expected) in enumerate(CATALOGUE):
         began = time.perf_counter()
-        status, detail = run_mutant(path, old, new)
+        status, detail = run_mutant(path, old, new, expected)
         bad = status == "stale" or (status == "survived" and expected == "killed")
         wrong += bad
         note = ""
