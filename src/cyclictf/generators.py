@@ -140,17 +140,16 @@ SYMBOL_PARAMS = {
 def _generate(table: dict, kind: str, name: str, n: int, params: dict) -> np.ndarray:
     if name not in table:
         raise ValueError(f"unknown {kind} generator {name!r}")
-    fn, keys = table[name]
-    return fn(n, **{k: v for k, v in params.items() if k in keys})
+    return table[name][0](n, **params)
 
 
 def make_window(name: str, n: int, **params) -> np.ndarray:
-    """The named window of WINDOW_PARAMS on Z_N; params it does not read are ignored."""
+    """The named window of WINDOW_PARAMS on Z_N; params are its keywords, and any other raises TypeError."""
     return _generate(WINDOW_PARAMS, "window", name, n, params)
 
 
 def make_symbol(name: str, n: int, **params) -> np.ndarray:
-    """The named symbol of SYMBOL_PARAMS on Z_N x Z_N; params it does not read are ignored."""
+    """The named symbol of SYMBOL_PARAMS on Z_N x Z_N; params are its keywords, and any other raises TypeError."""
     return _generate(SYMBOL_PARAMS, "symbol", name, n, params)
 
 

@@ -80,7 +80,7 @@ class Lattice:
 
 @dataclass(frozen=True, eq=False)  # an array field, so compared by identity
 class Weight:
-    """The one weight family on phase space: v_s o premap at real points z.
+    """The one weight family on phase space: v_s o premap, evaluated at the N x N grid points by on_grid.
 
     v_s(z) = (1 + |z|_wrap^2)^{s/2}, where |z|_wrap is the Euclidean norm of
     z with each coordinate wrapped to its distance min(t mod N, N - t mod N)
@@ -102,25 +102,21 @@ class Weight:
         if not 0 <= self.s < np.inf:  # refuses NaN too
             raise ValueError("polynomial order must be finite and nonnegative")
 
-    def __call__(self, z, n: int) -> np.ndarray:
-        """Values at the torus points z, shape (2, ...) -> z.shape[1:]."""
-        pt = np.asarray(z, dtype=float)
-        if self.premap is not None:
-            pt = np.tensordot(self.premap, pt, axes=1)
-        r = np.mod(pt, n)
-        wrapped = np.minimum(r, n - r)  # each coordinate's distance to N Z
-        return (1.0 + np.sum(wrapped**2, axis=0)) ** (self.s / 2.0)
-
     def compose(self, matrix: np.ndarray) -> "Weight":
-        """Weight z -> self(matrix z); premaps chain by matrix product."""
+        """The weight z -> v_s(A M z) of this premap A and the matrix M; premaps chain by matrix product."""
         m = np.asarray(matrix, dtype=float)
         if self.premap is not None:
             m = self.premap @ m
         return Weight(s=self.s, premap=m)
 
     def on_grid(self, n: int) -> np.ndarray:
-        """Values at all N x N grid points."""
-        return self(np.indices((n, n)), n)
+        """v_s(premap z) at all N x N grid points z; a premap such as B_tau or U_tau reaches off-grid torus points."""
+        pt = np.indices((n, n), dtype=float)
+        if self.premap is not None:
+            pt = np.tensordot(self.premap, pt, axes=1)
+        r = np.mod(pt, n)
+        wrapped = np.minimum(r, n - r)  # each coordinate's distance to N Z
+        return (1.0 + np.sum(wrapped**2, axis=0)) ** (self.s / 2.0)
 
 
 def polynomial_weight(s: float) -> Weight:

@@ -59,10 +59,7 @@ def dft(f: np.ndarray) -> np.ndarray:
 
 def tf_shift(z: Sequence[int], f: np.ndarray) -> np.ndarray:
     """Phase-space shift pi(z) f(t) = e^{2 pi i omega t / N} f(t - x); unitary."""
-    arr = _as_signal(f)
-    n = arr.shape[0]
-    x, omega = int(z[0]), int(z[1])
-    return _phase(omega * np.arange(n), n) * np.roll(arr, x)
+    return _shifts(_as_signal(f), [[int(z[0]), int(z[1])]])[:, 0]
 
 
 def _phase(k, n: int) -> np.ndarray:
@@ -70,14 +67,9 @@ def _phase(k, n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(n) / n)[k % n]
 
 
-def shift_bank(phi: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Columns pi(z) phi for the rows z of a (P, 2) int point array, an N x P matrix.
-
-    Gathers e^{2 pi i omega t / N} and phi((t - x) mod N) for all columns at
-    once and multiplies them as tf_shift does, so each column equals
-    tf_shift(z, phi) bit for bit.
-    """
-    arr = _nonzero(_as_signal(phi))
+def _shifts(arr: np.ndarray, points) -> np.ndarray:
+    """Columns pi(z) arr for the rows z = (x, omega) of a (P, 2) int point array, an N x P matrix:
+    e^{2 pi i omega t / N} and arr((t - x) mod N), gathered for all columns at once and multiplied."""
     n = arr.shape[0]
     x, omega = np.asarray(points).T
     t = np.arange(n)[:, None]
@@ -86,8 +78,13 @@ def shift_bank(phi: np.ndarray, points: np.ndarray) -> np.ndarray:
     return bank
 
 
+def shift_bank(phi: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Columns pi(z) phi for the rows z of a (P, 2) int point array, an N x P matrix; phi must be non-zero."""
+    return _shifts(_nonzero(_as_signal(phi)), points)
+
+
 def _shift_index(n: int) -> np.ndarray:
-    """[x, t] -> (t - x) mod N, so g[_shift_index(n)][x] = np.roll(g, x)."""
+    """[x, t] -> (t - x) mod N, so row x of g[_shift_index(n)] is t -> g(t - x)."""
     t = np.arange(n)
     return (t[None, :] - t[:, None]) % n
 

@@ -5,6 +5,7 @@ import pytest
 
 from cyclictf.generators import (
     MAX_WIDTH,
+    SYMBOL_PARAMS,
     comb_window,
     gaussian_window,
     graded_corpus,
@@ -119,5 +120,13 @@ def test_graded_corpus_refuses_a_count_below_one():
 
 def test_named_symbols_cover_spec_list():
     for name in ("constant", "separable-x", "separable-omega", "gaussian", "delta", "random-seeded"):
-        out = make_symbol(name, 8, seed=3)
+        keys = SYMBOL_PARAMS[name][1]
+        out = make_symbol(name, 8, **{"seed": 3} if "seed" in keys else {})
         assert out.shape == (8, 8)
+
+
+def test_a_key_the_generator_does_not_read_is_refused():
+    with pytest.raises(TypeError, match="step"):
+        make_window("gaussian", 8, step=2)
+    with pytest.raises(TypeError, match="seed"):
+        make_symbol("constant", 8, seed=3)

@@ -79,6 +79,8 @@ CATALOGUE = [  # (file under src/cyclictf, old, new, label, expected)
     ("transforms.py", "classes = np.arange(n).reshape(lattice.b, -1).T",
      "classes = np.arange(n).reshape(-1, lattice.b)",
      "Walnut classes t0 + i N/b -> consecutive runs of b", "killed"),
+    ("transforms.py", "bank *= arr[(t - x) % n]", "bank *= arr[(t + x) % n]",
+     "pi(z) gathers f(t + x), not f(t - x)", "killed"),
 ]
 
 
