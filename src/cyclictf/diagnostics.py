@@ -234,24 +234,21 @@ def covariance_check(sigma: np.ndarray, tau: float) -> float:
 
 @dataclass(frozen=True)
 class BoundednessReport:
+    """The empirical side of boundedness: the largest trial ratio and its operator."""
+
     max_ratio: float
-    norm_bound: float
     operator: np.ndarray  # Op_tau(sigma), the matrix max_ratio was measured on
-    sups: tuple[np.ndarray, np.ndarray]  # the symbol_sups that norm_bound was read from
 
 
-def boundedness_report(
-    sigma: np.ndarray,
-    tau: float,
-    phi: np.ndarray,
-    trials: int,
-    seed: int,
-) -> BoundednessReport:
-    """Empirical operator-norm ratio on M^{2,2} against the Sjostrand norm.
+def boundedness_report(sigma: np.ndarray, tau: float, trials: int, seed: int) -> BoundednessReport:
+    """Empirical operator-norm ratio of Op_tau(sigma) on M^{2,2}.
 
     max_ratio is the largest ||Op_tau(sigma) f|| / ||f|| over random trial
     signals f, the M^{2,2} ratio for any window (V_phi* V_phi = N ||phi||^2
-    Id); norm_bound is sjostrand_norm with W_tau(phi, phi) and the weight v_0.
+    Id).  The Sjostrand bound it is compared with is the caller's to take:
+    sjostrand_norm(symbol_sups(sigma, tau_wigner(phi, phi, tau)), v), which at
+    tau in {0, 1} equals the v-mass of the difference envelope of the full-grid
+    channel operator_channel(operator, phi).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -265,9 +262,7 @@ def boundedness_report(
         denom = np.linalg.norm(f)
         if denom > 0:  # np.maximum keeps a NaN ratio, where max would drop it
             max_ratio = float(np.maximum(max_ratio, np.linalg.norm(operator @ f) / denom))
-    sups = symbol_sups(arr, tau_wigner(phi, phi, tau))
-    norm_bound = sjostrand_norm(sups, polynomial_weight(0.0))
-    return BoundednessReport(max_ratio=max_ratio, norm_bound=norm_bound, operator=operator, sups=sups)
+    return BoundednessReport(max_ratio=max_ratio, operator=operator)
 
 
 def _distinct_symbol_sups(*pairs: tuple[np.ndarray, np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -39,7 +39,7 @@ from cyclictf.generators import (
     graded_corpus,
     rand_complex,
 )
-from cyclictf.normbank import ell1v
+from cyclictf.normbank import ell1v, sjostrand_norm, symbol_sups
 from cyclictf.phasespace import Lattice, polynomial_weight
 from cyclictf.quantize import dequantize, op_tau, tau_wigner, twisted_product
 from cyclictf.transforms import (
@@ -319,9 +319,9 @@ class TestCriterion6Boundedness:
     def test_ratio_bound_and_association(self):
         n = 16
         corpus = graded_corpus(n, 10, 2024)
-        reports = [boundedness_report(s, 0.5, gaussian_window(n), 20, 7) for s in corpus]
-        ratios = [r.max_ratio for r in reports]
-        bounds = [r.norm_bound for r in reports]
+        phi = gaussian_window(n)
+        ratios = [boundedness_report(s, 0.5, 20, 7).max_ratio for s in corpus]
+        bounds = [sjostrand_norm(symbol_sups(s, tau_wigner(phi, phi, 0.5)), polynomial_weight(0.0)) for s in corpus]
         corpus_constant = 0.032  # recorded once from the build-time run
         bounded = all(r <= corpus_constant * b for r, b in zip(ratios, bounds))
         rho = spearman_rank(ratios, bounds)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -15,6 +16,9 @@ import cyclictf
 from cyclictf import generators as gen
 from cyclictf.cli import (MAX_TRIALS, MAX_VALUE, MAX_WEIGHT, MAX_WIDTH, ConfigError, ExperimentConfig, main,
                           run_channel, run_sweep, run_wiener)
+from cyclictf.normbank import fsjostrand_norm, sjostrand_norm, symbol_sups
+from cyclictf.phasespace import polynomial_weight
+from cyclictf.quantize import tau_wigner
 from cyclictf.serialize import envelope_csv_lines
 from cyclictf.verify import VERIFY_SUITES
 
@@ -442,10 +446,35 @@ class TestSweep:
     BASELINE = {"n": 32, "tau": [0.0, 0.25, 0.5, 0.75, 1.0], "s": 1.0, "trials": 20}
 
     def test_one_symbol_stft_and_one_channel_per_tau(self, tmp_path, monkeypatch):
+        # one symbol STFT per inner tau; the endpoint rows read the channel's envelopes
         calls = count_calls(monkeypatch, ["symbol_sups", "operator_channel", "op_tau"])
         cfg = write_config(tmp_path, {**self.BASELINE, "n": 8})
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
-        assert calls == {"symbol_sups": 5, "operator_channel": 5, "op_tau": 5}
+        assert calls == {"symbol_sups": 3, "operator_channel": 5, "op_tau": 5}
+
+    def test_endpoints_take_no_symbol_stft(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, ["symbol_sups", "tau_wigner"])
+        cfg = write_config(tmp_path, {**self.BASELINE, "n": 8, "tau": [0.0, 1.0]})
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+        assert calls == {"symbol_sups": 0, "tau_wigner": 0}
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 9, 10, 16, 32])
+    def test_endpoint_class_norms_are_the_symbol_stft_norms(self, n, tmp_path):
+        # at tau in {0, 1} the rows read sjostrand and fsjostrand from the difference and
+        # weak envelopes of the channel; the symbol STFT of W_tau(phi, phi) is the oracle
+        windows = ["gaussian", "delta"] + (["comb"] if n % 4 == 0 else [])
+        for window, s in itertools.product(windows, (0.0, 1.0, 2.5)):
+            cfg = ExperimentConfig.from_dict({"n": n, "tau": [0.0, 1.0], "s": s, "window": {"name": window}})
+            run_sweep(cfg, tmp_path)
+            lines = (tmp_path / "sweep.csv").read_text().splitlines()
+            header = lines[0].split(",")
+            sigma, phi = gen.make_symbol(n=n, **cfg.symbol), gen.make_window(n=n, **cfg.window)
+            v = polynomial_weight(s)
+            for line in lines[1:]:
+                row = dict(zip(header, map(float, line.split(","))))
+                sups = symbol_sups(sigma, tau_wigner(phi, phi, row["tau"]))
+                assert row["sjostrand"] == pytest.approx(sjostrand_norm(sups, v), rel=1e-10, abs=0)
+                assert row["fsjostrand"] == pytest.approx(fsjostrand_norm(sups, v), rel=1e-10, abs=0)
 
     def test_one_row_pass_per_tau(self, tmp_path, monkeypatch):
         # the three envelopes of a tau share one pass over the channel's rows,
@@ -593,8 +622,6 @@ class TestNormsAndChannel:
 
 class TestSerialization:
     def test_envelope_csv_values(self):
-        from cyclictf.phasespace import polynomial_weight
-
         table = np.zeros((4, 4))
         table[1, 2] = 2.0
         lines = envelope_csv_lines(table, polynomial_weight(2.0))

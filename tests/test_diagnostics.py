@@ -26,7 +26,7 @@ from cyclictf.generators import (
     random_symbol,
     separable_x_symbol,
 )
-from cyclictf.normbank import ell1v, fsjostrand_norm, symbol_sups
+from cyclictf.normbank import ell1v, fsjostrand_norm, sjostrand_norm, symbol_sups
 from cyclictf.phasespace import (
     J_MATRIX,
     Lattice,
@@ -533,14 +533,14 @@ class TestBoundedness:
     def test_identity_symbol_ratio_one(self):
         ones = np.ones((8, 8))
         for tau in (0.0, 0.3, 0.5, 1.0):
-            rep = boundedness_report(ones, tau, gaussian_window(8), 10, 0)
+            rep = boundedness_report(ones, tau, 10, 0)
             assert rep.max_ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_unimodular_multiplier_unitary(self):
         rng = np.random.default_rng(11)
         m = np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
         sigma = np.tile(m[:, None], (1, 8))
-        rep = boundedness_report(sigma, 0.3, gaussian_window(8), 10, 1)
+        rep = boundedness_report(sigma, 0.3, 10, 1)
         assert rep.max_ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_spearman_ranks_ties_by_position(self):
@@ -551,25 +551,22 @@ class TestBoundedness:
 
     def test_corpus_association(self):
         corpus = graded_corpus(16, 10, 2024)
-        reports = [
-            boundedness_report(s, 0.5, gaussian_window(16), 10, 7) for s in corpus
-        ]
-        rho = spearman_rank(
-            [r.max_ratio for r in reports], [r.norm_bound for r in reports]
-        )
-        assert rho >= 0.9
-        assert all(r.max_ratio <= r.norm_bound for r in reports)
+        phi = gaussian_window(16)
+        ratios = [boundedness_report(s, 0.5, 10, 7).max_ratio for s in corpus]
+        bounds = [sjostrand_norm(symbol_sups(s, tau_wigner(phi, phi, 0.5)), V0) for s in corpus]
+        assert spearman_rank(ratios, bounds) >= 0.9
+        assert all(r <= b for r, b in zip(ratios, bounds))
 
     def test_nan_ratio_is_kept(self):
         # every trial's ratio is NaN: max_ratio is NaN, not the 0 the maximum starts from
         sigma = np.ones((8, 8), dtype=complex)
         sigma[0, 0] = np.nan
-        rep = boundedness_report(sigma, 0.0, gaussian_window(8), 3, 0)
+        rep = boundedness_report(sigma, 0.0, 3, 0)
         assert np.isnan(rep.max_ratio)
 
     def test_trials_validated(self):
         with pytest.raises(ValueError, match="trials"):
-            boundedness_report(np.ones((4, 4)), 0.5, gaussian_window(4), 0, 0)
+            boundedness_report(np.ones((4, 4)), 0.5, 0, 0)
 
 
 class TestWienerExperiment:

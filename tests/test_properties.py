@@ -84,7 +84,7 @@ def test_boundedness_ratio_is_the_m22_ratio(n, tau, seed):
     rng = np.random.default_rng(seed)
     sigma, phi = rand_complex(rng, n, n), rand_complex(rng, n)
     trials = 5
-    rep = boundedness_report(sigma, tau, phi, trials, seed)
+    rep = boundedness_report(sigma, tau, trials, seed)
     operator = op_tau(sigma, tau)
     draws = np.random.default_rng(seed)
     signals = [rand_complex(draws, n) for _ in range(trials)]

@@ -81,6 +81,10 @@ CATALOGUE = [  # (file under src/cyclictf, old, new, label, expected)
      "Walnut classes t0 + i N/b -> consecutive runs of b", "killed"),
     ("transforms.py", "bank *= arr[(t - x) % n]", "bank *= arr[(t + x) % n]",
      "pi(z) gathers f(t + x), not f(t - x)", "killed"),
+    ("cli.py", "if tau in (0.0, 1.0):", "if tau in (0.0, 0.5, 1.0):",
+     "sweep reads its class norms from the envelopes at tau = 1/2 too", "killed"),
+    ("cli.py", "sj, fsj = masses[0], masses[2]", "sj, fsj = masses[1], masses[2]",
+     "sweep's endpoint sjostrand is the sum-envelope mass", "killed"),
 ]
 
 
