@@ -29,7 +29,6 @@ from .quantize import dequantize, op_tau, rotate_symbol_j_inv, tau_wigner
 from .transforms import frame_bounds, shift_bank
 
 __all__ = [
-    "BoundednessReport",
     "ChannelMatrix",
     "CompositionReport",
     "DiagReport",
@@ -232,37 +231,25 @@ def covariance_check(sigma: np.ndarray, tau: float) -> float:
     return float(np.linalg.norm(lhs - rhs) / denom) if denom > 0 else 0.0
 
 
-@dataclass(frozen=True)
-class BoundednessReport:
-    """The empirical side of boundedness: the largest trial ratio and its operator."""
+def boundedness_report(operator: np.ndarray, trials: int, seed: int) -> float:
+    """Empirical operator-norm ratio of a square operator matrix on M^{2,2}.
 
-    max_ratio: float
-    operator: np.ndarray  # Op_tau(sigma), the matrix max_ratio was measured on
-
-
-def boundedness_report(sigma: np.ndarray, tau: float, trials: int, seed: int) -> BoundednessReport:
-    """Empirical operator-norm ratio of Op_tau(sigma) on M^{2,2}.
-
-    max_ratio is the largest ||Op_tau(sigma) f|| / ||f|| over random trial
-    signals f, the M^{2,2} ratio for any window (V_phi* V_phi = N ||phi||^2
-    Id).  The Sjostrand bound it is compared with is the caller's to take:
-    sjostrand_norm(symbol_sups(sigma, tau_wigner(phi, phi, tau)), v), which at
-    tau in {0, 1} equals the v-mass of the difference envelope of the full-grid
-    channel operator_channel(operator, phi).
+    The largest ||operator f|| / ||f|| over `trials` seeded random signals f,
+    the M^{2,2} ratio for any window (V_phi* V_phi = N ||phi||^2 Id).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    arr = np.asarray(sigma, dtype=complex)
-    n = arr.shape[0]
-    operator = op_tau(arr, tau)
+    arr = np.asarray(operator, dtype=complex)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"operator must be a square matrix, not shape {arr.shape}")
     rng = np.random.default_rng(seed)
     max_ratio = 0.0
     for _ in range(trials):
-        f = rand_complex(rng, n)
+        f = rand_complex(rng, arr.shape[0])
         denom = np.linalg.norm(f)
         if denom > 0:  # np.maximum keeps a NaN ratio, where max would drop it
-            max_ratio = float(np.maximum(max_ratio, np.linalg.norm(operator @ f) / denom))
-    return BoundednessReport(max_ratio=max_ratio, operator=operator)
+            max_ratio = float(np.maximum(max_ratio, np.linalg.norm(arr @ f) / denom))
+    return max_ratio
 
 
 def _distinct_symbol_sups(*pairs: tuple[np.ndarray, np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -1,13 +1,15 @@
 """The exact-identity suites behind `cyclictf verify`.
 
 Each identity is one residual of its inputs, which its suite, the property tests and
-the unit tests all call.  `duality_residual` divides the gap of its scalar pairing by
-||sigma|| ||W_tau(g, f)||, the pairing's Cauchy-Schwarz bound; `covariance_check` and
-`channel_modulus_residual` state their own scale; every other residual is relative to
-the largest entry of one side, as its docstring says.  A suite `suite(n, rng)` draws
-its inputs from rng at each case where its identity is exact (`covariance_taus`,
-`channel_modulus_cases`) and returns np.max of the residuals, which keeps a NaN the
-builtin max may drop; it passes below SUITE_TOL, which a NaN never is.
+the unit tests all call.  `covariance_check` states its own scale; every other residual
+is relative by the one rule `relative_residual`, whose floor makes a zero reference give
+0, not NaN: `duality_residual` divides the gap of its scalar pairing by
+||sigma|| ||W_tau(g, f)||, the pairing's Cauchy-Schwarz bound, `channel_modulus_residual`
+by the largest |entry| of the channel matrix, and the rest by the largest entry of one
+side, as each docstring says.  A suite `suite(n, rng)` draws its inputs from rng at each
+case where its identity is exact (`covariance_taus`, `channel_modulus_cases`) and returns
+np.max of the residuals, which keeps a NaN the builtin max may drop; it passes below
+SUITE_TOL, which a NaN never is.
 
 Every suite holds O(N^3) memory at most (`channel_modulus_residual` says how), so each
 runs at every N, above the config's grid cap too.
@@ -170,7 +172,7 @@ def channel_modulus_residual(channel: dg.ChannelMatrix, tau: float, slabs):
         diff -= mags.reshape(n * n, n)[at2[:, :, None], q2[(slab_of == k) & on1]].transpose(0, 2, 1)
         worst = np.maximum(worst, np.abs(diff, out=diff).transpose(0, 2, 1)[on2].max())
         del diff
-    return worst / scale, int(on1.sum()) * int(on2.sum())
+    return relative_residual(worst, scale), int(on1.sum()) * int(on2.sum())
 
 
 def channel_modulus(n, rng):

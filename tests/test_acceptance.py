@@ -320,7 +320,7 @@ class TestCriterion6Boundedness:
         n = 16
         corpus = graded_corpus(n, 10, 2024)
         phi = gaussian_window(n)
-        ratios = [boundedness_report(s, 0.5, 20, 7).max_ratio for s in corpus]
+        ratios = [boundedness_report(op_tau(s, 0.5), 20, 7) for s in corpus]
         bounds = [sjostrand_norm(symbol_sups(s, tau_wigner(phi, phi, 0.5)), polynomial_weight(0.0)) for s in corpus]
         corpus_constant = 0.032  # recorded once from the build-time run
         bounded = all(r <= corpus_constant * b for r, b in zip(ratios, bounds))

@@ -452,6 +452,20 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
         assert calls == {"symbol_sups": 3, "operator_channel": 5, "op_tau": 5}
 
+    def test_ratio_and_channel_read_one_operator(self, tmp_path, monkeypatch):
+        # per tau, the ratio measures the very array the channel is built from, and before it
+        calls = []
+        for name in ("boundedness_report", "operator_channel"):
+            def recorded(operator, *args, _fn=getattr(cyclictf.diagnostics, name), _name=name):
+                calls.append((_name, operator))
+                return _fn(operator, *args)
+
+            monkeypatch.setattr(cyclictf.diagnostics, name, recorded)
+        cfg = write_config(tmp_path, {**self.BASELINE, "n": 8})
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+        assert [name for name, _ in calls] == ["boundedness_report", "operator_channel"] * len(self.BASELINE["tau"])
+        assert all(ratio_op is channel_op for (_, ratio_op), (_, channel_op) in zip(calls[::2], calls[1::2]))
+
     def test_endpoints_take_no_symbol_stft(self, tmp_path, monkeypatch):
         calls = count_calls(monkeypatch, ["symbol_sups", "tau_wigner"])
         cfg = write_config(tmp_path, {**self.BASELINE, "n": 8, "tau": [0.0, 1.0]})

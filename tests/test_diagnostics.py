@@ -533,15 +533,13 @@ class TestBoundedness:
     def test_identity_symbol_ratio_one(self):
         ones = np.ones((8, 8))
         for tau in (0.0, 0.3, 0.5, 1.0):
-            rep = boundedness_report(ones, tau, 10, 0)
-            assert rep.max_ratio == pytest.approx(1.0, abs=1e-9)
+            assert boundedness_report(op_tau(ones, tau), 10, 0) == pytest.approx(1.0, abs=1e-9)
 
     def test_unimodular_multiplier_unitary(self):
         rng = np.random.default_rng(11)
         m = np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
         sigma = np.tile(m[:, None], (1, 8))
-        rep = boundedness_report(sigma, 0.3, 10, 1)
-        assert rep.max_ratio == pytest.approx(1.0, abs=1e-9)
+        assert boundedness_report(op_tau(sigma, 0.3), 10, 1) == pytest.approx(1.0, abs=1e-9)
 
     def test_spearman_ranks_ties_by_position(self):
         # the tied 2s and 9s rank in the order they stand, as y's distinct values do
@@ -552,21 +550,35 @@ class TestBoundedness:
     def test_corpus_association(self):
         corpus = graded_corpus(16, 10, 2024)
         phi = gaussian_window(16)
-        ratios = [boundedness_report(s, 0.5, 10, 7).max_ratio for s in corpus]
+        ratios = [boundedness_report(op_tau(s, 0.5), 10, 7) for s in corpus]
         bounds = [sjostrand_norm(symbol_sups(s, tau_wigner(phi, phi, 0.5)), V0) for s in corpus]
         assert spearman_rank(ratios, bounds) >= 0.9
         assert all(r <= b for r, b in zip(ratios, bounds))
 
     def test_nan_ratio_is_kept(self):
-        # every trial's ratio is NaN: max_ratio is NaN, not the 0 the maximum starts from
+        # every trial's ratio is NaN: the ratio is NaN, not the 0 the maximum starts from
         sigma = np.ones((8, 8), dtype=complex)
         sigma[0, 0] = np.nan
-        rep = boundedness_report(sigma, 0.0, 3, 0)
-        assert np.isnan(rep.max_ratio)
+        assert np.isnan(boundedness_report(op_tau(sigma, 0.0), 3, 0))
 
     def test_trials_validated(self):
         with pytest.raises(ValueError, match="trials"):
-            boundedness_report(np.ones((4, 4)), 0.5, 0, 0)
+            boundedness_report(np.ones((4, 4)), 0, 0)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 3)])
+    def test_operator_must_be_square(self, shape):
+        with pytest.raises(ValueError, match="square matrix") as info:
+            boundedness_report(np.ones(shape), 10, 0)
+        assert str(shape) in str(info.value)
+
+    def test_ratio_is_the_largest_trial_ratio(self):
+        # one rand_complex draw per trial, in order, from the seeded generator
+        operator = op_tau(random_symbol(8, 3), 0.3)
+        rng = np.random.default_rng(5)
+        signals = [rand_complex(rng, 8) for _ in range(10)]
+        ratio = boundedness_report(operator, 10, 5)
+        assert type(ratio) is float
+        assert ratio == max(np.linalg.norm(operator @ f) / np.linalg.norm(f) for f in signals)
 
 
 class TestWienerExperiment:

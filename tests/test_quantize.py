@@ -256,13 +256,12 @@ class TestConvertSymbol:
         sigma = random_symbol(8, 11)
         assert np.abs(convert_symbol(sigma, 0.3, 0.3) - sigma).max() < 1e-12
 
-    @pytest.mark.parametrize("tau1,tau2", [(0.0, 0.5), (0.3, 0.8), (0.5, 1.0)])
-    def test_operator_consistency(self, tau1, tau2):
-        assert convert_residual(random_symbol(8, 12), tau1, tau2) < SUITE_TOL
-
-    @pytest.mark.parametrize("tau1,tau2", [(0.0, 1.0), (0.25, 0.6)])
-    def test_matches_dequantize_path(self, tau1, tau2):
-        assert convert_residual(random_symbol(8, 13), tau1, tau2) < SUITE_TOL
+    @pytest.mark.parametrize("tau1,tau2,seed", [
+        pytest.param(tau1, tau2, seed, id=f"{tau1}-{tau2}")
+        for tau1, tau2, seed in [(0.0, 0.5, 12), (0.3, 0.8, 12), (0.5, 1.0, 12), (0.0, 1.0, 13), (0.25, 0.6, 13)]])
+    def test_operator_consistency(self, tau1, tau2, seed):
+        # as operators and as symbols: convert_residual takes the worse of the two
+        assert convert_residual(random_symbol(8, seed), tau1, tau2) < SUITE_TOL
 
     def test_constant_invariant(self):
         for tau1, tau2 in [(0.0, 1.0), (0.3, 0.7)]:

@@ -156,6 +156,13 @@ class TestNaNResiduals:
         mags[3] = np.nan
         assert np.isnan(channel_modulus_residual(channel, 0.0, mags)[0])
 
+    def test_channel_modulus_of_a_zero_operator_is_zero(self):
+        # every entry and every modulus is 0: the residual is 0, as every other residual's, and no 0 / 0
+        # warning is raised (RuntimeWarning is an error in the test run)
+        phi, sigma = gaussian_window(8), np.zeros((8, 8))
+        channel = diagnostics.operator_channel(op_tau(sigma, 0.0), phi)
+        assert channel_modulus_residual(channel, 0.0, stft_slabs(sigma, tau_wigner(phi, phi, 0.0)))[0] == 0.0
+
 
 class TestChannelModulusScale:
     @staticmethod
