@@ -60,8 +60,12 @@ class ChannelMatrix:
 
 
 def operator_channel(operator: np.ndarray, phi: np.ndarray, lattice: Lattice = Lattice(1, 1)) -> ChannelMatrix:
-    """The one channel constructor, of any operator (op_tau(sigma, tau) for a symbol); shift_bank refuses a zero phi."""
+    """The one channel constructor, of any square operator (op_tau(sigma, tau) for a symbol) and a window of
+    its length; shift_bank refuses a zero phi."""
     arr = np.asarray(operator, dtype=complex)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or np.shape(phi) != arr.shape[:1]:
+        raise ValueError(f"operator_channel needs a square operator and a window of its length, "
+                         f"not operator shape {arr.shape} and window shape {np.shape(phi)}")
     n = arr.shape[0]
     bank = shift_bank(phi, lattice.points(n))
     image = arr @ bank  # then C_phi is the bank conjugated in place and transposed: a view, not a copy
@@ -284,6 +288,13 @@ def wiener_experiment(
     inverse is dequantized at tau (Weyl track, Sjostrand norm with v_s) and
     at 1 - tau (the complementary quantization of the inverse theorem,
     Fourier-image norm with v_s o B_{1-tau}; plain v_s at the endpoints).
+
+    At tau in {0, 1} both tracks are read from one channel of the inverse,
+    with no symbol STFT: the inverse is Op_tau(rho) and Op_{1-tau}(b), both
+    endpoint quantizations, so its difference envelope is sup_pos o J of
+    rho's STFT with W_tau(phi, phi) (v_s is J-invariant) and its weak
+    envelope at 1 - tau, the tau of b, is sup_freq of b's STFT with
+    W_{1-tau}(phi, phi).
     """
     operator = op_tau(np.asarray(sigma, dtype=complex), tau)
     condition = float(np.linalg.cond(operator))
@@ -293,11 +304,14 @@ def wiener_experiment(
     rho = dequantize(inverse, tau)
     b = dequantize(inverse, 1.0 - tau)
     v = polynomial_weight(s)
-    # at tau = 1/2 both tracks hold the same pair: one pass
-    rho_sups, b_sups = _distinct_symbol_sups((rho, tau_wigner(phi, phi, tau)),
-                                             (b, tau_wigner(phi, phi, 1.0 - tau)))
-    weyl_norm = sjostrand_norm(rho_sups, v)
-    fclass_norm = fsjostrand_norm(b_sups, fclass_weight(v, 1.0 - tau))
+    if tau in (0.0, 1.0):  # fclass_weight(v, 1 - tau) is v here
+        diff, weak = envelopes(operator_channel(inverse, phi), [("difference", None), ("ttau", 1.0 - tau)])
+        weyl_norm, fclass_norm = ell1v(diff, v), ell1v(weak, v)
+    else:  # at tau = 1/2 both tracks hold the same pair: one pass
+        rho_sups, b_sups = _distinct_symbol_sups((rho, tau_wigner(phi, phi, tau)),
+                                                 (b, tau_wigner(phi, phi, 1.0 - tau)))
+        weyl_norm = sjostrand_norm(rho_sups, v)
+        fclass_norm = fsjostrand_norm(b_sups, fclass_weight(v, 1.0 - tau))
     return WienerReport(
         invertible=True,
         condition=condition,

@@ -543,14 +543,23 @@ class TestWienerCommand:
         assert "weyl_track_norm" not in row
 
     def test_one_symbol_stft_per_distinct_pair(self, tmp_path, monkeypatch):
-        # 2 per tau and 3 per inner tau, less the repeats at tau = 1/2: one of
-        # the two tracks and two of the three composition symbols
+        # 5 per inner tau (2 tracks, 3 composition symbols), less the repeats at tau = 1/2: one of
+        # the two tracks and two of the three composition symbols; the endpoint rows read both
+        # tracks from one channel of the inverse and run none
         calls = count_calls(monkeypatch, ["symbol_sups"])
         cfg = write_config(tmp_path, {**TestSweep.BASELINE, "n": 8})
         assert main(["wiener", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
         rows = json.loads((tmp_path / "wiener.json").read_text())["rows"]
         assert all(row["invertible"] for row in rows)
-        assert calls == {"symbol_sups": 16}
+        assert calls == {"symbol_sups": 12}
+
+    def test_endpoints_take_one_channel_and_no_symbol_stft(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, ["symbol_sups", "operator_channel"])
+        cfg = write_config(tmp_path, {**TestSweep.BASELINE, "n": 8, "tau": [0.0, 1.0]})
+        assert main(["wiener", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+        rows = json.loads((tmp_path / "wiener.json").read_text())["rows"]
+        assert all(row["invertible"] for row in rows)
+        assert calls == {"symbol_sups": 0, "operator_channel": 2}
 
     def test_peak_memory_at_n32(self, tmp_path, traced_peak):
         # one symbol-STFT slab at a time (2.1 MB); the full N^4 STFT peaked at 25.4 MB

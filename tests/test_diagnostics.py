@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from cyclictf.diagnostics import (
 from cyclictf.generators import (
     comb_window,
     delta_symbol,
+    delta_window,
     gaussian_symbol,
     gaussian_window,
     graded_corpus,
@@ -158,6 +161,13 @@ class TestChannelMatrix:
     def test_operator_channel_zero_window_rejected(self):
         with pytest.raises(ValueError, match="non-zero"):
             operator_channel(np.eye(4, dtype=complex), np.zeros(4))
+
+    @pytest.mark.parametrize("shape, length", [((4, 3), 4), ((4,), 4), ((4, 4), 8)], ids=["4x3", "4", "4x4-window-8"])
+    def test_operator_and_window_shapes_rejected(self, shape, length):
+        # a non-square operator, and a window not of the operator's length, ended in numpy's bare matmul error
+        with pytest.raises(ValueError, match="square operator and a window of its length") as info:
+            operator_channel(np.ones(shape), gaussian_window(length))
+        assert str(shape) in str(info.value) and str((length,)) in str(info.value)
 
 
 class TestModulusIdentity:
@@ -616,6 +626,22 @@ class TestWienerExperiment:
         assert rep.invertible == invertible
         # 2e11 read 2.00004e11: the SVD resolves the singular value 1e-11 to about 1e-16
         assert rep.condition == pytest.approx(2.0 / entry, rel=1e-3)
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 9, 10, 16, 32])
+    def test_endpoint_track_norms_are_the_symbol_stft_norms(self, n):
+        # at tau in {0, 1} both tracks are read from the difference and weak envelopes of one
+        # channel of the inverse; the symbol STFTs of rho and b with their own tau's window are the oracle
+        sigma = random_symbol(n, 7)
+        windows = [gaussian_window(n), delta_window(n)] + ([comb_window(n)] if n % 4 == 0 else [])
+        for phi, tau, s in itertools.product(windows, (0.0, 1.0), (0.0, 1.0, 2.5)):
+            rep = wiener_experiment(sigma, tau, phi, s)
+            assert rep.invertible
+            v = polynomial_weight(s)
+            inverse = np.linalg.inv(op_tau(sigma, tau))
+            rho_sups = symbol_sups(dequantize(inverse, tau), tau_wigner(phi, phi, tau))
+            b_sups = symbol_sups(dequantize(inverse, 1.0 - tau), tau_wigner(phi, phi, 1.0 - tau))
+            assert rep.weyl_track_norm == pytest.approx(sjostrand_norm(rho_sups, v), rel=1e-10, abs=0)
+            assert rep.fclass_track_norm == pytest.approx(fsjostrand_norm(b_sups, v), rel=1e-10, abs=0)
 
 
 class TestCompositionSymmetry:

@@ -87,6 +87,10 @@ CATALOGUE = [  # (file under src/cyclictf, old, new, label, expected)
      "sweep's endpoint sjostrand is the sum-envelope mass", "killed"),
     ("verify.py", "max(np.abs(ref).max(), 1e-30)", "np.abs(ref).max()",
      "relative_residual without its 1e-30 floor", "killed"),
+    ("diagnostics.py", '("ttau", 1.0 - tau)', '("ttau", tau)',
+     "wiener's endpoint fclass track reads the weak envelope at tau, not at b's 1 - tau", "killed"),
+    ("diagnostics.py", "if tau in (0.0, 1.0):  # fclass_weight", "if tau in (0.0, 0.5, 1.0):  # fclass_weight",
+     "wiener reads its track norms from the channel at tau = 1/2 too", "killed"),
 ]
 
 
